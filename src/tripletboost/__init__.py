@@ -40,7 +40,6 @@ from .boost import (
 from .predict import (
     ABSTAIN,
     Prediction,
-    multilabel_scores,
     predict_all,
     resolve,
     resolve_all,

@@ -14,10 +14,9 @@ from .weak import (
     MAX_LABELS,
     RoundStats,
     TripletClassifier,
-    _bucket_weights,
     _mask_bools,
-    _select_mask,
-    classifier_alpha,
+    _round,
+    _update,
     fired_buckets,
 )
 
@@ -135,25 +134,6 @@ def sample_reference_pair(ds: Dataset, w: np.ndarray, rng) -> tuple[int, int]:
     return j, k
 
 
-def _apply_update(w, labels, buckets_masks, alpha: float, n_labels: int) -> float:
-    """Multiply fired entries by exp(-/+ alpha), renormalize in place, return
-    the pre-normalization total."""
-    e_neg = math.exp(-alpha)
-    e_pos = math.exp(alpha)
-    col = np.arange(n_labels)
-    for bucket, mask in buckets_masks:
-        if bucket.size == 0:
-            continue
-        member = _mask_bools(mask, n_labels)
-        agree = member[None, :] == (labels[bucket][:, None] == col[None, :])
-        w[bucket] *= np.where(agree, e_neg, e_pos)
-    z = float(w.sum())
-    if z <= 0.0:
-        raise ValueError("weight update produced a nonpositive total")
-    w /= z
-    return z
-
-
 def update_weights(w: np.ndarray, h: TripletClassifier, ts: TripletStore,
                    ds: Dataset) -> tuple[np.ndarray, float]:
     """One multiplicative-update step; abstaining examples keep their weights.
@@ -166,14 +146,8 @@ def update_weights(w: np.ndarray, h: TripletClassifier, ts: TripletStore,
     if h.alpha == 0.0 or (fwd.size == 0 and rev.size == 0):
         return w.copy(), 1.0
     out = w.copy()
-    z = _apply_update(out, ds.labels, ((fwd, h.o_j), (rev, h.o_k)), h.alpha,
-                      ds.n_labels)
-    return out, z
-
-
-def _bump_scores(scores, bucket, mask, alpha: float, n_labels: int) -> None:
-    if bucket.size:
-        scores[bucket] += np.where(_mask_bools(mask, n_labels), alpha, -alpha)
+    sides = ((fwd, _mask_bools(h.o_j, ds.n_labels)), (rev, _mask_bools(h.o_k, ds.n_labels)))
+    return out, _update(out, ds.labels, sides, h.alpha)
 
 
 def _strict_error(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -207,8 +181,6 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
     if ts.n != n:
         raise ValueError("triplet store universe does not match the dataset")
 
-    labels = ds.labels
-    pkeys, anchors_by_pair, near_lo_by_pair = ts.pair_groups()
     rng = np.random.default_rng(cfg.seed)
     w = init_weights(n, n_labels)
     scores = np.zeros((n, n_labels))
@@ -219,35 +191,14 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
 
     for rnd in range(1, cfg.rounds + 1):
         j, k = sample_reference_pair(ds, w, rng)
-        lo, hi = (j, k) if j < k else (k, j)
-        start, stop = np.searchsorted(pkeys, [lo * n + hi, lo * n + hi + 1])
-        group_anchors = anchors_by_pair[start:stop]
-        group_near_lo = near_lo_by_pair[start:stop]
-        if j == lo:
-            fwd, rev = group_anchors[group_near_lo], group_anchors[~group_near_lo]
-        else:
-            fwd, rev = group_anchors[~group_near_lo], group_anchors[group_near_lo]
-
-        o_j = _select_mask(w, labels, fwd, n_labels)
-        o_k = _select_mask(w, labels, rev, n_labels)
-        pj, mj = _bucket_weights(w, labels, fwd, o_j, n_labels)
-        pk, mk = _bucket_weights(w, labels, rev, o_k, n_labels)
-        w_plus, w_minus = pj + pk, mj + mk
-        alpha = classifier_alpha(w_plus, w_minus, n)
-
-        if alpha != 0.0:
-            z = _apply_update(w, labels, ((fwd, o_j), (rev, o_k)), alpha, n_labels)
-            _bump_scores(scores, fwd, o_j, alpha, n_labels)
-            _bump_scores(scores, rev, o_k, alpha, n_labels)
-        else:
-            z = 1.0
-        if alpha != 0.0 or cfg.keep_zero_alpha:
-            classifiers.append(TripletClassifier(j, k, o_j, o_k, alpha))
-        stats.append(RoundStats(w_plus, w_minus, z, alpha))
-        log_z_sum += math.log(z)
+        h, stat = _round(w, ds.labels, j, k, *fired_buckets(ts, j, k), scores)
+        if h.alpha != 0.0 or cfg.keep_zero_alpha:
+            classifiers.append(h)
+        stats.append(stat)
+        log_z_sum += math.log(stat.z)
         if cfg.stats_every and (rnd % cfg.stats_every == 0 or rnd == cfg.rounds):
             checkpoints.append(Checkpoint(
-                rnd, _strict_error(scores, labels),
+                rnd, _strict_error(scores, ds.labels),
                 0.5 * n_labels * math.exp(log_z_sum)))
 
     return StrongModel(classifiers, ds.label_dict, n, stats, cfg.rounds,

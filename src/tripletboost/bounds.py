@@ -12,11 +12,11 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .boost import StrongModel, init_weights, sample_reference_pair, update_weights
+from .boost import StrongModel, init_weights, sample_reference_pair
 from .dataset import Dataset, LabelDict
 from .predict import score
-from .triplets import TripletStore
-from .weak import TripletClassifier, classifier_alpha, round_weights, select_labels
+from .triplets import _round_half_up
+from .weak import TripletClassifier, _round
 
 __all__ = [
     "training_error_bound",
@@ -164,10 +164,6 @@ def abstention_limit(k: float, beta: float) -> float:
     return 0.0
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def bound_surface_rows(n: int, k_grid, beta_grid):
     """Abstention bound over an exponent grid: rows (k, beta, bound).
 
@@ -220,20 +216,9 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
             j, k = sample_reference_pair(ds, w, rng)
             revealed = np.flatnonzero(rng.random(n) < p)
             says_j = rng.random(n) < 0.5
-            lo, hi = (j, k) if j < k else (k, j)
-            near_lo = says_j[revealed] ^ (j != lo)
-            store = TripletStore(
-                n, revealed,
-                np.full(revealed.size, lo, dtype=np.int64),
-                np.full(revealed.size, hi, dtype=np.int64),
-                near_lo, _trusted=True)
-            o_j, o_k = select_labels(j, k, store, ds, w)
-            probe = TripletClassifier(j, k, o_j, o_k, 0.0)
-            w_plus, w_minus = round_weights(probe, store, ds, w)
-            alpha = classifier_alpha(w_plus, w_minus, n)
-            if alpha != 0.0:
-                h = TripletClassifier(j, k, o_j, o_k, alpha)
-                w, _ = update_weights(w, h, store, ds)
+            fwd, rev = revealed[says_j[revealed]], revealed[~says_j[revealed]]
+            h, _ = _round(w, labels, j, k, fwd, rev)
+            if h.alpha != 0.0:
                 kept.append(h)
         model = StrongModel(kept, ds.label_dict, n)
         pair_arr = np.array([[h.j, h.k] for h in kept], dtype=np.int64).reshape(-1, 2)

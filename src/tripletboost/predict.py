@@ -15,6 +15,7 @@ import numpy as np
 
 from .boost import StrongModel
 from .triplets import TestTripletSet, TripletStore
+from .weak import _mask_bools, fired_buckets
 
 __all__ = [
     "ABSTAIN",
@@ -22,7 +23,6 @@ __all__ = [
     "score",
     "score_naive",
     "resolve",
-    "multilabel_scores",
     "predict_all",
     "signed_scores_on_training",
     "write_predictions_csv",
@@ -59,18 +59,11 @@ class _ScoringIndex:
     def __init__(self, model: StrongModel):
         self.n_train = model.n_train
         self.n_labels = model.n_labels
-        count = len(model.classifiers)
-        self.keys = np.empty(count, dtype=np.int64)
-        self.alpha = np.empty(count, dtype=np.float64)
-        self.bits_j = np.zeros((count, self.n_labels), dtype=bool)
-        self.bits_k = np.zeros((count, self.n_labels), dtype=bool)
-        shifts = np.arange(self.n_labels, dtype=np.uint64)  # uint64: bit 63 is legal
-        one = np.uint64(1)
-        for idx, h in enumerate(model.classifiers):
-            self.keys[idx] = h.j * self.n_train + h.k
-            self.alpha[idx] = h.alpha
-            self.bits_j[idx] = (np.uint64(h.o_j) >> shifts) & one
-            self.bits_k[idx] = (np.uint64(h.o_k) >> shifts) & one
+        cls = model.classifiers
+        self.keys = np.array([h.j * self.n_train + h.k for h in cls], dtype=np.int64)
+        self.alpha = np.array([h.alpha for h in cls], dtype=np.float64)
+        self.bits_j = _mask_bools([h.o_j for h in cls], self.n_labels)
+        self.bits_k = _mask_bools([h.o_k for h in cls], self.n_labels)
 
 
 def _index(model: StrongModel) -> _ScoringIndex:
@@ -168,11 +161,6 @@ def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
     return int(best[rng.integers(best.size)])
 
 
-def multilabel_scores(model: StrongModel, pairs) -> np.ndarray:
-    """Raw per-label vote totals, for ranking-style evaluation."""
-    return score(model, pairs).scores
-
-
 def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
     """Score every test example; resolution is left to the caller."""
     if tset.n_train != model.n_train:
@@ -193,22 +181,14 @@ def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarra
     """
     if ts.n != model.n_train:
         raise ValueError("store universe does not match the model")
-    n_labels = model.n_labels
-    scores = np.zeros((ts.n, n_labels))
-    shifts = np.arange(n_labels, dtype=np.uint64)
-    one = np.uint64(1)
-    pkeys, anchors, near_lo = ts.pair_groups()
-    for h in model.classifiers:
+    scores = np.zeros((ts.n, model.n_labels))
+    index = _index(model)
+    for h, bits_j, bits_k in zip(model.classifiers, index.bits_j, index.bits_k):
         if h.alpha == 0.0:
             continue
-        key = h.j * ts.n + h.k
-        start, stop = np.searchsorted(pkeys, [key, key + 1])
-        group = anchors[start:stop]
-        near = near_lo[start:stop]
-        sign_j = np.where((np.uint64(h.o_j) >> shifts) & one, h.alpha, -h.alpha)
-        sign_k = np.where((np.uint64(h.o_k) >> shifts) & one, h.alpha, -h.alpha)
-        scores[group[near]] += sign_j
-        scores[group[~near]] += sign_k
+        fwd, rev = fired_buckets(ts, h.j, h.k)
+        scores[fwd] += np.where(bits_j, h.alpha, -h.alpha)
+        scores[rev] += np.where(bits_k, h.alpha, -h.alpha)
     return scores
 
 

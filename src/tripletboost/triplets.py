@@ -64,6 +64,11 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _check_unit(value: float, what: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1]")
+
+
 def _check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -324,10 +329,8 @@ def generate_training_set(ds: Dataset, metric: str, proportion: float,
     child seeds spawned from ``seed``, without materializing the full set.
     """
     _check_metric(metric)
-    if not 0.0 <= proportion <= 1.0:
-        raise ValueError("proportion must lie in [0, 1]")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise rate must lie in [0, 1]")
+    _check_unit(proportion, "proportion")
+    _check_unit(noise, "noise rate")
     feats = _check_vectors(ds.features, metric, "dataset")
     sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
     lo, hi = _pair_table(ds.n)
@@ -340,8 +343,7 @@ def generate_training_set(ds: Dataset, metric: str, proportion: float,
 
 def subsample(ts: TripletStore, proportion: float, seed) -> TripletStore:
     """Keep exactly round(proportion * m) triplets, uniform without replacement."""
-    if not 0.0 <= proportion <= 1.0:
-        raise ValueError("proportion must lie in [0, 1]")
+    _check_unit(proportion, "proportion")
     keep = _round_half_up(proportion * ts.m)
     if keep >= ts.m:
         return ts
@@ -357,16 +359,23 @@ def subsample(ts: TripletStore, proportion: float, seed) -> TripletStore:
 
 def add_noise(ts: TripletStore, rate: float, seed) -> TripletStore:
     """Swap j and k on exactly round(rate * m) triplets, chosen uniformly."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("noise rate must lie in [0, 1]")
-    n_swap = _round_half_up(rate * ts.m)
-    if n_swap == 0:
+    _check_unit(rate, "noise rate")
+    near_lo = _flip(ts._near_lo, rate, seed)
+    if near_lo is ts._near_lo:
         return ts
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(ts.m, size=n_swap, replace=False)
-    near_lo = ts._near_lo.copy()
-    near_lo[idx] = ~near_lo[idx]
     return TripletStore(ts.n, ts._anchor, ts._lo, ts._hi, near_lo, _trusted=True)
+
+
+def _flip(near_lo: np.ndarray, rate: float, seed) -> np.ndarray:
+    """Orientation bits with exactly round(rate * m) of them negated, chosen
+    uniformly; the input itself when there is nothing to flip."""
+    n_swap = _round_half_up(rate * near_lo.size)
+    if n_swap == 0:
+        return near_lo
+    idx = np.random.default_rng(seed).choice(near_lo.size, size=n_swap, replace=False)
+    flipped = near_lo.copy()
+    flipped[idx] = ~flipped[idx]
+    return flipped
 
 
 # -- generation from ratings --------------------------------------------------
@@ -386,11 +395,20 @@ class RatingsTable:
             raise ValueError("empty ratings table")
         if self.item.min() < 0:
             raise ValueError("item ids must be nonnegative")
+        if not np.all(np.isfinite(self.rating)):
+            raise ValueError("non-finite rating")
+        if np.unique(np.column_stack([self.user, self.item]), axis=0).shape[0] \
+                != self.user.size:
+            raise ValueError("duplicate rating for one (user, item)")
 
 
 def load_ratings(path) -> RatingsTable:
-    """Read whitespace-separated ``user item rating`` lines."""
+    """Read whitespace-separated ``user item rating`` lines.
+
+    Each (user, item) may be rated once, and ratings must be finite.
+    """
     users, items, ratings = [], [], []
+    seen: set[tuple[int, int]] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -399,11 +417,17 @@ def load_ratings(path) -> RatingsTable:
             if len(parts) != 3:
                 raise ValueError(f"malformed rating at line {lineno}")
             try:
-                users.append(int(parts[0]))
-                items.append(int(parts[1]))
-                ratings.append(float(parts[2]))
+                user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise ValueError(f"malformed rating at line {lineno}") from None
+            if not math.isfinite(rating):
+                raise ValueError(f"non-finite rating at line {lineno}")
+            if (user, item) in seen:
+                raise ValueError(f"duplicate rating at line {lineno}")
+            seen.add((user, item))
+            users.append(user)
+            items.append(item)
+            ratings.append(rating)
     if not users:
         raise ValueError("empty ratings table")
     item_arr = np.asarray(items, dtype=np.int64)
@@ -611,10 +635,8 @@ def generate_test_set(test_ds: Dataset, train_ds: Dataset, metric: str,
                       proportion: float, noise: float, seed: int) -> TestTripletSet:
     """Test-anchor triplets over training reference pairs, same sampling protocol."""
     _check_metric(metric)
-    if not 0.0 <= proportion <= 1.0:
-        raise ValueError("proportion must lie in [0, 1]")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise rate must lie in [0, 1]")
+    _check_unit(proportion, "proportion")
+    _check_unit(noise, "noise rate")
     test_feats = _check_vectors(test_ds.features, metric, "test dataset")
     train_feats = _check_vectors(train_ds.features, metric, "training dataset")
     sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
@@ -622,12 +644,8 @@ def generate_test_set(test_ds: Dataset, train_ds: Dataset, metric: str,
     x, plo, phi, a_lo = _generate_sampled(
         test_feats, metric, proportion, np.random.default_rng(sub_seed),
         n_universe=train_ds.n, lo=lo, hi=hi, exclude_anchor=False, ref=train_feats)
-    n_swap = _round_half_up(noise * x.size)
-    if n_swap:
-        idx = np.random.default_rng(noise_seed).choice(x.size, size=n_swap, replace=False)
-        a_lo = a_lo.copy()
-        a_lo[idx] = ~a_lo[idx]
-    return TestTripletSet(test_ds.n, train_ds.n, x, plo, phi, a_lo, _trusted=True)
+    return TestTripletSet(test_ds.n, train_ds.n, x, plo, phi,
+                          _flip(a_lo, noise, noise_seed), _trusted=True)
 
 
 # -- shared text I/O -----------------------------------------------------------

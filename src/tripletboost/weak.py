@@ -1,15 +1,20 @@
-"""Reference-pair weak classifiers over triplet half-spaces.
+"""Reference-pair weak classifiers over triplet half-spaces, and the boosting round.
 
 A classifier for a pair (j, k) predicts the label set ``o_j`` on examples
 known (via some triplet) to be closer to j, the set ``o_k`` on examples
-closer to k, and abstains elsewhere.  Label sets are bitmasks, which caps
-the label space at 64 classes.
+closer to k, and abstains elsewhere.  Inside a round a label set is a bool
+vector over the labels; at the API and file boundary (``TripletClassifier``,
+the public step functions, model files) it is an int bitmask, which caps the
+label space at 64 classes.  ``_round`` is the one implementation of a
+boosting round; ``select_labels``, ``round_weights`` and
+``boost.update_weights`` expose its steps one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,26 +66,13 @@ class TripletClassifier:
             raise ValueError("classifier weight must be finite")
 
 
-class RoundStats:
+class RoundStats(NamedTuple):
     """Per-round bookkeeping: correct/incorrect mass, normalizer, vote weight."""
 
-    __slots__ = ("w_plus", "w_minus", "z", "alpha")
-
-    def __init__(self, w_plus: float, w_minus: float, z: float, alpha: float):
-        self.w_plus = w_plus
-        self.w_minus = w_minus
-        self.z = z
-        self.alpha = alpha
-
-    def __repr__(self):
-        return (f"RoundStats(w_plus={self.w_plus!r}, w_minus={self.w_minus!r}, "
-                f"z={self.z!r}, alpha={self.alpha!r})")
-
-    def __eq__(self, other):
-        if not isinstance(other, RoundStats):
-            return NotImplemented
-        return (self.w_plus, self.w_minus, self.z, self.alpha) == \
-            (other.w_plus, other.w_minus, other.z, other.alpha)
+    w_plus: float
+    w_minus: float
+    z: float
+    alpha: float
 
 
 def bitmask(labels) -> int:
@@ -96,8 +88,11 @@ def mask_labels(mask: int, n_labels: int) -> list[int]:
     return [y for y in range(n_labels) if (mask >> y) & 1]
 
 
-def _mask_bools(mask: int, n_labels: int) -> np.ndarray:
-    return np.array([(mask >> y) & 1 for y in range(n_labels)], dtype=bool)
+def _mask_bools(masks, n_labels: int) -> np.ndarray:
+    """Decode one bitmask, or an array of them, into bool rows over the labels."""
+    shifts = np.arange(n_labels, dtype=np.uint64)  # uint64: bit 63 is legal
+    bits = np.asarray(masks, dtype=np.uint64)[..., None] >> shifts
+    return (bits & np.uint64(1)).astype(bool)
 
 
 def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,58 +109,94 @@ def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndar
     return anchors[~near_lo], anchors[near_lo]
 
 
-def _select_mask(w: np.ndarray, labels: np.ndarray, bucket: np.ndarray,
-                 n_labels: int) -> int:
-    """Labels whose in-class minus out-of-class weighted mass is strictly positive."""
+def _side(w: np.ndarray, labels: np.ndarray, bucket: np.ndarray,
+          member: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+    """One side of a round: its label set and (correct, incorrect) weighted mass.
+
+    Without ``member`` the set is chosen: the labels whose in-class minus
+    out-of-class mass on the bucket is strictly positive.  An entry (i, y)
+    counts as correct when membership of y in the set agrees with y being
+    i's true label; abstaining examples contribute nothing (they are simply
+    not in the bucket).
+    """
+    n_labels = w.shape[1]
     if bucket.size == 0:
-        return 0
+        return (np.zeros(n_labels, dtype=bool) if member is None else member), 0.0, 0.0
     w_bucket = w[bucket]
-    true_w = w[bucket, labels[bucket]]
-    in_class = np.bincount(labels[bucket], weights=true_w, minlength=n_labels)
-    margin = 2.0 * in_class - w_bucket.sum(axis=0)
-    mask = 0
-    for y in np.flatnonzero(margin > 0.0):
-        mask |= 1 << int(y)
-    return mask
+    bucket_labels = labels[bucket]
+    true_w = w[bucket, bucket_labels]
+    if member is None:
+        in_class = np.bincount(bucket_labels, weights=true_w, minlength=n_labels)
+        member = 2.0 * in_class - w_bucket.sum(axis=0) > 0.0
+    total = float(w_bucket.sum())
+    all_true = float(true_w.sum())
+    inside = float(w_bucket[:, member].sum())
+    inside_true = float(true_w[member[bucket_labels]].sum())
+    w_plus = total - all_true - inside + 2.0 * inside_true
+    w_minus = all_true + inside - 2.0 * inside_true
+    return member, w_plus, w_minus
+
+
+def _update(w: np.ndarray, labels: np.ndarray, sides, alpha: float,
+            scores: np.ndarray | None = None) -> float:
+    """Multiplicative update on the fired ``(bucket, member)`` sides, in place.
+
+    Entries the side's set gets right shrink by exp(-alpha), the others grow
+    by exp(alpha); ``scores``, when given, gains the signed vote.  Returns the
+    pre-normalization total after renormalizing ``w``.
+    """
+    e_neg = math.exp(-alpha)
+    e_pos = math.exp(alpha)
+    col = np.arange(w.shape[1])
+    for bucket, member in sides:
+        if bucket.size == 0:
+            continue
+        agree = member[None, :] == (labels[bucket][:, None] == col[None, :])
+        w[bucket] *= np.where(agree, e_neg, e_pos)
+        if scores is not None:
+            scores[bucket] += np.where(member, alpha, -alpha)
+    z = float(w.sum())
+    if z <= 0.0:
+        raise ValueError("weight update produced a nonpositive total")
+    w /= z
+    return z
+
+
+def _round(w: np.ndarray, labels: np.ndarray, j: int, k: int, fwd: np.ndarray,
+           rev: np.ndarray, scores: np.ndarray | None = None
+           ) -> tuple[TripletClassifier, RoundStats]:
+    """One boosting round on the buckets (closer to j, closer to k) of a pair.
+
+    Chooses both label sets, weighs the classifier, and applies its update
+    to ``w`` (and ``scores``) in place; a zero-weight round leaves them
+    alone and reports z = 1.  Returns the classifier and the round's stats.
+    """
+    o_j, plus_j, minus_j = _side(w, labels, fwd)
+    o_k, plus_k, minus_k = _side(w, labels, rev)
+    w_plus, w_minus = plus_j + plus_k, minus_j + minus_k
+    alpha = classifier_alpha(w_plus, w_minus, w.shape[0])
+    z = _update(w, labels, ((fwd, o_j), (rev, o_k)), alpha, scores) \
+        if alpha != 0.0 else 1.0
+    h = TripletClassifier(j, k, bitmask(np.flatnonzero(o_j)),
+                          bitmask(np.flatnonzero(o_k)), alpha)
+    return h, RoundStats(w_plus, w_minus, z, alpha)
 
 
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[int, int]:
     """Choose the predicted label sets for both sides of the pair (j, k)."""
     fwd, rev = fired_buckets(ts, j, k)
-    n_labels = ds.n_labels
-    return (_select_mask(w, ds.labels, fwd, n_labels),
-            _select_mask(w, ds.labels, rev, n_labels))
-
-
-def _bucket_weights(w, labels, bucket, mask, n_labels) -> tuple[float, float]:
-    """One side's contribution to the (correct, incorrect) weighted mass.
-
-    An entry (i, y) counts as correct when membership of y in the predicted
-    set agrees with y being i's true label; abstaining examples contribute
-    nothing (they are simply not in the bucket).
-    """
-    if bucket.size == 0:
-        return 0.0, 0.0
-    member = _mask_bools(mask, n_labels)
-    w_bucket = w[bucket]
-    total = float(w_bucket.sum())
-    true_w = w[bucket, labels[bucket]]
-    all_true = float(true_w.sum())
-    inside = float(w_bucket[:, member].sum())
-    inside_true = float(true_w[member[labels[bucket]]].sum())
-    w_plus = total - all_true - inside + 2.0 * inside_true
-    w_minus = all_true + inside - 2.0 * inside_true
-    return w_plus, w_minus
+    return (bitmask(np.flatnonzero(_side(w, ds.labels, fwd)[0])),
+            bitmask(np.flatnonzero(_side(w, ds.labels, rev)[0])))
 
 
 def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[float, float]:
     """Weighted mass of correctly and incorrectly classified (example, label) pairs."""
     fwd, rev = fired_buckets(ts, h.j, h.k)
-    pj, mj = _bucket_weights(w, ds.labels, fwd, h.o_j, ds.n_labels)
-    pk, mk = _bucket_weights(w, ds.labels, rev, h.o_k, ds.n_labels)
-    return pj + pk, mj + mk
+    _, plus_j, minus_j = _side(w, ds.labels, fwd, _mask_bools(h.o_j, ds.n_labels))
+    _, plus_k, minus_k = _side(w, ds.labels, rev, _mask_bools(h.o_k, ds.n_labels))
+    return plus_j + plus_k, minus_j + minus_k
 
 
 def classifier_alpha(w_plus: float, w_minus: float, n: int) -> float:

@@ -10,10 +10,13 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import tripletboost as tb
 from tripletboost.boost import _strict_error
 from tripletboost.predict import _index
+
+pytestmark = pytest.mark.acceptance
 
 _CACHE: dict = {}
 

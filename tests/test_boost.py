@@ -1,5 +1,6 @@
 """Boosting loop: sampling law, weight updates, training, persistence."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,14 +10,18 @@ from tripletboost import (
     BoostConfig,
     Dataset,
     LabelDict,
+    RoundStats,
     TripletClassifier,
     TripletStore,
+    classifier_alpha,
     generate_training_set,
     init_weights,
     load_model,
     make_moons,
+    round_weights,
     sample_reference_pair,
     save_model,
+    select_labels,
     train,
     training_error_bound,
     update_weights,
@@ -235,6 +240,88 @@ class TestTrain:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
             BoostConfig(rounds=0)
+
+
+def _moons_corpus():
+    ds = make_moons(350, 0.1, 0)
+    store = generate_training_set(ds, "euclidean", 0.1, 0.0, 1)
+    return ds, store, BoostConfig(rounds=8000, seed=2, stats_every=1000)
+
+
+def _five_label_corpus():
+    """Sparse, noisy triplets over five labels: many rounds earn weight zero."""
+    rng = np.random.default_rng(5)
+    labels = np.arange(150) % 5
+    feats = rng.normal(size=(150, 3)) + 0.8 * labels[:, None]
+    ds = Dataset(labels, LabelDict(tuple("abcde")), feats)
+    store = generate_training_set(ds, "euclidean", 0.003, 0.1, 4)
+    return ds, store, BoostConfig(rounds=1500, seed=6, keep_zero_alpha=True,
+                                  stats_every=250)
+
+
+# sha256 of (model file, round_stats, train_scores, checkpoints) as float64 bytes
+_PINNED = {
+    "moons": (_moons_corpus, (
+        "603d51035904eb8d4a6d6fe230d62032425213f5a33ce16cac69ca7c6c0b27c5",
+        "663c71bc13e40d58347afd387c0c69c1545ec1a5361b7cf24c0cdec94ac0724a",
+        "49ec626f23c26c81ccb3de0fe0eb823193030f04c11380e2678b81eaa6995ad0",
+        "ccbea666caa7f9d3d7a106efa1ec862789d1b2b44325d07a37e0621435f4edf4")),
+    "five_labels": (_five_label_corpus, (
+        "0e456852feee7cc94ef5c30d8f9a72aca98329639479ebeef21dc9b16e92fb04",
+        "170a33ba25d9d282e40c9b247c64c28b7388feee27a548324e552086fc73b3b8",
+        "0f71e8576614e85e69c1296e5e674b00916f31f84a74ddcce44fdc5e4a644b96",
+        "6f18605ab9506a7d6413932d18763f0221b979d4dd954ed8e9a1c97c885b6ff2")),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_PINNED))
+def pinned_run(request):
+    make, digests = _PINNED[request.param]
+    ds, store, cfg = make()
+    return ds, store, cfg, train(ds, store, cfg), digests
+
+
+def _step_api_replay(ds, store, cfg):
+    """``train()`` rebuilt from the public per-round functions."""
+    rng = np.random.default_rng(cfg.seed)
+    w = init_weights(ds.n, ds.n_labels)
+    kept, stats = [], []
+    for _ in range(cfg.rounds):
+        j, k = sample_reference_pair(ds, w, rng)
+        o_j, o_k = select_labels(j, k, store, ds, w)
+        w_plus, w_minus = round_weights(TripletClassifier(j, k, o_j, o_k, 0.0),
+                                        store, ds, w)
+        alpha = classifier_alpha(w_plus, w_minus, ds.n)
+        h = TripletClassifier(j, k, o_j, o_k, alpha)
+        z = 1.0
+        if alpha != 0.0:
+            w, z = update_weights(w, h, store, ds)
+        if alpha != 0.0 or cfg.keep_zero_alpha:
+            kept.append(h)
+        stats.append(RoundStats(w_plus, w_minus, z, alpha))
+    return kept, stats
+
+
+class TestTrainSnapshots:
+    """``train()`` against the step API and against digests of earlier output."""
+
+    def test_step_api_replay_equals_train(self, pinned_run):
+        ds, store, cfg, model, _ = pinned_run
+        kept, stats = _step_api_replay(ds, store, cfg)
+        assert kept == model.classifiers
+        assert stats == model.round_stats
+
+    def test_output_digests_pinned(self, pinned_run, tmp_path):
+        _, _, _, model, want = pinned_run
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        stats = np.array([(s.w_plus, s.w_minus, s.z, s.alpha)
+                          for s in model.round_stats], dtype=np.float64)
+        checkpoints = np.array([tuple(c) for c in model.checkpoints], dtype=np.float64)
+        got = tuple(hashlib.sha256(data).hexdigest() for data in (
+            path.read_bytes(), stats.tobytes(), model.train_scores.tobytes(),
+            checkpoints.tobytes()))
+        assert got == want
 
 
 class TestModelFiles:

@@ -271,3 +271,8 @@ class TestEndToEnd:
         assert 0.0 <= est1 <= 1.0
         want = abstention_bound(6, 0.2, 10)
         assert abs(est1 - want) <= 5.0 * max(se1, 1e-3)
+
+    def test_pinned_value(self):
+        """Exact output recorded before the round moved into one kernel."""
+        assert end_to_end_abstention(6, 3, 0.2, 10, n_models=60, draws_per_model=4,
+                                     seed=3) == (0.2, 0.02898957537160537)

@@ -11,10 +11,10 @@ from tripletboost import (
     LabelDict,
     StrongModel,
     TripletClassifier,
+    TripletStore,
     generate_test_set,
     generate_training_set,
     make_moons,
-    multilabel_scores,
     predict_all,
     resolve,
     resolve_all,
@@ -93,6 +93,8 @@ class TestScore:
         assert pred.abstained
         assert pred.label == ABSTAIN
         assert pred.matched == 0
+        assert pred.scores.tolist() == [0.0, 0.0]
+        assert score(_model([], 10, 3), []).scores.tolist() == [0.0] * 3
 
     def test_empty_model_abstains(self):
         pred = score(_model([]), [(1, 2)])
@@ -193,17 +195,6 @@ class TestResolve:
             resolve(pred, "sideways")
 
 
-class TestMultilabelScores:
-    def test_equals_prediction_scores(self):
-        rng = np.random.default_rng(3)
-        model, pairs = _random_model_and_pairs(rng)
-        np.testing.assert_array_equal(multilabel_scores(model, pairs),
-                                      score(model, pairs).scores)
-
-    def test_zero_vector_without_pairs(self):
-        assert multilabel_scores(_model([], 10, 3), []).tolist() == [0.0] * 3
-
-
 class TestSignedScores:
     def test_signed_form_matches_definition(self):
         """Fired classifiers vote +alpha inside the set, -alpha outside."""
@@ -249,6 +240,11 @@ class TestPredictAll:
         assert pred.scores[63] == 0.5
         assert pred.label == 63
         assert score_naive(model, [(0, 1)]).scores[63] == 0.5
+        store = TripletStore.from_triplets(10, [(2, 0, 1), (3, 1, 0)])
+        signed = signed_scores_on_training(model, store)
+        assert signed[2, 63] == 0.5
+        assert signed[2, :63].tolist() == [-0.5] * 63
+        assert signed[3].tolist() == [-0.5] * 64
 
     def test_universe_mismatch_rejected(self):
         ds = make_moons(20, 0.1, 0)

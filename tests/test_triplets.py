@@ -17,6 +17,7 @@ from tripletboost import (
     generate_from_vectors,
     generate_test_set,
     generate_training_set,
+    load_ratings,
     make_moons,
     subsample,
 )
@@ -317,6 +318,24 @@ class TestRatings:
         with pytest.raises(ValueError, match="empty ratings"):
             RatingsTable(np.empty(0, np.int64), np.empty(0, np.int64),
                          np.empty(0), 0)
+
+    def test_duplicate_user_item_rejected(self, tmp_path):
+        path = tmp_path / "ratings.txt"
+        path.write_text("1 0 5\n1 1 3\n\n1 0 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="duplicate rating at line 4"):
+            load_ratings(path)
+        with pytest.raises(ValueError, match="duplicate"):
+            RatingsTable(np.array([1, 1, 1]), np.array([0, 1, 0]),
+                         np.array([5.0, 3.0, 4.0]), 2)
+
+    def test_nonfinite_rating_rejected(self, tmp_path):
+        path = tmp_path / "ratings.txt"
+        path.write_text("1 0 5\n1 1 nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-finite rating at line 2"):
+            load_ratings(path)
+        with pytest.raises(ValueError, match="non-finite"):
+            RatingsTable(np.array([1, 1]), np.array([0, 1]),
+                         np.array([5.0, math.inf]), 2)
 
     def test_unrank_pair_enumerates_lexicographically(self):
         m = 7
