@@ -42,8 +42,9 @@ class LabelDict:
 class Dataset:
     """Examples with dense integer labels and optional feature vectors.
 
-    Example ids are implicit array positions 0..n-1.  Features are only
-    needed to generate triplets; the learner itself never reads them.
+    Example ids are implicit array positions 0..n-1.  Features, which must
+    be finite, are only needed to generate triplets; the learner itself
+    never reads them.
     """
 
     labels: np.ndarray
@@ -61,6 +62,8 @@ class Dataset:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)
             if feats.ndim != 2 or feats.shape[0] != labels.size or feats.shape[1] < 1:
                 raise ValueError("features must be an (n, D) array with D >= 1")
+            if not np.all(np.isfinite(feats)):
+                raise ValueError("features must be finite (no nan or inf)")
             object.__setattr__(self, "features", feats)
 
     @property
@@ -112,6 +115,11 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         raise ValueError("empty dataset")
     label_dict = LabelDict(tuple(label_ids))
     features = np.array(rows, dtype=np.float64) if dim else None
+    if features is not None:
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if bad.size:  # no blank line precedes a data row, so row = start + 1 + index
+            raise ValueError(f"malformed row at row {start + 1 + int(bad[0])}: "
+                             "non-finite feature")
     return Dataset(np.array(labels, dtype=np.int64), label_dict, features)
 
 

@@ -5,6 +5,13 @@ Stores keep one row per anchor/pair combination in canonical order
 (anchor, min(j,k), max(j,k)); orientation is a single bit, so swapping a
 triplet never changes its position.  Membership queries are binary searches
 over the packed key array.
+
+Generation from feature vectors never builds the C(n, 2) table of reference
+pairs: per anchor it sorts the distance row to count tied pairs, then
+unranks only the drawn pairs.  Time is O(n log n) per anchor plus its tied
+pairs, and memory O(n + drawn) per anchor beyond a block of distance rows.
+Subsampling draws from fewer than 1e9 candidates (numpy's hypergeometric
+sampler limit); a larger total is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ METRICS = ("euclidean", "cityblock", "cosine")
 
 _MAX_UNIVERSE = 2_000_000  # keeps (i*n + lo)*n + hi inside int64
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
+_VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
+_SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
 
 
 class Relation(Enum):
@@ -232,29 +241,69 @@ class TripletStore:
 # -- generation from feature vectors -----------------------------------------
 
 
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = np.triu_indices(n, k=1)
-    return lo.astype(np.int64), hi.astype(np.int64)
+def _pairs_before(a, m: int):
+    """Lexicographic rank, among C(m, 2), of the first pair starting with a."""
+    return a * m - a * (a + 1) // 2
 
 
-def _distance_rows(feats: np.ndarray, metric: str, start: int, stop: int,
-                   ref: np.ndarray | None = None) -> np.ndarray:
-    other = feats if ref is None else ref
-    return cdist(feats[start:stop], other, metric=metric)
+def _unrank_pairs(ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic pairs (a, b), a < b, at positions ``ranks`` among C(m, 2).
+
+    Looks the first element up in the table of first-pair ranks, in exact
+    integer arithmetic.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    first = _pairs_before(np.arange(m, dtype=np.int64), m)
+    a = np.searchsorted(first, ranks, side="right") - 1
+    return a, ranks - first[a] + a + 1
 
 
-def _anchor_candidates(d_row, lo, hi, anchor):
-    """Valid strict-inequality candidates for one anchor, in (lo, hi) order."""
-    dl = d_row[lo]
-    dh = d_row[hi]
-    valid = dl != dh
-    if anchor is not None:
-        valid &= (lo != anchor) & (hi != anchor)
-    return valid, dl < dh
+def _reference_rows(feats: np.ndarray, metric: str, start: int, stop: int,
+                    ref: np.ndarray | None) -> np.ndarray:
+    """Distances from anchors start..stop-1 to their reference examples.
+
+    Test anchors (``ref`` given) see every training example; a training
+    anchor sees every example but itself, so its row has n - 1 entries.
+    """
+    if ref is not None:
+        return cdist(feats[start:stop], ref, metric=metric)
+    rows = cdist(feats[start:stop], feats, metric=metric)
+    keep = np.ones(rows.shape, dtype=bool)
+    local = np.arange(stop - start)
+    keep[local, start + local] = False
+    return rows[keep].reshape(stop - start, -1)
 
 
-def _generate_sampled(feats, metric, proportion, rng, *, n_universe, lo, hi,
-                      exclude_anchor, ref=None):
+def _tie_counts(rows: np.ndarray) -> np.ndarray:
+    """Per row, the number of index pairs holding equal values."""
+    ordered = np.sort(rows, axis=1)
+    cols = np.arange(rows.shape[1])
+    run_start = np.where(np.concatenate(
+        [np.ones((rows.shape[0], 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]],
+        axis=1), cols, 0)
+    np.maximum.accumulate(run_start, axis=1, out=run_start)
+    return (cols - run_start).sum(axis=1)
+
+
+def _tied_ranks(row: np.ndarray) -> np.ndarray:
+    """Ascending lexicographic ranks of the pairs u < v with row[u] == row[v]."""
+    m = row.size
+    order = np.argsort(row, kind="stable")  # ids ascend within a run of equal values
+    ordered = row[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    sizes = np.diff(np.append(starts, m))
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
+    # id u pairs with the ids at the later positions of its run, which ascend;
+    # listing u in id order therefore lists the pairs in lexicographic order
+    later = (np.repeat(starts + sizes, sizes) - np.arange(m) - 1)[position]
+    u = np.repeat(np.arange(m), later)
+    v = order[np.repeat(position + 1 - (np.cumsum(later) - later), later)
+              + np.arange(u.size)]
+    return _pairs_before(u, m) + (v - u - 1)
+
+
+def _generate_sampled(feats, metric, proportion, rng, *, exclude_anchor, ref=None):
     """Shared generator core for training and test triplet sets.
 
     Enumerates anchor/pair candidates in canonical order, keeps strict
@@ -263,16 +312,22 @@ def _generate_sampled(feats, metric, proportion, rng, *, n_universe, lo, hi,
     within-anchor draw realizes the same law without materializing the full
     candidate set, and consumes the identical RNG sequence as ``subsample``
     applied to a fully materialized store.
+
+    No pass visits all C(m, 2) reference pairs of an anchor.  An anchor's
+    candidate count is C(m, 2) minus its tied pairs, counted from its sorted
+    distance row; each drawn within-anchor rank is shifted past the tied
+    pairs' ranks and unranked into its pair.  That costs O(m log m) per
+    anchor, plus the number of its tied pairs (zero for continuous data) and
+    O(log m) per drawn pair, and O(m + drawn) memory per anchor beyond the
+    distance block.
     """
     n_anchors = feats.shape[0]
-    counts = np.empty(n_anchors, dtype=np.int64)
+    width = n_anchors - 1 if exclude_anchor else ref.shape[0]
+    ties = np.empty(n_anchors, dtype=np.int64)
     for start in range(0, n_anchors, _ANCHOR_BLOCK):
         stop = min(start + _ANCHOR_BLOCK, n_anchors)
-        rows = _distance_rows(feats, metric, start, stop, ref)
-        for a in range(start, stop):
-            anchor = a if exclude_anchor else None
-            valid, _ = _anchor_candidates(rows[a - start], lo, hi, anchor)
-            counts[a] = int(valid.sum())
+        ties[start:stop] = _tie_counts(_reference_rows(feats, metric, start, stop, ref))
+    counts = width * (width - 1) // 2 - ties
     total = int(counts.sum())
     keep = total if proportion >= 1.0 else _round_half_up(proportion * total)
     take = _per_group_take(counts, keep, rng)
@@ -282,18 +337,24 @@ def _generate_sampled(feats, metric, proportion, rng, *, n_universe, lo, hi,
         stop = min(start + _ANCHOR_BLOCK, n_anchors)
         if not any(t is not None and t.size for t in take[start:stop]):
             continue
-        rows = _distance_rows(feats, metric, start, stop, ref)
+        rows = _reference_rows(feats, metric, start, stop, ref)
         for a in range(start, stop):
             ranks = take[a]
             if ranks is None or ranks.size == 0:
                 continue
-            anchor = a if exclude_anchor else None
-            valid, near_lo = _anchor_candidates(rows[a - start], lo, hi, anchor)
-            pos = np.flatnonzero(valid)[ranks]
-            out_a.append(np.full(pos.size, a, dtype=np.int64))
-            out_lo.append(lo[pos])
-            out_hi.append(hi[pos])
-            out_near.append(near_lo[pos])
+            row = rows[a - start]
+            if ties[a]:
+                tied = _tied_ranks(row)
+                ranks = ranks + np.searchsorted(tied - np.arange(tied.size), ranks,
+                                                side="right")
+            lo, hi = _unrank_pairs(ranks, width)
+            out_near.append(row[lo] < row[hi])
+            if exclude_anchor:  # back to example ids; the shift keeps lo < hi
+                lo += lo >= a
+                hi += hi >= a
+            out_a.append(np.full(ranks.size, a, dtype=np.int64))
+            out_lo.append(lo)
+            out_hi.append(hi)
     if out_a:
         return (np.concatenate(out_a), np.concatenate(out_lo),
                 np.concatenate(out_hi), np.concatenate(out_near))
@@ -304,10 +365,14 @@ def _generate_sampled(feats, metric, proportion, rng, *, n_universe, lo, hi,
 def _per_group_take(counts: np.ndarray, keep: int, rng) -> list:
     """Sorted within-group ranks realizing a uniform draw of ``keep`` items."""
     n_groups = counts.size
-    if keep >= counts.sum():
+    total = int(counts.sum())
+    if keep >= total:
         return [np.arange(c, dtype=np.int64) for c in counts]
     if keep <= 0:
         return [None] * n_groups
+    if total >= _SAMPLER_LIMIT:
+        raise ValueError(f"cannot subsample {total} candidates: the sampler takes "
+                         f"fewer than {_SAMPLER_LIMIT}")
     per_group = rng.multivariate_hypergeometric(counts, keep, method="marginals")
     take: list = [None] * n_groups
     for g in range(n_groups):
@@ -333,10 +398,8 @@ def generate_training_set(ds: Dataset, metric: str, proportion: float,
     _check_unit(noise, "noise rate")
     feats = _check_vectors(ds.features, metric, "dataset")
     sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    lo, hi = _pair_table(ds.n)
     a, plo, phi, near = _generate_sampled(
-        feats, metric, proportion, np.random.default_rng(sub_seed),
-        n_universe=ds.n, lo=lo, hi=hi, exclude_anchor=True)
+        feats, metric, proportion, np.random.default_rng(sub_seed), exclude_anchor=True)
     store = TripletStore(ds.n, a, plo, phi, near, _trusted=True)
     return add_noise(store, noise, noise_seed)
 
@@ -391,10 +454,16 @@ class RatingsTable:
     n_items: int
 
     def __post_init__(self):
+        if not self.user.size == self.item.size == self.rating.size:
+            raise ValueError(f"user, item and rating lengths differ: {self.user.size}, "
+                             f"{self.item.size}, {self.rating.size}")
         if self.user.size == 0:
             raise ValueError("empty ratings table")
         if self.item.min() < 0:
             raise ValueError("item ids must be nonnegative")
+        if self.item.max() >= self.n_items:
+            raise ValueError(f"item id {int(self.item.max())} out of range for "
+                             f"n_items={self.n_items}")
         if not np.all(np.isfinite(self.rating)):
             raise ValueError("non-finite rating")
         if np.unique(np.column_stack([self.user, self.item]), axis=0).shape[0] \
@@ -435,19 +504,6 @@ def load_ratings(path) -> RatingsTable:
                         np.asarray(ratings, dtype=np.float64), int(item_arr.max()) + 1)
 
 
-def _unrank_pair(rank: int, m: int) -> tuple[int, int]:
-    """Lexicographic pair (a, b), a < b, at position ``rank`` among C(m, 2)."""
-    # offset(a) = a*m - a*(a+1)/2 counts pairs preceding first element a;
-    # closed form plus a correction step guards float rounding.
-    a = int((2 * m - 1 - math.sqrt((2 * m - 1) ** 2 - 8 * rank)) // 2)
-    a = max(a, 0)
-    while a * m - a * (a + 1) // 2 > rank:
-        a -= 1
-    while (a + 1) * m - (a + 1) * (a + 2) // 2 <= rank:
-        a += 1
-    return a, a + 1 + (rank - (a * m - a * (a + 1) // 2))
-
-
 def generate_from_ratings(ratings: RatingsTable, candidate_limit: int | None = None,
                           seed: int = 0) -> TripletStore:
     """Orient each examined anchor/pair candidate by its net co-rater vote.
@@ -468,28 +524,25 @@ def generate_from_ratings(ratings: RatingsTable, candidate_limit: int | None = N
 
     pair_count = (n - 1) * (n - 2) // 2
     total = n * pair_count
-    if candidate_limit is not None and candidate_limit < total:
+    limited = candidate_limit is not None and candidate_limit < total
+    if limited:
         chosen = _sample_indices(total, candidate_limit, np.random.default_rng(seed))
-        candidates = ((int(g // pair_count), int(g % pair_count)) for g in chosen)
-    else:
-        candidates = ((i, r) for i in range(n) for r in range(pair_count))
-
-    out = []
-    for i, local in candidates:
-        a, b = _unrank_pair(local, n - 1)
-        lo = a if a < i else a + 1
-        hi = b if b < i else b + 1
-        vote = _pair_vote(by_item[i], by_item[lo], by_item[hi])
-        if vote > 0:
-            out.append((i, lo, hi, True))
-        elif vote < 0:
-            out.append((i, lo, hi, False))
-    if out:
-        arr = np.asarray([(r[0], r[1], r[2]) for r in out], dtype=np.int64)
-        near = np.asarray([r[3] for r in out], dtype=bool)
-        return TripletStore(n, arr[:, 0], arr[:, 1], arr[:, 2], near)
+    count = chosen.size if limited else total
     empty = np.empty(0, dtype=np.int64)
-    return TripletStore(n, empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool))
+    parts = [(empty, empty, empty, np.empty(0, dtype=bool))]
+    for start in range(0, count, _VOTE_BLOCK):
+        stop = min(start + _VOTE_BLOCK, count)
+        g = chosen[start:stop] if limited else np.arange(start, stop, dtype=np.int64)
+        anchor, local = np.divmod(g, pair_count)
+        lo, hi = _unrank_pairs(local, n - 1)
+        lo += lo >= anchor  # skip the anchor itself; keeps lo < hi
+        hi += hi >= anchor
+        votes = np.array([_pair_vote(by_item[i], by_item[j], by_item[k])
+                          for i, j, k in zip(anchor.tolist(), lo.tolist(), hi.tolist())],
+                         dtype=np.int64)
+        kept = votes != 0
+        parts.append((anchor[kept], lo[kept], hi[kept], votes[kept] > 0))
+    return TripletStore(n, *(np.concatenate(col) for col in zip(*parts)))
 
 
 def _pair_vote(anchor: dict, lo: dict, hi: dict) -> int:
@@ -640,10 +693,9 @@ def generate_test_set(test_ds: Dataset, train_ds: Dataset, metric: str,
     test_feats = _check_vectors(test_ds.features, metric, "test dataset")
     train_feats = _check_vectors(train_ds.features, metric, "training dataset")
     sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    lo, hi = _pair_table(train_ds.n)
     x, plo, phi, a_lo = _generate_sampled(
         test_feats, metric, proportion, np.random.default_rng(sub_seed),
-        n_universe=train_ds.n, lo=lo, hi=hi, exclude_anchor=False, ref=train_feats)
+        exclude_anchor=False, ref=train_feats)
     return TestTripletSet(test_ds.n, train_ds.n, x, plo, phi,
                           _flip(a_lo, noise, noise_seed), _trusted=True)
 

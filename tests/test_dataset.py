@@ -45,6 +45,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="malformed row at row 2"):
             load_csv(_write(tmp_path, "a,1.0\nb,oops\n"))
 
+    def test_non_finite_feature_reports_row(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite feature"):
+            load_csv(_write(tmp_path, "a,1.0\nb,nan\n"))
+        with pytest.raises(ValueError, match="malformed row at row 3: non-finite"):
+            load_csv(_write(tmp_path, "label,f1,f2\na,1.0,2.0\nb,3.0,-inf\n"),
+                     has_header=True)
+
     def test_interior_blank_line_rejected_trailing_tolerated(self, tmp_path):
         with pytest.raises(ValueError, match="malformed row at row 2"):
             load_csv(_write(tmp_path, "a,1.0\n\nb,2.0\n"))
@@ -71,6 +78,14 @@ class TestLoadCsv:
             save_csv(back, tmp_path / f"rt{trial}b.csv")
             assert (tmp_path / f"rt{trial}.csv").read_bytes() == \
                 (tmp_path / f"rt{trial}b.csv").read_bytes()
+
+
+class TestDatasetFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats = np.array([[0.0, 1.0], [2.0, bad], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([0, 1, 0]), LabelDict(("a", "b")), feats)
 
 
 class TestLabelDict:

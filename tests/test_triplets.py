@@ -1,9 +1,13 @@
 """Triplet generation, perturbation, persistence, and query contracts."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from tripletboost import (
     Dataset,
@@ -19,9 +23,10 @@ from tripletboost import (
     generate_training_set,
     load_ratings,
     make_moons,
+    split,
     subsample,
 )
-from tripletboost.triplets import _unrank_pair
+from tripletboost.triplets import _per_group_take, _unrank_pairs
 
 
 def _vec_dataset(points, labels=None):
@@ -198,6 +203,145 @@ class TestFusedGeneration:
         assert abs(fused.availability() - 0.1) < 1e-3
 
 
+def _rounded_moons(n, seed):
+    """Moons with features rounded to one decimal: many tied distances."""
+    ds = make_moons(n, 0.1, seed)
+    return Dataset(ds.labels, ds.label_dict, np.round(ds.features, 1))
+
+
+def _shifted_moons(n, seed):
+    ds = make_moons(n, 0.1, seed)
+    return Dataset(ds.labels, ds.label_dict, ds.features + np.array([2.0, 1.0]))
+
+
+def _split_generation(ds, metric, proportion, noise, seed):
+    train, test = split(ds, 0.2, seed)
+    return (generate_training_set(train, metric, proportion, noise, seed),
+            generate_test_set(test, train, metric, proportion, noise, seed + 1))
+
+
+# sha256 of the saved training store and test set, recorded from the
+# generator that enumerated the full C(n, 2) pair table for every anchor.
+_PINNED_GENERATION = {
+    "moons": (
+        lambda: _split_generation(make_moons(200, 0.1, 0), "euclidean", 0.01, 0.1, 3),
+        "47a14610fdc5f0c2ace3b2c8303b52fe8f24e3853e7851e861125a2b70dbebb5",
+        "5d97ecab38fe49224a6c809603e3c2aa087082d36d9727efcbda917ac3ee2d3e"),
+    "rounded_euclidean": (
+        lambda: _split_generation(_rounded_moons(60, 1), "euclidean", 0.2, 0.1, 5),
+        "121a193e6ddac17674ec7eba71dc913a5d5a500f0df31a31377466225a41d295",
+        "6398df411df43fd59c6f6bfd778ebb49c8ab04610ce02161f84529ab21597ca3"),
+    "rounded_cityblock": (
+        lambda: _split_generation(_rounded_moons(60, 1), "cityblock", 0.2, 0.1, 5),
+        "68da604faaa2d2b219453ea8344bcf9509b3d171e9dd8ad12eb86b1d4aa8f387",
+        "0eed32bf645aefeeb77aa0cb18dbb7830a3d8d6cd2e6b76251e54090841adace"),
+    "cosine": (
+        lambda: _split_generation(_shifted_moons(80, 2), "cosine", 0.05, 0.1, 7),
+        "4883cb7f006b55157180cdb8feb67811d2a17a32ef8c735c8f39c273f9bdd230",
+        "19432587beea2ecc561754cac3e00b88d8a7b109306c6f8e3b93a101f36bb473"),
+    "full_n30": (
+        lambda: (generate_from_vectors(make_moons(30, 0.1, 1), "euclidean"), None),
+        "7dbde030df6a569d6f5454c4ec6d7d6785a8175dce39d2fc7dddf664d6a260b7", None),
+}
+
+
+def _dense_oracle(feats, metric, proportion, seed, ref=None):
+    """Reference sampler over the full pair table: per anchor, mask every
+    C(m, 2) reference pair for strict inequality, then draw as the
+    generators do.  Returns (anchor, lo, hi, near_lo) in canonical order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    other = feats if ref is None else ref
+    dist = cdist(feats, other, metric=metric)
+    lo, hi = np.triu_indices(other.shape[0], k=1)
+    valid, near = [], []
+    for a in range(feats.shape[0]):
+        ok = dist[a, lo] != dist[a, hi]
+        if ref is None:
+            ok &= (lo != a) & (hi != a)
+        valid.append(np.flatnonzero(ok))
+        near.append(dist[a, lo] < dist[a, hi])
+    counts = np.array([v.size for v in valid], dtype=np.int64)
+    total = int(counts.sum())
+    keep = total if proportion >= 1.0 else int(math.floor(proportion * total + 0.5))
+    cols = ([], [], [], [])
+    for a, ranks in enumerate(_per_group_take(counts, keep, rng)):
+        if ranks is None:
+            continue
+        pos = valid[a][ranks]
+        for col, part in zip(cols, (np.full(pos.size, a), lo[pos], hi[pos],
+                                    near[a][pos])):
+            col.append(part)
+    return tuple(np.concatenate(c) if c else np.empty(0) for c in cols)
+
+
+def _tied_features(draw, n, dim):
+    """Small positive integer coordinates, so distances tie often."""
+    values = draw(st.lists(st.integers(1, 4), min_size=n * dim, max_size=n * dim))
+    return np.asarray(values, dtype=float).reshape(n, dim)
+
+
+_proportions = st.sampled_from([0.0, 0.03, 0.3, 0.77, 1.0])
+
+
+class TestGenerationOracle:
+    @pytest.mark.parametrize("case", sorted(_PINNED_GENERATION))
+    def test_saved_bytes_pinned(self, case, tmp_path):
+        build, want_store, want_tset = _PINNED_GENERATION[case]
+        store, tset = build()
+        store.save(tmp_path / "store.txt")
+        got = hashlib.sha256((tmp_path / "store.txt").read_bytes()).hexdigest()
+        assert got == want_store
+        if tset is not None:
+            tset.save(tmp_path / "tset.txt")
+            got = hashlib.sha256((tmp_path / "tset.txt").read_bytes()).hexdigest()
+            assert got == want_tset
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 40),
+           dim=st.integers(1, 2), metric=st.sampled_from(("euclidean", "cityblock",
+                                                          "cosine")),
+           proportion=_proportions, seed=st.integers(0, 2**16))
+    def test_training_matches_dense_oracle(self, data, n, dim, metric, proportion,
+                                           seed):
+        feats = _tied_features(data.draw, n, dim)
+        ds = Dataset(np.zeros(n, dtype=np.int64), LabelDict(("a",)), feats)
+        store = generate_training_set(ds, metric, proportion, 0.0, seed)
+        want = _dense_oracle(feats, metric, proportion, seed)
+        got = (store.anchors, store._lo, store._hi, store._near_lo)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_train=st.integers(2, 40), n_test=st.integers(1, 8),
+           dim=st.integers(1, 2), metric=st.sampled_from(("euclidean", "cityblock",
+                                                          "cosine")),
+           proportion=_proportions, seed=st.integers(0, 2**16))
+    def test_test_set_matches_dense_oracle(self, data, n_train, n_test, dim, metric,
+                                           proportion, seed):
+        train_feats = _tied_features(data.draw, n_train, dim)
+        test_feats = _tied_features(data.draw, n_test, dim)
+        label = LabelDict(("a",))
+        train = Dataset(np.zeros(n_train, dtype=np.int64), label, train_feats)
+        test = Dataset(np.zeros(n_test, dtype=np.int64), label, test_feats)
+        tset = generate_test_set(test, train, metric, proportion, 0.0, seed)
+        want = _dense_oracle(test_feats, metric, proportion, seed, ref=train_feats)
+        got = (tset._x, tset._lo, tset._hi, tset._a_lo)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+class TestSamplerLimit:
+    def test_candidate_total_past_limit_rejected(self):
+        counts = np.array([600_000_000, 500_000_000], dtype=np.int64)
+        with pytest.raises(ValueError, match="1100000000 candidates.*1000000000"):
+            _per_group_take(counts, 10, np.random.default_rng(0))
+
+    def test_training_set_past_limit_rejected(self):
+        """moons n=1300 has 1300 * C(1299, 2) > 1e9 candidates."""
+        with pytest.raises(ValueError, match="fewer than 1000000000"):
+            generate_training_set(make_moons(1300, 0.1, 0), "euclidean", 0.001, 0.0, 0)
+
+
 class TestLookup:
     def test_three_way(self):
         store = TripletStore.from_triplets(3, [(0, 1, 2)])
@@ -338,9 +482,33 @@ class TestRatings:
                          np.array([5.0, math.inf]), 2)
 
     def test_unrank_pair_enumerates_lexicographically(self):
-        m = 7
-        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        assert [_unrank_pair(r, m) for r in range(len(pairs))] == pairs
+        for m in range(2, 9):
+            pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+            a, b = _unrank_pairs(np.arange(len(pairs)), m)
+            assert list(zip(a.tolist(), b.tolist())) == pairs
+
+    def test_unrank_pairs_boundaries_at_largest_universe(self):
+        """First and last pair of each first element, at m = 2,000,000."""
+        m = 2_000_000
+        firsts = np.array([0, 1, 2, m // 2 - 1, m // 2, int(m / math.sqrt(2)),
+                           m - 3, m - 2])
+        offsets = firsts * m - firsts * (firsts + 1) // 2
+        last = offsets + (m - 1 - firsts) - 1
+        a, b = _unrank_pairs(np.concatenate([offsets, last]), m)
+        np.testing.assert_array_equal(a, np.concatenate([firsts, firsts]))
+        np.testing.assert_array_equal(b, np.concatenate([firsts + 1,
+                                                         np.full(firsts.size, m - 1)]))
+        assert last[-1] == m * (m - 1) // 2 - 1
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ: 4, 3, 3"):
+            RatingsTable(np.array([1, 1, 2, 2]), np.array([0, 1, 2]),
+                         np.array([5.0, 3.0, 4.0]), 3)
+
+    def test_item_id_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="item id 5 out of range for n_items=3"):
+            RatingsTable(np.array([1, 1, 1]), np.array([0, 1, 5]),
+                         np.array([5.0, 3.0, 4.0]), 3)
 
 
 class TestTestTriplets:
