@@ -1,10 +1,11 @@
 """Strong-classifier scoring, abstention reporting, and prediction output.
 
-Matching test pairs against model classifiers is the prediction bottleneck;
-``score`` sorts the test pairs once and binary-searches each classifier key,
-while ``score_naive`` performs the full cross-comparison and exists as the
-correctness oracle and benchmark foil.  Both feed the identical accumulation
-step, so their outputs agree bit for bit.
+Matching test pairs against model classifiers is the prediction bottleneck.
+An example's pairs are one anchor's rows of a ``TestTripletSet``, sorted by
+pair key; ``score`` and ``predict_all`` binary-search each classifier key
+among them, while ``score_naive`` performs the full cross-comparison and
+exists as the correctness oracle and benchmark foil.  All feed the identical
+accumulation step, so their outputs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -72,21 +73,16 @@ def _index(model: StrongModel) -> _ScoringIndex:
     return model._index_cache
 
 
-def _pair_arrays(pairs, n_train: int):
+def _example(pairs, n_train: int) -> TestTripletSet:
+    """One example's (near, far) pairs, validated and sorted as a one-anchor test set."""
     arr = np.asarray(pairs, dtype=np.int64)
     if arr.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (near, far) id pairs")
     a, b = arr[:, 0], arr[:, 1]
-    if a.min() < 0 or b.min() < 0 or max(a.max(), b.max()) >= n_train:
-        raise ValueError("pair id out of range")
-    if np.any(a == b):
-        raise ValueError("pair members must differ")
-    keys = np.minimum(a, b) * n_train + np.maximum(a, b)
-    if np.unique(keys).size != keys.size:
-        raise ValueError("duplicate or contradictory pair for one example")
-    return a, b
+    return TestTripletSet(1, n_train, np.zeros(a.size, dtype=np.int64),
+                          np.minimum(a, b), np.maximum(a, b), a < b)
 
 
 def _accumulate(index: _ScoringIndex, matched: np.ndarray,
@@ -101,6 +97,21 @@ def _accumulate(index: _ScoringIndex, matched: np.ndarray,
     return Prediction(scores, label, count, float(alpha.sum()))
 
 
+def _abstain(index: _ScoringIndex) -> Prediction:
+    return _accumulate(index, np.zeros(index.keys.size, dtype=bool), np.zeros(0, dtype=bool))
+
+
+def _match(index: _ScoringIndex, tset: TestTripletSet, rows: slice) -> Prediction:
+    """Score the example whose canonical rows are ``rows``: binary-search every
+    classifier key among the example's sorted pair keys."""
+    pkeys = tset._lo[rows] * tset.n + tset._hi[rows]
+    if pkeys.size == 0:
+        return _abstain(index)
+    pos = np.minimum(np.searchsorted(pkeys, index.keys), pkeys.size - 1)
+    matched = pkeys[pos] == index.keys
+    return _accumulate(index, matched, tset._near_lo[rows][pos[matched]])
+
+
 def score(model: StrongModel, pairs) -> Prediction:
     """Vote totals for one example given its (near, far) training pairs.
 
@@ -108,30 +119,16 @@ def score(model: StrongModel, pairs) -> Prediction:
     search, so the cost is O(|pairs| log |pairs| + C log |pairs|).
     """
     index = _index(model)
-    a, b = _pair_arrays(pairs, index.n_train)
-    if a.size == 0 or index.keys.size == 0:
-        empty = np.zeros(0, dtype=bool)
-        return _accumulate(index, np.zeros(index.keys.size, dtype=bool), empty)
-    keys = np.minimum(a, b) * index.n_train + np.maximum(a, b)
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    near_lo_sorted = (a < b)[order]
-    pos = np.searchsorted(keys_sorted, index.keys)
-    pos_clipped = np.minimum(pos, keys_sorted.size - 1)
-    matched = keys_sorted[pos_clipped] == index.keys
-    near_is_j = near_lo_sorted[pos_clipped[matched]]
-    return _accumulate(index, matched, near_is_j)
+    return _match(index, _example(pairs, index.n_train), slice(None))
 
 
 def score_naive(model: StrongModel, pairs) -> Prediction:
     """Same contract as ``score`` via the O(|pairs| * C) cross-comparison."""
     index = _index(model)
-    a, b = _pair_arrays(pairs, index.n_train)
-    if a.size == 0 or index.keys.size == 0:
-        empty = np.zeros(0, dtype=bool)
-        return _accumulate(index, np.zeros(index.keys.size, dtype=bool), empty)
-    keys = np.minimum(a, b) * index.n_train + np.maximum(a, b)
-    near_lo = a < b
+    example = _example(pairs, index.n_train)
+    if example.m == 0:
+        return _abstain(index)
+    keys = example._lo * example.n + example._hi
     count = index.keys.size
     matched = np.zeros(count, dtype=bool)
     hit_at = np.zeros(count, dtype=np.int64)
@@ -140,8 +137,7 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
         eq = index.keys[start:stop, None] == keys[None, :]
         matched[start:stop] = eq.any(axis=1)
         hit_at[start:stop] = eq.argmax(axis=1)
-    near_is_j = near_lo[hit_at[matched]]
-    return _accumulate(index, matched, near_is_j)
+    return _accumulate(index, matched, example._near_lo[hit_at[matched]])
 
 
 def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
@@ -165,7 +161,9 @@ def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
     """Score every test example; resolution is left to the caller."""
     if tset.n_train != model.n_train:
         raise ValueError("test pairs index a different training universe")
-    return [score(model, tset.pairs_for(x)) for x in range(tset.n_test)]
+    index = _index(model)
+    edges = np.searchsorted(tset.anchors, np.arange(tset.n_test + 1)).tolist()
+    return [_match(index, tset, slice(edges[x], edges[x + 1])) for x in range(tset.n_test)]
 
 
 def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarray:

@@ -3,8 +3,8 @@
 A stored triplet (i, j, k) asserts that example i is closer to j than to k.
 Stores keep one row per anchor/pair combination in canonical order
 (anchor, min(j,k), max(j,k)); orientation is a single bit, so swapping a
-triplet never changes its position.  Membership queries are binary searches
-over the packed key array.
+triplet never changes its position.  A test set is the same container with
+test examples as anchors and training examples as references.
 
 Generation from feature vectors never builds the C(n, 2) table of reference
 pairs: per anchor it sorts the distance row to count tied pairs, then
@@ -44,7 +44,7 @@ __all__ = [
 
 METRICS = ("euclidean", "cityblock", "cosine")
 
-_MAX_UNIVERSE = 2_000_000  # keeps (i*n + lo)*n + hi inside int64
+_MAX_UNIVERSE = 2_000_000  # with n anchors, keeps (i*n + lo)*n + hi inside int64
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
@@ -92,47 +92,62 @@ def _check_vectors(features: np.ndarray | None, metric: str, what: str) -> np.nd
 
 
 class TripletStore:
-    """Immutable, canonically sorted triplet set over example ids 0..n-1."""
+    """Immutable, canonically sorted triplets: anchors 0..n_anchors-1 over
+    reference examples 0..n-1.
 
-    __slots__ = ("n", "_anchor", "_lo", "_hi", "_near_lo", "_keys", "_pair_cache")
+    A training store has one universe (``n_anchors == n``); a test set
+    anchors test examples on pairs of training examples.  Rows are sorted by
+    (anchor, lo, hi), so one anchor's rows are contiguous.
+    """
+
+    __slots__ = ("n", "n_anchors", "_anchor", "_lo", "_hi", "_near_lo", "_pair_cache")
+    _anchor_is_reference = True  # a training anchor is never in its own pairs
 
     def __init__(self, n, anchor, lo, hi, near_lo, _trusted=False):
-        if n < 1 or n > _MAX_UNIVERSE:
-            raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}]")
+        self._init(n, n, anchor, lo, hi, near_lo, _trusted)
+
+    def _init(self, n_anchors, n, anchor, lo, hi, near_lo, trusted):
+        _check_universes(n_anchors, n)
+        self.n_anchors = int(n_anchors)
         self.n = int(n)
         self._anchor = np.ascontiguousarray(anchor, dtype=np.int64)
         self._lo = np.ascontiguousarray(lo, dtype=np.int64)
         self._hi = np.ascontiguousarray(hi, dtype=np.int64)
         self._near_lo = np.ascontiguousarray(near_lo, dtype=bool)
-        if not _trusted:
-            self._validate_and_canonicalize()
-        self._keys = (self._anchor * self.n + self._lo) * self.n + self._hi
+        if not trusted:
+            self._canonicalize()
         self._pair_cache = None
 
-    def _validate_and_canonicalize(self):
-        a, lo, hi = self._anchor, self._lo, self._hi
-        if not (a.size == lo.size == hi.size == self._near_lo.size):
-            raise ValueError("column lengths differ")
+    def _canonicalize(self):
+        a, lo, hi, near_lo = self._anchor, self._lo, self._hi, self._near_lo
+        if not a.size == lo.size == hi.size == near_lo.size:
+            raise ValueError(f"column lengths differ: {a.size}, {lo.size}, {hi.size}, "
+                             f"{near_lo.size}")
         if a.size == 0:
             return
-        ids = np.concatenate([a, lo, hi])
-        if ids.min() < 0 or ids.max() >= self.n:
-            raise ValueError("example id out of range")
-        if np.any(lo >= hi):
+        if a.min() < 0 or a.max() >= self.n_anchors:
+            raise ValueError(f"anchor id out of range [0, {self.n_anchors})")
+        if min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= self.n:
+            raise ValueError(f"reference id out of range [0, {self.n})")
+        if np.any(lo == hi):
+            raise ValueError("reference examples j and k must differ")
+        if np.any(lo > hi):
             raise ValueError("pair columns must satisfy lo < hi")
-        keys = (a * self.n + lo) * self.n + hi
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
+        order, dup = _sort_rows(self.n, a, lo, hi)
+        if dup.size:
             raise ValueError("duplicate or contradictory triplet")
-        self._anchor = a[order]
-        self._lo = lo[order]
-        self._hi = hi[order]
-        self._near_lo = self._near_lo[order]
+        self._anchor, self._lo, self._hi, self._near_lo = (
+            col[order] for col in (a, lo, hi, near_lo))
 
-    @classmethod
-    def from_triplets(cls, n: int, triplets) -> "TripletStore":
-        """Build a store from (i, j, k) tuples; anchors may repeat pair members."""
+    def _with_rows(self, anchor, lo, hi, near_lo) -> "TripletStore":
+        """A store of this kind, over the same universes, holding canonical rows."""
+        out = object.__new__(type(self))
+        out._init(self.n_anchors, self.n, anchor, lo, hi, near_lo, True)
+        return out
+
+    @staticmethod
+    def from_triplets(n: int, triplets) -> "TripletStore":
+        """Build a training store from (i, j, k) tuples; anchors may repeat pair members."""
         rows = [(t.i, t.j, t.k) if isinstance(t, Triplet) else tuple(t) for t in triplets]
         if rows:
             arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
@@ -141,7 +156,7 @@ class TripletStore:
             i = j = k = np.empty(0, dtype=np.int64)
         if np.any(j == k):
             raise ValueError("reference examples j and k must differ")
-        return cls(n, i, np.minimum(j, k), np.maximum(j, k), j < k)
+        return TripletStore(n, i, np.minimum(j, k), np.maximum(j, k), j < k)
 
     @property
     def m(self) -> int:
@@ -170,24 +185,35 @@ class TripletStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripletStore):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and bool(np.array_equal(self._keys, other._keys))
-            and bool(np.array_equal(self._near_lo, other._near_lo))
-        )
+        return (type(self) is type(other)
+                and self.n_anchors == other.n_anchors and self.n == other.n
+                and all(np.array_equal(mine, theirs) for mine, theirs in zip(
+                    (self._anchor, self._lo, self._hi, self._near_lo),
+                    (other._anchor, other._lo, other._hi, other._near_lo))))
+
+    def _rows_of(self, i: int) -> slice:
+        start, stop = np.searchsorted(self._anchor, [i, i + 1])
+        return slice(int(start), int(stop))
 
     def lookup(self, i: int, j: int, k: int) -> Relation:
         """Three-way membership: is (i,j,k) stored forward, reversed, or absent?"""
         if j == k:
             raise ValueError("reference examples j and k must differ")
         lo, hi = (j, k) if j < k else (k, j)
-        key = (i * self.n + lo) * self.n + hi
-        pos = int(np.searchsorted(self._keys, key))
-        if pos >= self.m or self._keys[pos] != key:
+        key = lo * self.n + hi
+        rows = self._rows_of(i)
+        pkeys = self._lo[rows] * self.n + self._hi[rows]
+        pos = int(np.searchsorted(pkeys, key))
+        if pos >= pkeys.size or pkeys[pos] != key:
             return Relation.ABSENT
-        stored_near = lo if self._near_lo[pos] else hi
+        stored_near = lo if self._near_lo[rows.start + pos] else hi
         return Relation.FORWARD if stored_near == j else Relation.REVERSE
+
+    def pairs_for(self, i: int) -> np.ndarray:
+        """(count, 2) array of the (near, far) reference ids stored for anchor i."""
+        rows = self._rows_of(i)
+        lo, hi, near_lo = self._lo[rows], self._hi[rows], self._near_lo[rows]
+        return np.column_stack([np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)])
 
     def pair_groups(self):
         """Rows regrouped by reference pair: (sorted pair keys, anchors, near_lo).
@@ -201,41 +227,103 @@ class TripletStore:
         return self._pair_cache
 
     def availability(self) -> float:
-        """Fraction of the n*C(n-1,2) anchor/pair candidates present in the store."""
-        total = self.n * ((self.n - 1) * (self.n - 2) // 2)
+        """Fraction present of the n*C(n-1,2) (test set: n_test*C(n_train,2)) candidates."""
+        width = self.n - 1 if self._anchor_is_reference else self.n
+        total = self.n_anchors * (width * (width - 1) // 2)
         return self.m / total if total else 0.0
 
     def save(self, path) -> None:
         """Write the canonical text format; equal stores produce identical bytes."""
-        near, far = self.near, self.far
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"tripletset v1 n={self.n} m={self.m}\n")
-            _write_id_rows(fh, self._anchor, near, far)
+        self._write(path, f"tripletset v1 n={self.n} m={self.m}")
 
     @classmethod
     def load(cls, path) -> "TripletStore":
-        header, cols = _read_id_file(path, "tripletset")
-        n, m = _header_ints(header, ("n", "m"), path)
+        (n, m), cols = _read_id_file(path, "tripletset", ("n", "m"))
         if cols.shape[0] != m:
             raise ValueError(f"header claims m={m} but file has {cols.shape[0]} triplets")
-        i, j, k = cols[:, 0], cols[:, 1], cols[:, 2]
-        if np.any(j == k):
-            bad = int(np.flatnonzero(j == k)[0]) + 2
-            raise ValueError(f"degenerate triplet at line {bad}")
-        ids = cols.ravel()
-        if m and (ids.min() < 0 or ids.max() >= n):
-            bad = int(np.flatnonzero((cols < 0) | (cols >= n)).min() // 3) + 2
-            raise ValueError(f"example id out of range at line {bad}")
-        lo, hi = np.minimum(j, k), np.maximum(j, k)
-        keys = (i * n + lo) * n + hi
-        order = np.argsort(keys, kind="stable")
-        dup = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-        if dup.size:
-            first, second = order[dup[0]], order[dup[0] + 1]
-            line = int(max(first, second)) + 2
-            kind = "duplicate" if j[first] == j[second] else "contradictory"
-            raise ValueError(f"{kind} triplet at line {line}")
-        return cls(n, i, lo, hi, j < k)
+        return cls(n, *_file_rows(n, n, cols), _trusted=True)
+
+    def _write(self, path, header: str) -> None:
+        """The header line, then one ``anchor near far`` line per canonical row."""
+        near, far = self.near, self.far
+        block = 1 << 16
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for start in range(0, self.m, block):
+                stop = min(start + block, self.m)
+                fh.write("\n".join([f"{int(self._anchor[i])} {int(near[i])} {int(far[i])}"
+                                    for i in range(start, stop)]))
+                fh.write("\n")
+
+
+class TestTripletSet(TripletStore):
+    """Per test example, the available (near, far) training reference pairs.
+
+    A ``TripletStore`` anchored on the n_test test examples, over pairs of the
+    n_train training examples.
+    """
+
+    __test__ = False  # not a pytest class, despite the name
+    __slots__ = ()
+    _anchor_is_reference = False
+
+    def __init__(self, n_test, n_train, x, lo, hi, a_lo, _trusted=False):
+        self._init(n_test, n_train, x, lo, hi, a_lo, _trusted)
+
+    @property
+    def n_test(self) -> int:
+        return self.n_anchors
+
+    @property
+    def n_train(self) -> int:
+        return self.n
+
+    def save(self, path) -> None:
+        self._write(path, f"testtriplets v1 n_test={self.n_test} n_train={self.n_train}")
+
+    @classmethod
+    def load(cls, path) -> "TestTripletSet":
+        (n_test, n_train), cols = _read_id_file(path, "testtriplets", ("n_test", "n_train"))
+        return cls(n_test, n_train, *_file_rows(n_test, n_train, cols), _trusted=True)
+
+
+def _check_universes(n_anchors: int, n: int) -> None:
+    """Universes whose packed row keys (anchor*n + lo)*n + hi fit in int64."""
+    if not 1 <= n <= _MAX_UNIVERSE:
+        raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}], got {n}")
+    limit = (2**63 - 1) // (int(n) * int(n))
+    if not 1 <= n_anchors <= limit:
+        raise ValueError(f"anchor universe must be in [1, {limit}] over {n} "
+                         f"references, got {n_anchors}")
+
+
+def _sort_rows(n: int, a, lo, hi):
+    """Stable canonical order of rows, and the sorted positions repeating a key."""
+    keys = (a * n + lo) * n + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, np.flatnonzero(keys[1:] == keys[:-1])
+
+
+def _file_rows(n_anchors: int, n: int, cols: np.ndarray):
+    """Canonical (anchor, lo, hi, near_lo) columns of a file's ``i j k`` rows.
+
+    Each error names its line; the header is line 1.
+    """
+    _check_universes(n_anchors, n)
+    i, j, k = cols[:, 0], cols[:, 1], cols[:, 2]
+    if np.any(j == k):
+        raise ValueError(f"degenerate triplet at line {int(np.flatnonzero(j == k)[0]) + 2}")
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
+    bad = (i < 0) | (i >= n_anchors) | (lo < 0) | (hi >= n)
+    if bad.any():
+        raise ValueError(f"example id out of range at line {int(np.flatnonzero(bad)[0]) + 2}")
+    order, dup = _sort_rows(n, i, lo, hi)
+    if dup.size:
+        first, second = order[dup[0]], order[dup[0] + 1]
+        kind = "duplicate" if j[first] == j[second] else "contradictory"
+        raise ValueError(f"{kind} triplet at line {int(max(first, second)) + 2}")
+    return i[order], lo[order], hi[order], (j < k)[order]
 
 
 # -- generation from feature vectors -----------------------------------------
@@ -303,8 +391,11 @@ def _tied_ranks(row: np.ndarray) -> np.ndarray:
     return _pairs_before(u, m) + (v - u - 1)
 
 
-def _generate_sampled(feats, metric, proportion, rng, *, exclude_anchor, ref=None):
+def _generate_sampled(feats, metric, proportion, rng, ref=None):
     """Shared generator core for training and test triplet sets.
+
+    Test anchors (``ref`` given) pair training examples; without ``ref`` an
+    anchor pairs the other examples of ``feats``.
 
     Enumerates anchor/pair candidates in canonical order, keeps strict
     inequalities, and retains exactly round(proportion * m) of them, uniform
@@ -322,7 +413,7 @@ def _generate_sampled(feats, metric, proportion, rng, *, exclude_anchor, ref=Non
     distance block.
     """
     n_anchors = feats.shape[0]
-    width = n_anchors - 1 if exclude_anchor else ref.shape[0]
+    width = n_anchors - 1 if ref is None else ref.shape[0]
     ties = np.empty(n_anchors, dtype=np.int64)
     for start in range(0, n_anchors, _ANCHOR_BLOCK):
         stop = min(start + _ANCHOR_BLOCK, n_anchors)
@@ -349,7 +440,7 @@ def _generate_sampled(feats, metric, proportion, rng, *, exclude_anchor, ref=Non
                                                 side="right")
             lo, hi = _unrank_pairs(ranks, width)
             out_near.append(row[lo] < row[hi])
-            if exclude_anchor:  # back to example ids; the shift keeps lo < hi
+            if ref is None:  # back to example ids; the shift keeps lo < hi
                 lo += lo >= a
                 hi += hi >= a
             out_a.append(np.full(ranks.size, a, dtype=np.int64))
@@ -393,14 +484,35 @@ def generate_training_set(ds: Dataset, metric: str, proportion: float,
     Equivalent to generate_from_vectors -> subsample -> add_noise with the
     child seeds spawned from ``seed``, without materializing the full set.
     """
+    return _generate(ds, None, metric, proportion, noise, seed)
+
+
+def generate_test_set(test_ds: Dataset, train_ds: Dataset, metric: str,
+                      proportion: float, noise: float, seed: int) -> TestTripletSet:
+    """Test-anchor triplets over training reference pairs, same sampling protocol."""
+    return _generate(test_ds, train_ds, metric, proportion, noise, seed)
+
+
+def _generate(anchor_ds: Dataset, ref_ds: Dataset | None, metric: str,
+              proportion: float, noise: float, seed: int) -> TripletStore:
+    """The generators' one body; without ``ref_ds`` anchors and references are
+    the same examples, which makes a training store."""
     _check_metric(metric)
     _check_unit(proportion, "proportion")
     _check_unit(noise, "noise rate")
-    feats = _check_vectors(ds.features, metric, "dataset")
+    if ref_ds is None:
+        feats, ref = _check_vectors(anchor_ds.features, metric, "dataset"), None
+    else:
+        feats = _check_vectors(anchor_ds.features, metric, "test dataset")
+        ref = _check_vectors(ref_ds.features, metric, "training dataset")
+        if feats.shape[1] != ref.shape[1]:
+            raise ValueError(f"test features have dimension {feats.shape[1]} but "
+                             f"training features have dimension {ref.shape[1]}")
     sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    a, plo, phi, near = _generate_sampled(
-        feats, metric, proportion, np.random.default_rng(sub_seed), exclude_anchor=True)
-    store = TripletStore(ds.n, a, plo, phi, near, _trusted=True)
+    rows = _generate_sampled(feats, metric, proportion, np.random.default_rng(sub_seed),
+                             ref)
+    store = (TripletStore(anchor_ds.n, *rows, _trusted=True) if ref_ds is None
+             else TestTripletSet(anchor_ds.n, ref_ds.n, *rows, _trusted=True))
     return add_noise(store, noise, noise_seed)
 
 
@@ -411,34 +523,25 @@ def subsample(ts: TripletStore, proportion: float, seed) -> TripletStore:
     if keep >= ts.m:
         return ts
     rng = np.random.default_rng(seed)
-    counts = np.bincount(ts._anchor, minlength=ts.n).astype(np.int64)
+    counts = np.bincount(ts._anchor, minlength=ts.n_anchors).astype(np.int64)
     take = _per_group_take(counts, keep, rng)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    picked = [offsets[g] + take[g] for g in range(ts.n) if take[g] is not None and take[g].size]
+    picked = [offsets[g] + take[g] for g in range(ts.n_anchors)
+              if take[g] is not None and take[g].size]
     idx = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    return TripletStore(ts.n, ts._anchor[idx], ts._lo[idx], ts._hi[idx],
-                        ts._near_lo[idx], _trusted=True)
+    return ts._with_rows(ts._anchor[idx], ts._lo[idx], ts._hi[idx], ts._near_lo[idx])
 
 
 def add_noise(ts: TripletStore, rate: float, seed) -> TripletStore:
     """Swap j and k on exactly round(rate * m) triplets, chosen uniformly."""
     _check_unit(rate, "noise rate")
-    near_lo = _flip(ts._near_lo, rate, seed)
-    if near_lo is ts._near_lo:
-        return ts
-    return TripletStore(ts.n, ts._anchor, ts._lo, ts._hi, near_lo, _trusted=True)
-
-
-def _flip(near_lo: np.ndarray, rate: float, seed) -> np.ndarray:
-    """Orientation bits with exactly round(rate * m) of them negated, chosen
-    uniformly; the input itself when there is nothing to flip."""
-    n_swap = _round_half_up(rate * near_lo.size)
+    n_swap = _round_half_up(rate * ts.m)
     if n_swap == 0:
-        return near_lo
-    idx = np.random.default_rng(seed).choice(near_lo.size, size=n_swap, replace=False)
-    flipped = near_lo.copy()
-    flipped[idx] = ~flipped[idx]
-    return flipped
+        return ts
+    idx = np.random.default_rng(seed).choice(ts.m, size=n_swap, replace=False)
+    near_lo = ts._near_lo.copy()
+    near_lo[idx] = ~near_lo[idx]
+    return ts._with_rows(ts._anchor, ts._lo, ts._hi, near_lo)
 
 
 # -- generation from ratings --------------------------------------------------
@@ -568,78 +671,7 @@ def _sample_indices(total: int, k: int, rng) -> np.ndarray:
     return np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
 
 
-# -- test-time triplets --------------------------------------------------------
-
-
-class TestTripletSet:
-    """Per test example, the available (near, far) training reference pairs."""
-
-    __test__ = False  # not a pytest class, despite the name
-    __slots__ = ("n_test", "n_train", "_x", "_lo", "_hi", "_a_lo")
-
-    def __init__(self, n_test, n_train, x, lo, hi, a_lo, _trusted=False):
-        self.n_test = int(n_test)
-        self.n_train = int(n_train)
-        self._x = np.ascontiguousarray(x, dtype=np.int64)
-        self._lo = np.ascontiguousarray(lo, dtype=np.int64)
-        self._hi = np.ascontiguousarray(hi, dtype=np.int64)
-        self._a_lo = np.ascontiguousarray(a_lo, dtype=bool)
-        if not _trusted:
-            self._canonicalize()
-
-    def _canonicalize(self):
-        if self._x.size == 0:
-            return
-        if self._x.min() < 0 or self._x.max() >= self.n_test:
-            raise ValueError("test example id out of range")
-        refs = np.concatenate([self._lo, self._hi])
-        if refs.min() < 0 or refs.max() >= self.n_train:
-            raise ValueError("training reference id out of range")
-        keys = (self._x * self.n_train + self._lo) * self.n_train + self._hi
-        order = np.argsort(keys, kind="stable")
-        if np.any(keys[order][1:] == keys[order][:-1]):
-            raise ValueError("duplicate or contradictory test pair")
-        self._x = self._x[order]
-        self._lo = self._lo[order]
-        self._hi = self._hi[order]
-        self._a_lo = self._a_lo[order]
-
-    @property
-    def m(self) -> int:
-        return int(self._x.size)
-
-    def pairs_for(self, x: int) -> np.ndarray:
-        """(count, 2) array of (near, far) training ids for test example x."""
-        start, stop = np.searchsorted(self._x, [x, x + 1])
-        near = np.where(self._a_lo[start:stop], self._lo[start:stop], self._hi[start:stop])
-        far = np.where(self._a_lo[start:stop], self._hi[start:stop], self._lo[start:stop])
-        return np.column_stack([near, far])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TestTripletSet):
-            return NotImplemented
-        return (self.n_test == other.n_test and self.n_train == other.n_train
-                and np.array_equal(self._x, other._x)
-                and np.array_equal(self._lo, other._lo)
-                and np.array_equal(self._hi, other._hi)
-                and np.array_equal(self._a_lo, other._a_lo))
-
-    def save(self, path) -> None:
-        near = np.where(self._a_lo, self._lo, self._hi)
-        far = np.where(self._a_lo, self._hi, self._lo)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"testtriplets v1 n_test={self.n_test} n_train={self.n_train}\n")
-            _write_id_rows(fh, self._x, near, far)
-
-    @classmethod
-    def load(cls, path) -> "TestTripletSet":
-        header, cols = _read_id_file(path, "testtriplets")
-        n_test, n_train = _header_ints(header, ("n_test", "n_train"), path)
-        x, a, b = cols[:, 0], cols[:, 1], cols[:, 2]
-        if np.any(a == b):
-            bad = int(np.flatnonzero(a == b)[0]) + 2
-            raise ValueError(f"degenerate test pair at line {bad}")
-        return cls(n_test, n_train, x, np.minimum(a, b), np.maximum(a, b), a < b)
+# -- holdout evaluation -------------------------------------------------------
 
 
 def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
@@ -653,8 +685,8 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     """
     train_ids = np.unique(np.asarray(train_ids, dtype=np.int64))
     test_ids = np.unique(np.asarray(test_ids, dtype=np.int64))
-    if train_ids.size < 2:
-        raise ValueError("need at least two training ids")
+    if train_ids.size < 2 or test_ids.size < 1:
+        raise ValueError("need at least two training ids and one test id")
     if np.intersect1d(train_ids, test_ids).size:
         raise ValueError("train and test ids must be disjoint")
     ids = np.concatenate([train_ids, test_ids])
@@ -684,41 +716,16 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     return train_store, test_set
 
 
-def generate_test_set(test_ds: Dataset, train_ds: Dataset, metric: str,
-                      proportion: float, noise: float, seed: int) -> TestTripletSet:
-    """Test-anchor triplets over training reference pairs, same sampling protocol."""
-    _check_metric(metric)
-    _check_unit(proportion, "proportion")
-    _check_unit(noise, "noise rate")
-    test_feats = _check_vectors(test_ds.features, metric, "test dataset")
-    train_feats = _check_vectors(train_ds.features, metric, "training dataset")
-    sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    x, plo, phi, a_lo = _generate_sampled(
-        test_feats, metric, proportion, np.random.default_rng(sub_seed),
-        exclude_anchor=False, ref=train_feats)
-    return TestTripletSet(test_ds.n, train_ds.n, x, plo, phi,
-                          _flip(a_lo, noise, noise_seed), _trusted=True)
-
-
 # -- shared text I/O -----------------------------------------------------------
 
 
-def _write_id_rows(fh, c0, c1, c2) -> None:
-    block = 1 << 16
-    for start in range(0, c0.size, block):
-        stop = min(start + block, c0.size)
-        lines = [f"{int(c0[i])} {int(c1[i])} {int(c2[i])}" for i in range(start, stop)]
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-def _read_id_file(path, expected_kind: str):
+def _read_id_file(path, kind: str, names: tuple[str, str]):
+    """The two header values ``names`` and the (rows, 3) id array of a file."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+        parts = fh.readline().split()
         body = fh.read()
-    parts = header.split()
-    if len(parts) < 2 or parts[0] != expected_kind or parts[1] != "v1":
-        raise ValueError(f"version mismatch: expected '{expected_kind} v1' header in {path}")
+    if len(parts) < 2 or parts[0] != kind or parts[1] != "v1":
+        raise ValueError(f"version mismatch: expected '{kind} v1' header in {path}")
     tokens = body.split()
     if len(tokens) % 3 != 0:
         raise ValueError(f"malformed triplet line in {path}")
@@ -726,15 +733,8 @@ def _read_id_file(path, expected_kind: str):
         cols = np.array([int(t) for t in tokens], dtype=np.int64).reshape(-1, 3)
     except ValueError:
         raise ValueError(f"non-integer id in {path}") from None
-    return parts, cols
-
-
-def _header_ints(parts: list[str], names: tuple[str, str], path) -> tuple[int, int]:
-    values = {}
-    for token in parts[2:]:
-        key, _, val = token.partition("=")
-        values[key] = val
+    values = dict(token.partition("=")[::2] for token in parts[2:])
     try:
-        return int(values[names[0]]), int(values[names[1]])
+        return (int(values[names[0]]), int(values[names[1]])), cols
     except (KeyError, ValueError):
         raise ValueError(f"malformed header in {path}") from None

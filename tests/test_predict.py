@@ -115,6 +115,8 @@ class TestScore:
             score(model, [(1, 1)])
         with pytest.raises(ValueError, match="duplicate or contradictory"):
             score(model, [(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match="sequence of \\(near, far\\) id pairs"):
+            score(model, [(1, 2, 3)])
 
 
 class TestMatchingEquivalence:
@@ -245,6 +247,24 @@ class TestPredictAll:
         assert signed[2, 63] == 0.5
         assert signed[2, :63].tolist() == [-0.5] * 63
         assert signed[3].tolist() == [-0.5] * 64
+
+    def test_every_entry_equals_score_and_score_naive(self):
+        """predict_all matches both per-example scorers bit for bit, abstentions
+        included, on a seeded moons corpus."""
+        ds = make_moons(60, 0.1, 7)
+        train_ds, test_ds = ds.take(np.arange(45)), ds.take(np.arange(45, 60))
+        store = generate_training_set(train_ds, "euclidean", 0.3, 0.1, 1)
+        model = train(train_ds, store, BoostConfig(rounds=40, seed=3))
+        tset = generate_test_set(test_ds, train_ds, "euclidean", 0.02, 0.1, 5)
+        preds = predict_all(model, tset)
+        assert len(preds) == tset.n_test
+        assert 0 < sum(p.abstained for p in preds) < len(preds)
+        for x, got in enumerate(preds):
+            pairs = tset.pairs_for(x)
+            for want in (score(model, pairs), score_naive(model, pairs)):
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert (got.label, got.matched) == (want.label, want.matched)
+                assert got.fired_alpha.hex() == want.fired_alpha.hex()
 
     def test_universe_mismatch_rejected(self):
         ds = make_moons(20, 0.1, 0)

@@ -325,7 +325,7 @@ class TestGenerationOracle:
         test = Dataset(np.zeros(n_test, dtype=np.int64), label, test_feats)
         tset = generate_test_set(test, train, metric, proportion, 0.0, seed)
         want = _dense_oracle(test_feats, metric, proportion, seed, ref=train_feats)
-        got = (tset._x, tset._lo, tset._hi, tset._a_lo)
+        got = (tset.anchors, tset._lo, tset._hi, tset._near_lo)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -532,7 +532,7 @@ class TestTestTriplets:
         path = tmp_path / "tt.txt"
         path.write_text("testtriplets v1 n_test=1 n_train=3\n0 1 2\n0 2 1\n",
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="duplicate or contradictory"):
+        with pytest.raises(ValueError, match="contradictory triplet at line 3"):
             TestTripletSet.load(path)
 
     def test_noise_and_proportion_apply(self):
@@ -541,6 +541,94 @@ class TestTestTriplets:
         clean = generate_test_set(test, train, "euclidean", 1.0, 0.0, 1)
         sampled = generate_test_set(test, train, "euclidean", 0.2, 0.0, 1)
         assert sampled.m == int(math.floor(0.2 * clean.m + 0.5))
+
+    def test_dimension_mismatch_rejected(self):
+        train = _vec_dataset(np.arange(8.0).reshape(4, 2))
+        test = _vec_dataset([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="dimension 3 but training features "
+                                             "have dimension 2"):
+            generate_test_set(test, train, "euclidean", 1.0, 0.0, 0)
+
+    def test_degenerate_pair_rejected_in_memory(self):
+        with pytest.raises(ValueError, match="must differ"):
+            TestTripletSet(1, 3, [0], [1], [1], [True])
+
+    def test_unordered_pair_rejected_in_memory(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            TestTripletSet(1, 3, [0], [2], [1], [True])
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="column lengths differ: 2, 1, 1, 1"):
+            TestTripletSet(1, 3, [0, 0], [1], [2], [True])
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0 1 2\n1 0 2\n", "example id out of range at line 3"),
+        ("0 1 2\n0 1 3\n", "example id out of range at line 3"),
+        ("0 0 1\n0 1 2\n0 1 2\n", "duplicate triplet at line 4"),
+        ("0 2 2\n", "degenerate triplet at line 2"),
+    ])
+    def test_load_names_the_line(self, tmp_path, rows, message):
+        path = tmp_path / "tt.txt"
+        path.write_text("testtriplets v1 n_test=1 n_train=3\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            TestTripletSet.load(path)
+
+    @pytest.mark.parametrize("header", ["n_test=3 n_train=4000000000",
+                                        "n_test=0 n_train=0"])
+    def test_universes_outside_int64_keys_rejected(self, tmp_path, header):
+        """Packed keys (x*n + lo)*n + hi would overflow, or there is no universe."""
+        path = tmp_path / "tt.txt"
+        path.write_text(f"testtriplets v1 {header}\n0 1 2\n1 1 2\n2 1 2\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="universe"):
+            TestTripletSet.load(path)
+
+    def test_anchor_universe_bounded_by_key_width(self):
+        n = 2_000_000
+        limit = (2**63 - 1) // (n * n)
+        with pytest.raises(ValueError, match=f"anchor universe must be in \\[1, {limit}\\]"):
+            TestTripletSet(limit + 1, n, [], [], [], [])
+        tset = TestTripletSet(limit, n, [limit - 1, 0], [n - 2, 0], [n - 1, 1],
+                              [True, False])
+        assert tset.anchors.tolist() == [0, limit - 1]
+        assert tset.lookup(limit - 1, n - 2, n - 1) is Relation.FORWARD
+        assert tset.pairs_for(0).tolist() == [[1, 0]]
+
+    def test_availability_counts_all_training_pairs(self):
+        """A test anchor pairs all n_train training examples, itself not among them."""
+        train = _vec_dataset([0.0, 1.0, 3.0])
+        tset = generate_test_set(_vec_dataset([2.9, 7.0]), train, "euclidean", 1.0, 0.0, 0)
+        assert tset.m == 6
+        assert tset.availability() == 1.0
+
+    def test_equals_composition(self):
+        """As for training stores, one pass equals generate -> subsample -> add_noise,
+        and both operations keep the test set's kind and universes."""
+        ds = make_moons(40, 0.1, 4)
+        train, test = ds.take(np.arange(30)), ds.take(np.arange(30, 40))
+        full = generate_test_set(test, train, "euclidean", 1.0, 0.0, 0)
+        for seed in (0, 1, 99):
+            sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
+            composed = add_noise(subsample(full, 0.08, sub_seed), 0.15, noise_seed)
+            assert type(composed) is TestTripletSet
+            assert (composed.n_test, composed.n_train) == (10, 30)
+            assert composed == generate_test_set(test, train, "euclidean", 0.08, 0.15, seed)
+
+    def test_pair_groups_regroup_rows(self):
+        ds = make_moons(30, 0.1, 2)
+        train, test = ds.take(np.arange(20)), ds.take(np.arange(20, 30))
+        tset = generate_test_set(test, train, "euclidean", 0.3, 0.0, 4)
+        pkeys, anchors, near_lo = tset.pair_groups()
+        rows = sorted(zip(pkeys.tolist(), anchors.tolist(), near_lo.tolist()))
+        assert rows == list(zip(pkeys.tolist(), anchors.tolist(), near_lo.tolist()))
+        want = sorted(zip((tset._lo * 20 + tset._hi).tolist(), tset.anchors.tolist(),
+                          tset._near_lo.tolist()))
+        assert rows == want
+
+    def test_not_equal_to_store_with_same_rows(self):
+        store = TripletStore(3, [0], [1], [2], [True])
+        tset = TestTripletSet(3, 3, [0], [1], [2], [True])
+        assert store != tset and tset != store
 
 
 class TestEvaluationSplit:
@@ -565,3 +653,11 @@ class TestEvaluationSplit:
         full = generate_from_vectors(make_moons(10, 0.1, 0), "euclidean")
         with pytest.raises(ValueError, match="disjoint"):
             split_store_for_evaluation(full, [0, 1, 2], [2, 3])
+
+    def test_empty_test_ids_rejected(self):
+        """A test set has at least one anchor."""
+        from tripletboost import split_store_for_evaluation
+
+        full = generate_from_vectors(make_moons(10, 0.1, 0), "euclidean")
+        with pytest.raises(ValueError, match="one test id"):
+            split_store_for_evaluation(full, [0, 1, 2], [])
