@@ -74,12 +74,7 @@ def _cmd_train(args) -> int:
 
 
 def _load_model_and_pairs(args):
-    model = boost.load_model(args.model)
-    tset = triplets.TestTripletSet.load(args.test_triplets)
-    if tset.n_train != model.n_train:
-        raise ValueError("test triplets index a different training universe "
-                         f"(n_train={tset.n_train} vs model n={model.n_train})")
-    return model, tset
+    return boost.load_model(args.model), triplets.TestTripletSet.load(args.test_triplets)
 
 
 def _cmd_predict(args) -> int:

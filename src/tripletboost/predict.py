@@ -1,11 +1,16 @@
 """Strong-classifier scoring, abstention reporting, and prediction output.
 
 Matching test pairs against model classifiers is the prediction bottleneck.
-An example's pairs are one anchor's rows of a ``TestTripletSet``, sorted by
-pair key; ``score`` and ``predict_all`` binary-search each classifier key
-among them, while ``score_naive`` performs the full cross-comparison and
-exists as the correctness oracle and benchmark foil.  All feed the identical
-accumulation step, so their outputs agree bit for bit.
+A test set's canonical rows are grouped by example; ``predict_all`` and
+``score`` (a one-example test set) join them against the model's sorted
+classifier keys, in blocks of whole examples: each row's pair key is
+binary-searched among the C keys, every classifier kept on a found pair
+fires, and the hits are ordered by (example, classifier).  The cost grows
+with the rows present, O(rows log C), not with C times the examples.
+``score_naive`` performs the full cross-comparison and exists as the
+correctness oracle and benchmark foil.  All feed the identical accumulation
+step with the fired classifiers in ascending order, so their outputs agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "score",
     "score_naive",
     "resolve",
+    "resolve_all",
     "predict_all",
     "signed_scores_on_training",
     "write_predictions_csv",
@@ -32,6 +38,7 @@ __all__ = [
 ABSTAIN = -1
 
 _NAIVE_BLOCK = 128  # classifiers per cross-comparison block
+_JOIN_BLOCK = 1 << 17  # test-set rows per join block, rounded to whole examples
 
 
 @dataclass(frozen=True)
@@ -53,9 +60,10 @@ class Prediction:
 
 
 class _ScoringIndex:
-    """Classifier columns in training order, ready for vectorized matching."""
+    """Classifier columns in training order, plus their keys sorted for the join."""
 
-    __slots__ = ("n_train", "n_labels", "keys", "alpha", "bits_j", "bits_k")
+    __slots__ = ("n_train", "n_labels", "keys", "alpha", "bits_j", "bits_k",
+                 "order", "sorted_keys")
 
     def __init__(self, model: StrongModel):
         self.n_train = model.n_train
@@ -65,6 +73,8 @@ class _ScoringIndex:
         self.alpha = np.array([h.alpha for h in cls], dtype=np.float64)
         self.bits_j = _mask_bools([h.o_j for h in cls], self.n_labels)
         self.bits_k = _mask_bools([h.o_k for h in cls], self.n_labels)
+        self.order = np.argsort(self.keys, kind="stable")
+        self.sorted_keys = self.keys[self.order]
 
 
 def _index(model: StrongModel) -> _ScoringIndex:
@@ -85,41 +95,62 @@ def _example(pairs, n_train: int) -> TestTripletSet:
                           np.minimum(a, b), np.maximum(a, b), a < b)
 
 
-def _accumulate(index: _ScoringIndex, matched: np.ndarray,
+def _accumulate(index: _ScoringIndex, fired: np.ndarray,
                 near_is_j: np.ndarray) -> Prediction:
-    """Sum fired classifiers' votes in classifier order (shared by both scorers)."""
-    alpha = index.alpha[matched]
-    bits = np.where(near_is_j[:, None], index.bits_j[matched], index.bits_k[matched])
+    """Sum the votes of the classifiers ``fired`` (ascending indices) in
+    classifier order; every scorer ends here, so they agree bit for bit."""
+    alpha = index.alpha[fired]
+    bits = np.where(near_is_j[:, None], index.bits_j[fired], index.bits_k[fired])
     scores = (alpha[:, None] * bits).sum(axis=0) if alpha.size \
         else np.zeros(index.n_labels)
-    count = int(matched.sum())
-    label = ABSTAIN if count == 0 else int(np.argmax(scores))
-    return Prediction(scores, label, count, float(alpha.sum()))
+    label = ABSTAIN if fired.size == 0 else int(np.argmax(scores))
+    return Prediction(scores, label, int(fired.size), float(alpha.sum()))
 
 
-def _abstain(index: _ScoringIndex) -> Prediction:
-    return _accumulate(index, np.zeros(index.keys.size, dtype=bool), np.zeros(0, dtype=bool))
-
-
-def _match(index: _ScoringIndex, tset: TestTripletSet, rows: slice) -> Prediction:
-    """Score the example whose canonical rows are ``rows``: binary-search every
-    classifier key among the example's sorted pair keys."""
-    pkeys = tset._lo[rows] * tset.n + tset._hi[rows]
-    if pkeys.size == 0:
-        return _abstain(index)
-    pos = np.minimum(np.searchsorted(pkeys, index.keys), pkeys.size - 1)
-    matched = pkeys[pos] == index.keys
-    return _accumulate(index, matched, tset._near_lo[rows][pos[matched]])
+def _join(index: _ScoringIndex, tset: TestTripletSet) -> list[Prediction]:
+    """Score every example of ``tset`` by one sorted join of its row pair keys
+    against the classifier keys, in blocks of whole examples."""
+    keys, n_cls = index.sorted_keys, index.sorted_keys.size
+    edges = np.searchsorted(tset.anchors, np.arange(tset.n_test + 1))
+    preds = []
+    x = 0
+    while x < tset.n_test:
+        y = max(x + 1, int(np.searchsorted(edges, edges[x] + _JOIN_BLOCK, "right")) - 1)
+        block = slice(edges[x], edges[y])
+        pkeys = tset._lo[block] * tset.n + tset._hi[block]
+        first = np.searchsorted(keys, pkeys)
+        # Without classifiers the clipped position would be -1.
+        hit = (np.flatnonzero(keys[np.minimum(first, n_cls - 1)] == pkeys) if n_cls
+               else np.zeros(0, dtype=np.int64))
+        # A pair kept by several classifiers fires each of them.
+        first = first[hit]
+        count = np.searchsorted(keys, pkeys[hit], "right") - first
+        rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        fired = index.order[np.repeat(first, count) + rank]
+        row = edges[x] + np.repeat(hit, count)
+        anchor = tset.anchors[row]
+        # Votes ordered by (example, classifier); the key stays below
+        # _JOIN_BLOCK * C, since a block of several examples has no more rows.
+        by_vote = np.argsort((edges[anchor] - edges[x]) * n_cls + fired)
+        fired, near_is_j = fired[by_vote], tset._near_lo[row[by_vote]]
+        cuts = np.cumsum(np.bincount(anchor - x, minlength=y - x)).tolist()
+        start = 0
+        for stop in cuts:
+            preds.append(_accumulate(index, fired[start:stop], near_is_j[start:stop]))
+            start = stop
+        x = y
+    return preds
 
 
 def score(model: StrongModel, pairs) -> Prediction:
     """Vote totals for one example given its (near, far) training pairs.
 
-    Sorts the pairs once, then locates every classifier key by binary
-    search, so the cost is O(|pairs| log |pairs| + C log |pairs|).
+    Sorts the pairs once, then joins them against the model's sorted
+    classifier keys, so the cost is O(|pairs| log |pairs| + |pairs| log C)
+    plus the fired classifiers' votes.
     """
     index = _index(model)
-    return _match(index, _example(pairs, index.n_train), slice(None))
+    return _join(index, _example(pairs, index.n_train))[0]
 
 
 def score_naive(model: StrongModel, pairs) -> Prediction:
@@ -127,7 +158,7 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
     index = _index(model)
     example = _example(pairs, index.n_train)
     if example.m == 0:
-        return _abstain(index)
+        return _accumulate(index, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
     keys = example._lo * example.n + example._hi
     count = index.keys.size
     matched = np.zeros(count, dtype=bool)
@@ -137,7 +168,7 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
         eq = index.keys[start:stop, None] == keys[None, :]
         matched[start:stop] = eq.any(axis=1)
         hit_at[start:stop] = eq.argmax(axis=1)
-    return _accumulate(index, matched, example._near_lo[hit_at[matched]])
+    return _accumulate(index, np.flatnonzero(matched), example._near_lo[hit_at[matched]])
 
 
 def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
@@ -159,11 +190,13 @@ def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
 
 def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
     """Score every test example; resolution is left to the caller."""
+    if not isinstance(tset, TestTripletSet):
+        raise ValueError("predict_all needs a TestTripletSet of test examples, "
+                         f"not a {type(tset).__name__}")
     if tset.n_train != model.n_train:
-        raise ValueError("test pairs index a different training universe")
-    index = _index(model)
-    edges = np.searchsorted(tset.anchors, np.arange(tset.n_test + 1)).tolist()
-    return [_match(index, tset, slice(edges[x], edges[x + 1])) for x in range(tset.n_test)]
+        raise ValueError("test triplets index a different training universe "
+                         f"(n_train={tset.n_train} vs model n={model.n_train})")
+    return _join(_index(model), tset)
 
 
 def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarray:

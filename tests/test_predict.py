@@ -10,6 +10,7 @@ from tripletboost import (
     BoostConfig,
     LabelDict,
     StrongModel,
+    TestTripletSet,
     TripletClassifier,
     TripletStore,
     generate_test_set,
@@ -23,6 +24,7 @@ from tripletboost import (
     signed_scores_on_training,
     train,
 )
+from tripletboost import predict as predict_module
 from tripletboost.predict import write_predictions_csv
 
 
@@ -273,5 +275,48 @@ class TestPredictAll:
         model = train(train_ds, store, BoostConfig(rounds=10, seed=0))
         tset = generate_test_set(test_ds, train_ds, "euclidean", 0.5, 0.0, 1)
         wrong = StrongModel(model.classifiers, model.label_dict, 99)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_train=15 vs model n=99"):
             predict_all(wrong, tset)
+
+    def test_training_store_rejected(self):
+        store = TripletStore.from_triplets(10, [(2, 0, 1), (3, 1, 0)])
+        with pytest.raises(ValueError, match="needs a TestTripletSet"):
+            predict_all(_model([TripletClassifier(0, 1, 0b01, 0, 0.5)]), store)
+
+    def test_join_blocks_match_score_naive(self, monkeypatch):
+        """A test set spread over many join blocks, with repeated classifier
+        pairs and examples without rows, scores like the naive scan."""
+        monkeypatch.setattr(predict_module, "_JOIN_BLOCK", 5)
+        rng = np.random.default_rng(17)
+        n_train, n_test = 12, 40
+        model, _ = _random_model_and_pairs(rng, n_train=n_train, n_labels=3,
+                                           n_cls=120, n_pairs=0)
+        assert len({(h.j, h.k) for h in model.classifiers}) < len(model.classifiers)
+        all_pairs = [(a, b) for a in range(n_train) for b in range(a + 1, n_train)]
+        anchor, lo, hi, near_lo = [], [], [], []
+        for x in range(n_test):
+            size = 0 if x % 3 == 1 or x >= n_test - 2 else int(rng.integers(1, 13))
+            for idx in rng.choice(len(all_pairs), size, replace=False):
+                anchor.append(x)
+                lo.append(all_pairs[idx][0])
+                hi.append(all_pairs[idx][1])
+                near_lo.append(bool(rng.random() < 0.5))
+        tset = TestTripletSet(n_test, n_train, anchor, lo, hi, near_lo)
+        preds = predict_all(model, tset)
+        assert len(preds) == n_test
+        assert preds[1].abstained and preds[-1].abstained
+        for x, got in enumerate(preds):
+            pairs = tset.pairs_for(x)
+            want = score_naive(model, pairs)
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert (got.label, got.matched) == (want.label, want.matched)
+            assert got.fired_alpha.hex() == want.fired_alpha.hex()
+            assert got.matched == _reference_prediction(model, pairs, 3)[1]
+
+    def test_empty_model_predict_all_abstains(self):
+        tset = TestTripletSet(3, 10, [0, 0, 2], [1, 2, 1], [2, 3, 4], [True, False, True])
+        model = _model([], 10, 3)
+        preds = predict_all(model, tset) + [score(model, tset.pairs_for(x)) for x in range(3)]
+        for got in preds:
+            assert got.abstained and got.matched == 0
+            assert got.scores.tolist() == [0.0] * 3
