@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, LabelDict
-from .triplets import TripletStore
+from .triplets import TripletStore, _parse_header
 from .weak import (
     MAX_LABELS,
     RoundStats,
@@ -222,18 +222,13 @@ def save_model(model: StrongModel, path) -> None:
 
 
 def load_model(path) -> StrongModel:
+    """Read a ``save_model`` file; each classifier error names its line."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+        header = fh.readline()
         names_line = fh.readline().rstrip("\n")
         body = fh.read().splitlines()
-    parts = header.split()
-    if len(parts) != 5 or parts[:2] != ["tripletboost-model", "v1"]:
-        raise ValueError(f"version mismatch: bad model header in {path}")
-    try:
-        fields = dict(p.split("=", 1) for p in parts[2:])
-        n_labels, n_train, rounds_run = (int(fields[key]) for key in ("L", "n", "C"))
-    except (KeyError, ValueError):
-        raise ValueError(f"malformed model header in {path}") from None
+    n_labels, n_train, rounds_run = _parse_header(
+        header, "tripletboost-model", ("L", "n", "C"), path)
     names = tuple(names_line.split("\t"))
     if len(names) != n_labels:
         raise ValueError(f"label count disagrees with header in {path}")
@@ -250,10 +245,12 @@ def load_model(path) -> StrongModel:
             o_j, o_k = int(tokens[3], 16), int(tokens[4], 16)
         except ValueError:
             raise ValueError(f"malformed classifier at line {lineno}") from None
-        if not (0 <= j < n_train and 0 <= k < n_train):
-            raise ValueError(f"reference id out of range at line {lineno}")
-        if o_j >= (1 << n_labels) or o_k >= (1 << n_labels):
+        if not 0 <= j < k < n_train:
+            raise ValueError(f"reference pair needs 0 <= j < k < {n_train} at line {lineno}")
+        if not (0 <= o_j < 1 << n_labels and 0 <= o_k < 1 << n_labels):
             raise ValueError(f"label set out of range at line {lineno}")
+        if not math.isfinite(alpha):
+            raise ValueError(f"non-finite alpha at line {lineno}")
         classifiers.append(TripletClassifier(j, k, o_j, o_k, alpha))
     return StrongModel(classifiers, LabelDict(names), n_train,
                        rounds_run=rounds_run)

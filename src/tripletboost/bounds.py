@@ -127,14 +127,12 @@ def simulate_abstention(n: int, p: float, classifier_count: int, trials: int,
     rng = np.random.default_rng(seed)
     abstained = 0
     block = max(1, min(trials, 2_000_000 // max(1, classifier_count)))
-    done = 0
-    while done < trials:
+    for done in range(0, trials, block):
         size = min(block, trials - done)
         fires_train = rng.binomial(n, p, size=(size, classifier_count)) > 0
         fires_test = rng.random((size, classifier_count)) < p
         useful = fires_train & fires_test
         abstained += int((~useful.any(axis=1)).sum())
-        done += size
     estimate = abstained / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr
@@ -228,9 +226,7 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
             if not fired.any():
                 abstained += 1
                 continue
-            keys = np.unique(pair_arr[fired, 0] * n + pair_arr[fired, 1])
-            pairs = np.column_stack([keys // n, keys % n])
-            abstained += int(score(model, pairs).abstained)
+            abstained += int(score(model, np.unique(pair_arr[fired], axis=0)).abstained)
         rates[m_idx] = abstained / draws_per_model
     estimate = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(n_models))

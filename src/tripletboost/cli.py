@@ -7,6 +7,7 @@ deterministic given its flags, including --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -20,6 +21,13 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, count = text.split(":")
         return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
     return [float(v) for v in text.split(",")]
+
+
+def _output(path):
+    """A text stream writing ``path``; "-" is stdout, which stays open."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _cmd_gen_triplets(args) -> int:
@@ -81,11 +89,8 @@ def _cmd_predict(args) -> int:
     model, tset = _load_model_and_pairs(args)
     predictions = predict.predict_all(model, tset)
     resolved = predict.resolve_all(predictions, args.policy, args.seed)
-    if args.out == "-":
-        predict.write_predictions_csv(sys.stdout, predictions, resolved)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            predict.write_predictions_csv(fh, predictions, resolved)
+    with _output(args.out) as fh:
+        predict.write_predictions_csv(fh, predictions, resolved)
     return 0
 
 
@@ -147,15 +152,10 @@ def _cmd_simulate_abstention(args) -> int:
 def _cmd_bound_surface(args) -> int:
     rows, skipped = bounds.bound_surface_rows(args.n, _parse_grid(args.k_grid),
                                               _parse_grid(args.beta_grid))
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8",
-                                                  newline="\n")
-    try:
+    with _output(args.out) as out:
         out.write("k,beta,bound\n")
         for k, beta, value in rows:
             out.write(f"{k:.17g},{beta:.17g},{value:.17g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     for k, beta in skipped:
         print(f"skipped k={k!r} beta={beta!r}: availability exceeds 1",
               file=sys.stderr)

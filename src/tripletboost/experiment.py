@@ -81,13 +81,9 @@ def parse_spec(path) -> ExperimentSpec:
         )
     except KeyError as exc:
         raise ValueError(f"missing required spec key: {exc}") from None
-    optional = {}
-    if "test_fraction" in values:
-        optional["test_fraction"] = float(values["test_fraction"])
-    if "moons_n" in values:
-        optional["moons_n"] = int(values["moons_n"])
-    if "moons_noise" in values:
-        optional["moons_noise"] = float(values["moons_noise"])
+    optional = {key: cast(values[key]) for key, cast in (
+        ("test_fraction", float), ("moons_n", int), ("moons_noise", float))
+        if key in values}
     if "has_header" in values:
         flag = values["has_header"].lower()
         if flag not in _BOOL:

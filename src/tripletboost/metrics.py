@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import LabelDict
-from .predict import Prediction, resolve
+from .predict import Prediction, _resolve, _score_matrix
 
 __all__ = ["EvalReport", "evaluate_predictions", "parse_labels_file"]
 
@@ -55,50 +56,57 @@ def evaluate_predictions(predictions: list[Prediction], truth: list[frozenset[in
     """Score predictions against (possibly multi-label) ground truth.
 
     Accuracy counts a resolved label as correct when it belongs to the truth
-    set.  Ranking metrics ignore the resolution policy: precision@1 asks
-    whether the top-voted label is true, recall@k how much of the truth the
-    k top-voted labels cover.  Rank ties break toward lower label ids.
+    set; labels are resolved as ``resolve_all`` does, from one generator
+    seeded ``seed``, so an abstention resolves like a vote in which every
+    label ties.  Ranking metrics ignore the resolution policy: precision@1
+    asks whether the top-voted label is true, recall@k how much of the truth
+    the k top-voted labels cover.  Rank ties break toward lower label ids.
     """
     if len(predictions) != len(truth):
         raise ValueError("predictions and truth differ in length")
     if not predictions:
         raise ValueError("nothing to evaluate")
-    n_labels = label_dict.size
+    n_labels, count = label_dict.size, len(predictions)
     k = max(1, min(k, n_labels))
-    rng = np.random.default_rng(seed)
-    correct = 0
-    abstained = 0
-    top1_hits = 0
-    recall_sum = 0.0
-    class_total = np.zeros(n_labels, dtype=np.int64)
-    class_correct = np.zeros(n_labels, dtype=np.int64)
-    for pred, truth_set in zip(predictions, truth):
-        if not truth_set:
-            raise ValueError("every example needs at least one true label")
-        resolved = resolve(pred, policy, rng)
-        hit = resolved in truth_set
-        correct += hit
-        abstained += pred.abstained
-        ranking = np.lexsort((np.arange(n_labels), -pred.scores))
-        top1_hits += int(ranking[0]) in truth_set
-        recall_sum += len(truth_set.intersection(ranking[:k].tolist())) / len(truth_set)
-        for y in truth_set:
-            class_total[y] += 1
-            class_correct[y] += hit
-    count = len(predictions)
+    scores = _score_matrix(predictions, n_labels)
+    true = _truth_matrix(truth, n_labels)
+    rows = np.arange(count)
+    hit = true[rows, _resolve(scores, policy, np.random.default_rng(seed))]
+    ranking = np.argsort(-scores, axis=1, kind="stable")
+    covered = np.take_along_axis(true, ranking[:, :k], axis=1).sum(axis=1)
+    # cumsum adds in example order, as a running total does; np.sum need not
+    recall_sum = float(np.cumsum(covered / true.sum(axis=1))[-1])
+    class_total, class_correct = true.sum(axis=0), (true & hit[:, None]).sum(axis=0)
     per_class = {
         label_dict.names[y]: float(class_correct[y] / class_total[y])
         for y in range(n_labels) if class_total[y]
     }
     return EvalReport(
-        accuracy=correct / count,
-        abstention_rate=abstained / count,
+        accuracy=int(hit.sum()) / count,
+        abstention_rate=sum(p.abstained for p in predictions) / count,
         per_class_accuracy=per_class,
-        precision_at_1=top1_hits / count,
+        precision_at_1=int(true[rows, ranking[:, 0]].sum()) / count,
         recall_at_k=recall_sum / count,
         k=k,
         n_examples=count,
     )
+
+
+def _truth_matrix(truth: list[frozenset[int]], n_labels: int) -> np.ndarray:
+    """Bool (examples x labels) membership of the truth sets."""
+    sizes = np.array([len(t) for t in truth], dtype=np.int64)
+    if not sizes.all():
+        raise ValueError("every example needs at least one true label "
+                         f"(example {np.argmin(sizes)} has none)")
+    example = np.repeat(np.arange(sizes.size), sizes)
+    ids = np.fromiter(itertools.chain.from_iterable(truth), np.int64, example.size)
+    bad = np.flatnonzero((ids < 0) | (ids >= n_labels))
+    if bad.size:
+        raise ValueError(f"true label {ids[bad[0]]} of example {example[bad[0]]} "
+                         f"is outside the {n_labels} labels")
+    out = np.zeros((sizes.size, n_labels), dtype=bool)
+    out[example, ids] = True
+    return out
 
 
 def parse_labels_file(path, label_dict: LabelDict,

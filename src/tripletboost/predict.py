@@ -171,21 +171,39 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
     return _accumulate(index, np.flatnonzero(matched), example._near_lo[hit_at[matched]])
 
 
-def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
-    """Turn a prediction into a label: break ties, randomize abstentions."""
-    n_labels = prediction.scores.size
+def _score_matrix(predictions, n_labels: int) -> np.ndarray:
+    """The (examples x labels) scores of ``predictions``, each of ``n_labels``."""
+    sizes = np.array([p.scores.size for p in predictions], dtype=np.int64)
+    bad = np.flatnonzero(sizes != n_labels)
+    if bad.size:
+        raise ValueError(f"prediction {bad[0]} has {sizes[bad[0]]} scores "
+                         f"for {n_labels} labels")
+    return np.array([p.scores for p in predictions]).reshape(sizes.size, n_labels)
+
+
+def _resolve(scores: np.ndarray, policy: str, rng) -> np.ndarray:
+    """Label ids of an (examples x labels) score matrix.  ``random`` draws the
+    d-th tied maximum of each row, d uniform, with one array-bounded
+    ``rng.integers`` call: the values and end state of one scalar call per row.
+    """
     if policy == "fixed_lowest":
-        if prediction.abstained:
-            return 0
-        return int(np.argmax(prediction.scores))
+        return np.argmax(scores, axis=1)
     if policy != "random":
         raise ValueError(f"unknown policy {policy!r}")
     if rng is None:
         raise ValueError("the random policy needs a generator")
-    if prediction.abstained:
-        return int(rng.integers(n_labels))
-    best = np.flatnonzero(prediction.scores == prediction.scores.max())
-    return int(best[rng.integers(best.size)])
+    tied = scores == scores.max(axis=1, keepdims=True)
+    draw = rng.integers(0, tied.sum(axis=1))
+    return np.argmax(np.cumsum(tied, axis=1) > draw[:, None], axis=1)
+
+
+def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
+    """Turn a prediction into a label id: the lowest maximal label under
+    ``fixed_lowest``, a uniform draw from ``rng`` among the maximal labels
+    under ``random``.  An abstention scores zero everywhere, so it resolves
+    like a vote in which every label ties: to label 0, or to a uniform draw.
+    """
+    return int(_resolve(prediction.scores[None, :], policy, rng)[0])
 
 
 def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
@@ -200,8 +218,11 @@ def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
 
 
 def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.array([resolve(p, policy, rng) for p in predictions], dtype=np.int64)
+    """``resolve`` for each prediction in turn, on one generator seeded ``seed``."""
+    if not predictions:
+        return np.zeros(0, dtype=np.int64)
+    return _resolve(_score_matrix(predictions, predictions[0].scores.size), policy,
+                    np.random.default_rng(seed))
 
 
 def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarray:

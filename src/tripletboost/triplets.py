@@ -78,11 +78,6 @@ def _check_unit(value: float, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 1]")
 
 
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-
-
 def _check_vectors(features: np.ndarray | None, metric: str, what: str) -> np.ndarray:
     if features is None:
         raise ValueError(f"{what} has no feature vectors")
@@ -149,13 +144,7 @@ class TripletStore:
     def from_triplets(n: int, triplets) -> "TripletStore":
         """Build a training store from (i, j, k) tuples; anchors may repeat pair members."""
         rows = [(t.i, t.j, t.k) if isinstance(t, Triplet) else tuple(t) for t in triplets]
-        if rows:
-            arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
-            i, j, k = arr[:, 0], arr[:, 1], arr[:, 2]
-        else:
-            i = j = k = np.empty(0, dtype=np.int64)
-        if np.any(j == k):
-            raise ValueError("reference examples j and k must differ")
+        i, j, k = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3).T
         return TripletStore(n, i, np.minimum(j, k), np.maximum(j, k), j < k)
 
     @property
@@ -423,15 +412,16 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     keep = total if proportion >= 1.0 else _round_half_up(proportion * total)
     take = _per_group_take(counts, keep, rng)
 
-    out_a, out_lo, out_hi, out_near = [], [], [], []
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.empty(0, dtype=bool))]
     for start in range(0, n_anchors, _ANCHOR_BLOCK):
         stop = min(start + _ANCHOR_BLOCK, n_anchors)
-        if not any(t is not None and t.size for t in take[start:stop]):
+        if not any(ranks.size for ranks in take[start:stop]):
             continue
         rows = _reference_rows(feats, metric, start, stop, ref)
         for a in range(start, stop):
             ranks = take[a]
-            if ranks is None or ranks.size == 0:
+            if ranks.size == 0:
                 continue
             row = rows[a - start]
             if ties[a]:
@@ -439,37 +429,28 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
                 ranks = ranks + np.searchsorted(tied - np.arange(tied.size), ranks,
                                                 side="right")
             lo, hi = _unrank_pairs(ranks, width)
-            out_near.append(row[lo] < row[hi])
+            near_lo = row[lo] < row[hi]
             if ref is None:  # back to example ids; the shift keeps lo < hi
                 lo += lo >= a
                 hi += hi >= a
-            out_a.append(np.full(ranks.size, a, dtype=np.int64))
-            out_lo.append(lo)
-            out_hi.append(hi)
-    if out_a:
-        return (np.concatenate(out_a), np.concatenate(out_lo),
-                np.concatenate(out_hi), np.concatenate(out_near))
-    empty = np.empty(0, dtype=np.int64)
-    return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)
+            parts.append((np.full(ranks.size, a, dtype=np.int64), lo, hi, near_lo))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _per_group_take(counts: np.ndarray, keep: int, rng) -> list:
     """Sorted within-group ranks realizing a uniform draw of ``keep`` items."""
-    n_groups = counts.size
     total = int(counts.sum())
     if keep >= total:
         return [np.arange(c, dtype=np.int64) for c in counts]
+    empty = np.empty(0, dtype=np.int64)
     if keep <= 0:
-        return [None] * n_groups
+        return [empty] * counts.size
     if total >= _SAMPLER_LIMIT:
         raise ValueError(f"cannot subsample {total} candidates: the sampler takes "
                          f"fewer than {_SAMPLER_LIMIT}")
     per_group = rng.multivariate_hypergeometric(counts, keep, method="marginals")
-    take: list = [None] * n_groups
-    for g in range(n_groups):
-        if per_group[g] > 0:
-            take[g] = np.sort(rng.choice(counts[g], size=per_group[g], replace=False))
-    return take
+    return [np.sort(rng.choice(count, size=k, replace=False)) if k else empty
+            for count, k in zip(counts, per_group)]
 
 
 def generate_from_vectors(ds: Dataset, metric: str) -> TripletStore:
@@ -497,7 +478,8 @@ def _generate(anchor_ds: Dataset, ref_ds: Dataset | None, metric: str,
               proportion: float, noise: float, seed: int) -> TripletStore:
     """The generators' one body; without ``ref_ds`` anchors and references are
     the same examples, which makes a training store."""
-    _check_metric(metric)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     _check_unit(proportion, "proportion")
     _check_unit(noise, "noise rate")
     if ref_ds is None:
@@ -526,9 +508,7 @@ def subsample(ts: TripletStore, proportion: float, seed) -> TripletStore:
     counts = np.bincount(ts._anchor, minlength=ts.n_anchors).astype(np.int64)
     take = _per_group_take(counts, keep, rng)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    picked = [offsets[g] + take[g] for g in range(ts.n_anchors)
-              if take[g] is not None and take[g].size]
-    idx = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
+    idx = np.concatenate([offsets[g] + take[g] for g in range(ts.n_anchors)])
     return ts._with_rows(ts._anchor[idx], ts._lo[idx], ts._hi[idx], ts._near_lo[idx])
 
 
@@ -697,35 +677,38 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     to_test = np.full(store.n, -1, dtype=np.int64)
     to_test[test_ids] = np.arange(test_ids.size)
 
-    ref_ok = (to_train[store._lo] >= 0) & (to_train[store._hi] >= 0)
-    train_rows = ref_ok & (to_train[store._anchor] >= 0)
-    test_rows = ref_ok & (to_test[store._anchor] >= 0)
     # ascending relabelling preserves both lo < hi and the canonical order
-    train_store = TripletStore(
-        train_ids.size,
-        to_train[store._anchor[train_rows]],
-        to_train[store._lo[train_rows]],
-        to_train[store._hi[train_rows]],
-        store._near_lo[train_rows], _trusted=True)
-    test_set = TestTripletSet(
-        test_ids.size, train_ids.size,
-        to_test[store._anchor[test_rows]],
-        to_train[store._lo[test_rows]],
-        to_train[store._hi[test_rows]],
-        store._near_lo[test_rows], _trusted=True)
-    return train_store, test_set
+    lo, hi, near_lo = to_train[store._lo], to_train[store._hi], store._near_lo
+    ref_ok = (lo >= 0) & (hi >= 0)
+    tr = ref_ok & (to_train[store._anchor] >= 0)
+    te = ref_ok & (to_test[store._anchor] >= 0)
+    return (TripletStore(train_ids.size, to_train[store._anchor[tr]], lo[tr], hi[tr],
+                         near_lo[tr], _trusted=True),
+            TestTripletSet(test_ids.size, train_ids.size, to_test[store._anchor[te]],
+                           lo[te], hi[te], near_lo[te], _trusted=True))
 
 
 # -- shared text I/O -----------------------------------------------------------
 
 
+def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[int, ...]:
+    """The integer values of ``keys`` in a ``kind v1 key=value ...`` header line."""
+    parts = line.split()
+    if parts[:2] != [kind, "v1"]:
+        raise ValueError(f"version mismatch: expected '{kind} v1' header in {path}")
+    values = dict(token.partition("=")[::2] for token in parts[2:])
+    try:
+        return tuple(int(values[key]) for key in keys)
+    except (KeyError, ValueError):
+        raise ValueError(f"malformed header in {path}") from None
+
+
 def _read_id_file(path, kind: str, names: tuple[str, str]):
     """The two header values ``names`` and the (rows, 3) id array of a file."""
     with open(path, encoding="utf-8") as fh:
-        parts = fh.readline().split()
+        header = fh.readline()
         body = fh.read()
-    if len(parts) < 2 or parts[0] != kind or parts[1] != "v1":
-        raise ValueError(f"version mismatch: expected '{kind} v1' header in {path}")
+    values = _parse_header(header, kind, names, path)
     tokens = body.split()
     if len(tokens) % 3 != 0:
         raise ValueError(f"malformed triplet line in {path}")
@@ -733,8 +716,4 @@ def _read_id_file(path, kind: str, names: tuple[str, str]):
         cols = np.array([int(t) for t in tokens], dtype=np.int64).reshape(-1, 3)
     except ValueError:
         raise ValueError(f"non-integer id in {path}") from None
-    values = dict(token.partition("=")[::2] for token in parts[2:])
-    try:
-        return (int(values[names[0]]), int(values[names[1]])), cols
-    except (KeyError, ValueError):
-        raise ValueError(f"malformed header in {path}") from None
+    return values, cols

@@ -356,6 +356,29 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="version mismatch"):
             load_model(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1 1 0.5 1 2", "0 <= j < k < 3 at line 4"),  # j == k
+        ("2 1 0.5 1 2", "0 <= j < k < 3 at line 4"),  # j > k: not canonical
+        ("0 2 nan 1 2", "non-finite alpha at line 4"),
+        ("0 2 inf 1 2", "non-finite alpha at line 4"),
+        ("0 2 0.5 -1 2", "label set out of range at line 4"),
+        ("0 2 0.5 1 -2", "label set out of range at line 4"),
+    ])
+    def test_bad_classifier_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"tripletboost-model v1 L=2 n=3 C=2\na\tb\n0 1 0.5 1 2\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", ["tripletboost-model v1 L=2 n=3",
+                                        "tripletboost-model v1 L=2 n=x C=1"])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\na\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed header"):
+            load_model(path)
+
     def test_out_of_range_label_set_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(

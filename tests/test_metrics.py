@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from tripletboost import LabelDict, StrongModel, TripletClassifier, evaluate_predictions
+from tripletboost import (
+    ABSTAIN,
+    EvalReport,
+    LabelDict,
+    Prediction,
+    StrongModel,
+    TripletClassifier,
+    evaluate_predictions,
+)
 from tripletboost.metrics import parse_labels_file
 from tripletboost.predict import score
 
@@ -15,6 +23,97 @@ def _preds(model, pair_lists):
 def _model(classifiers, n_labels):
     names = tuple(str(y) for y in range(n_labels))
     return StrongModel(classifiers, LabelDict(names), 10)
+
+
+def _oracle_report(predictions, truth, label_dict, policy, seed, k):
+    """The per-example evaluation loop, with one scalar draw per resolution."""
+    n_labels = label_dict.size
+    k = max(1, min(k, n_labels))
+    rng = np.random.default_rng(seed)
+    correct = abstained = top1_hits = 0
+    recall_sum = 0.0
+    class_total = np.zeros(n_labels, dtype=np.int64)
+    class_correct = np.zeros(n_labels, dtype=np.int64)
+    for pred, truth_set in zip(predictions, truth):
+        if policy == "fixed_lowest":
+            resolved = 0 if pred.abstained else int(np.argmax(pred.scores))
+        elif pred.abstained:
+            resolved = int(rng.integers(n_labels))
+        else:
+            best = np.flatnonzero(pred.scores == pred.scores.max())
+            resolved = int(best[rng.integers(best.size)])
+        hit = resolved in truth_set
+        correct += hit
+        abstained += pred.abstained
+        ranking = np.lexsort((np.arange(n_labels), -pred.scores))
+        top1_hits += int(ranking[0]) in truth_set
+        recall_sum += len(truth_set.intersection(ranking[:k].tolist())) / len(truth_set)
+        for y in truth_set:
+            class_total[y] += 1
+            class_correct[y] += hit
+    count = len(predictions)
+    per_class = {label_dict.names[y]: float(class_correct[y] / class_total[y])
+                 for y in range(n_labels) if class_total[y]}
+    return EvalReport(correct / count, abstained / count, per_class,
+                      top1_hits / count, recall_sum / count, k, count)
+
+
+def _tie_heavy_case(rng):
+    """Predictions with few distinct scores (many ties) and some abstentions."""
+    n_labels = int(rng.integers(2, 7))
+    count = int(rng.integers(1, 50))
+    preds = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            preds.append(Prediction(np.zeros(n_labels), ABSTAIN, 0, 0.0))
+        else:
+            scores = rng.integers(0, 3, size=n_labels) * 0.25
+            preds.append(Prediction(scores, int(np.argmax(scores)), 1, 0.5))
+    truth = [frozenset(rng.choice(n_labels, size=int(rng.integers(1, n_labels + 1)),
+                                  replace=False).tolist()) for _ in range(count)]
+    return preds, truth, LabelDict(tuple(f"c{y}" for y in range(n_labels)))
+
+
+class TestEvaluateOracle:
+    @pytest.mark.parametrize("policy", ["random", "fixed_lowest"])
+    def test_reports_equal_per_example_loop(self, policy):
+        rng = np.random.default_rng(11)
+        for case in range(150):
+            preds, truth, label_dict = _tie_heavy_case(rng)
+            for k in range(1, label_dict.size + 2):
+                got = evaluate_predictions(preds, truth, label_dict, policy=policy,
+                                           seed=case, k=k)
+                assert got == _oracle_report(preds, truth, label_dict, policy, case, k)
+
+    def test_recall_sum_keeps_example_order(self):
+        """Fractions whose sum depends on the order of addition."""
+        preds = [Prediction(np.array([1.0, 0.0, 0.0]), 0, 1, 1.0)] * 40
+        truth = [frozenset([0, 1, 2]), frozenset([0])] * 20
+        label_dict = LabelDict(("a", "b", "c"))
+        got = evaluate_predictions(preds, truth, label_dict, policy="fixed_lowest", k=1)
+        want = _oracle_report(preds, truth, label_dict, "fixed_lowest", 0, 1)
+        assert got.recall_at_k.hex() == want.recall_at_k.hex()
+
+
+class TestEvaluateInputs:
+    def _preds(self, n_scores=2):
+        return [Prediction(np.zeros(n_scores), ABSTAIN, 0, 0.0)] * 3
+
+    @pytest.mark.parametrize("truth, message", [
+        ([frozenset([0]), frozenset([-1]), frozenset([1])], "true label -1 of example 1"),
+        ([frozenset([0]), frozenset([1]), frozenset([0, 5])], "true label 5 of example 2"),
+        ([frozenset([0]), frozenset(), frozenset([1])], r"example 1 has none"),
+    ])
+    def test_bad_truth_names_the_example(self, truth, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_predictions(self._preds(), truth, LabelDict(("a", "b")))
+
+    def test_score_count_mismatch_names_the_example(self):
+        preds = self._preds()
+        preds[1] = Prediction(np.zeros(3), ABSTAIN, 0, 0.0)
+        with pytest.raises(ValueError, match="prediction 1 has 3 scores for 2 labels"):
+            evaluate_predictions(preds, [frozenset([0])] * 3, LabelDict(("a", "b")),
+                                 policy="fixed_lowest")
 
 
 class TestEvaluate:

@@ -9,6 +9,7 @@ breaks traced benchmark runs; these tests catch that without running them.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tripletboost
@@ -49,3 +50,18 @@ def test_test_set_io_spans_do_not_nest_store_spans(tmp_path):
     assert loaded == tset
     assert tracer.names == ["triplets.TestTripletSet.save", "triplets.TestTripletSet.load"]
     assert tracer.parents == [-1, -1]
+
+
+def test_evaluation_opens_only_its_own_span():
+    """Evaluation resolves labels itself, without a nested ``resolve_all`` span."""
+    labels = tripletboost.LabelDict(("a", "b"))
+    preds = [tripletboost.Prediction(np.array([1.0, 0.0]), 0, 1, 1.0),
+             tripletboost.Prediction(np.zeros(2), tripletboost.ABSTAIN, 0, 0.0)]
+    tracer = tracing.Tracer("hooks")
+    undo = tracing.install(tracer, tripletboost)
+    try:
+        tripletboost.metrics.evaluate_predictions(preds, [frozenset([0])] * 2, labels)
+    finally:
+        tracing.uninstall(undo)
+    assert tracer.names == ["metrics.evaluate_predictions"]
+    assert tracer.parents == [-1]

@@ -191,6 +191,28 @@ class TestResolve:
         sigma = np.sqrt(draws * 0.25 * 0.75)
         assert np.all(np.abs(counts - draws / 4) <= 3.5 * sigma)
 
+    @pytest.mark.parametrize("policy", ["random", "fixed_lowest"])
+    def test_resolve_all_equals_sequential_resolve(self, policy):
+        """One kernel call draws what one ``resolve`` per example draws, and
+        leaves the generator where they leave it."""
+        rng = np.random.default_rng(8)
+        model, _ = _random_model_and_pairs(rng, n_cls=40)
+        preds = [score(model, _random_model_and_pairs(rng, n_pairs=int(n))[1])
+                 for n in rng.integers(0, 6, size=300)]
+        preds += [score(_model([TripletClassifier(0, 1, 0b1111, 0, 1.0)], 10, 4),
+                        [(0, 1)])] * 20  # every label ties
+        assert any(p.abstained for p in preds) and not all(p.abstained for p in preds)
+        sequential = np.random.default_rng(3)
+        want = [resolve(p, policy, sequential) for p in preds]
+        assert resolve_all(preds, policy, seed=3).tolist() == want
+        batched = np.random.default_rng(3)
+        stacked = np.array([p.scores for p in preds])
+        assert predict_module._resolve(stacked, policy, batched).tolist() == want
+        assert batched.random() == sequential.random()
+
+    def test_resolve_all_of_nothing(self):
+        assert resolve_all([], "random").tolist() == []
+
     def test_random_policy_needs_rng(self):
         pred = score(_model([]), [])
         with pytest.raises(ValueError):

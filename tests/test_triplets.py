@@ -408,6 +408,12 @@ class TestStoreFiles:
         with pytest.raises(ValueError, match="version mismatch"):
             TripletStore.load(path)
 
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("tripletset v1 n=3\n0 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed header"):
+            TripletStore.load(path)
+
     def test_empty_store_round_trip(self, tmp_path):
         store = TripletStore.from_triplets(4, [])
         path = tmp_path / "e.txt"
