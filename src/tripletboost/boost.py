@@ -14,6 +14,7 @@ from .weak import (
     MAX_LABELS,
     RoundStats,
     TripletClassifier,
+    _gather,
     _mask_bools,
     _round,
     _update,
@@ -109,7 +110,7 @@ def init_weights(n: int, n_labels: int) -> np.ndarray:
 
 
 def _draw_index(cum: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum, u, side="right"))
+    idx = int(cum.searchsorted(u, "right"))
     if idx >= cum.size:  # u rounded up to the total mass
         idx = cum.size - 1
         while idx > 0 and cum[idx] == cum[idx - 1]:
@@ -117,16 +118,21 @@ def _draw_index(cum: np.ndarray, u: float) -> int:
     return idx
 
 
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """``w.sum(axis=1)`` bit for bit: numpy adds fewer than 8 entries in order, so
+    narrow rows are summed column by column, without its one inner loop per row."""
+    return sum(w.T[2:], w[:, 0] + w[:, 1]) if 1 < w.shape[1] < 8 else w.sum(axis=1)
+
+
 def sample_reference_pair(ds: Dataset, w: np.ndarray, rng) -> tuple[int, int]:
     """Draw j from the example marginal, then k from the other-label marginal."""
-    marg = w.sum(axis=1)
-    cum = np.cumsum(marg)
+    marg = _row_sums(w)
+    cum = marg.cumsum()
     total = float(cum[-1])
     if total <= 0.0:
         raise ValueError("weight distribution has no mass")
     j = _draw_index(cum, rng.random() * total)
-    allowed = ds.labels != ds.labels[j]
-    cum_k = np.cumsum(np.where(allowed, marg, 0.0))
+    cum_k = np.where(ds.labels != ds.labels[j], marg, 0.0).cumsum()
     total_k = float(cum_k[-1])
     if total_k <= 0.0:
         raise ValueError("need at least two classes to sample a reference pair")
@@ -143,11 +149,11 @@ def update_weights(w: np.ndarray, h: TripletClassifier, ts: TripletStore,
     untouched and reports a total of exactly 1.
     """
     fwd, rev = fired_buckets(ts, h.j, h.k)
-    if h.alpha == 0.0 or (fwd.size == 0 and rev.size == 0):
-        return w.copy(), 1.0
     out = w.copy()
-    sides = ((fwd, _mask_bools(h.o_j, ds.n_labels)), (rev, _mask_bools(h.o_k, ds.n_labels)))
-    return out, _update(out, ds.labels, sides, h.alpha)
+    if h.alpha == 0.0 or (fwd.size == 0 and rev.size == 0):
+        return out, 1.0
+    return out, _update(out, _gather(out, ds.labels, fwd, rev),
+                        _mask_bools((h.o_j, h.o_k), ds.n_labels), h.alpha)
 
 
 def _strict_error(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -107,7 +107,7 @@ def _cmd_evaluate(args) -> int:
                                           k=args.k)
     if args.out_predictions:
         resolved = predict.resolve_all(predictions, args.policy, args.seed)
-        with open(args.out_predictions, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.out_predictions) as fh:
             predict.write_predictions_csv(fh, predictions, resolved)
     for line in report.lines():
         print(line)

@@ -211,7 +211,7 @@ class TripletStore:
         """
         if self._pair_cache is None:
             pkeys = self._lo * self.n + self._hi
-            order = np.lexsort((self._anchor, pkeys))
+            order = np.argsort(pkeys, kind="stable")  # stable: rows are anchor-sorted
             self._pair_cache = (pkeys[order], self._anchor[order], self._near_lo[order])
         return self._pair_cache
 

@@ -8,6 +8,10 @@ the public step functions, model files) it is an int bitmask, which caps the
 label space at 64 classes.  ``_round`` is the one implementation of a
 boosting round; ``select_labels``, ``round_weights`` and
 ``boost.update_weights`` expose its steps one at a time.
+
+A round reads its fired rows of the weights once (``_gather``), sums each
+side over a contiguous slice of that gather, which gives the bits a per-side
+gather would, and writes the updated rows back with one scatter (``_update``).
 """
 
 from __future__ import annotations
@@ -99,67 +103,73 @@ def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndar
     """Anchor ids with a triplet revealing their side: (closer to j, closer to k)."""
     if j == k:
         raise ValueError("reference examples j and k must differ")
-    lo, hi = (j, k) if j < k else (k, j)
+    key = min(j, k) * ts.n + max(j, k)
     pkeys, anchors, near_lo = ts.pair_groups()
-    start, stop = np.searchsorted(pkeys, [lo * ts.n + hi, lo * ts.n + hi + 1])
-    near_lo = near_lo[start:stop]
-    anchors = anchors[start:stop]
-    if j == lo:
-        return anchors[near_lo], anchors[~near_lo]
-    return anchors[~near_lo], anchors[near_lo]
+    rows = slice(pkeys.searchsorted(key), pkeys.searchsorted(key, "right"))
+    near_j = near_lo[rows] if j < k else ~near_lo[rows]
+    return anchors[rows][near_j], anchors[rows][~near_j]
 
 
-def _side(w: np.ndarray, labels: np.ndarray, bucket: np.ndarray,
-          member: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    """One side of a round: its label set and (correct, incorrect) weighted mass.
+def _gather(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray):
+    """Both buckets' rows, j side first: (rows, w[rows], labels, true weights, |fwd|)."""
+    rows = np.concatenate((fwd, rev))
+    row_labels = labels[rows]
+    return rows, w.take(rows, axis=0), row_labels, w[rows, row_labels], fwd.size
 
-    Without ``member`` the set is chosen: the labels whose in-class minus
-    out-of-class mass on the bucket is strictly positive.  An entry (i, y)
-    counts as correct when membership of y in the set agrees with y being
-    i's true label; abstaining examples contribute nothing (they are simply
-    not in the bucket).
+
+def _sides(gathered, members: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+    """Both sides' label sets, as a (2, L) bool matrix, and the round's (W+, W-).
+
+    Without ``members`` each side's set is chosen: the labels whose in-class
+    minus out-of-class mass on the side is strictly positive.  An entry (i, y)
+    counts as correct when membership of y in its side's set agrees with y
+    being i's true label; abstaining examples are not gathered.
     """
-    n_labels = w.shape[1]
-    if bucket.size == 0:
-        return (np.zeros(n_labels, dtype=bool) if member is None else member), 0.0, 0.0
-    w_bucket = w[bucket]
-    bucket_labels = labels[bucket]
-    true_w = w[bucket, bucket_labels]
-    if member is None:
-        in_class = np.bincount(bucket_labels, weights=true_w, minlength=n_labels)
-        member = 2.0 * in_class - w_bucket.sum(axis=0) > 0.0
-    total = float(w_bucket.sum())
-    all_true = float(true_w.sum())
-    inside = float(w_bucket[:, member].sum())
-    inside_true = float(true_w[member[bucket_labels]].sum())
-    w_plus = total - all_true - inside + 2.0 * inside_true
-    w_minus = all_true + inside - 2.0 * inside_true
-    return member, w_plus, w_minus
-
-
-def _update(w: np.ndarray, labels: np.ndarray, sides, alpha: float,
-            scores: np.ndarray | None = None) -> float:
-    """Multiplicative update on the fired ``(bucket, member)`` sides, in place.
-
-    Entries the side's set gets right shrink by exp(-alpha), the others grow
-    by exp(alpha); ``scores``, when given, gains the signed vote.  Returns the
-    pre-normalization total after renormalizing ``w``.
-    """
-    e_neg = math.exp(-alpha)
-    e_pos = math.exp(alpha)
-    col = np.arange(w.shape[1])
-    for bucket, member in sides:
-        if bucket.size == 0:
+    _, w_rows, row_labels, true_w, n_fwd = gathered
+    chosen = members is None
+    members = np.zeros((2, w_rows.shape[1]), dtype=bool) if chosen else members
+    w_plus = w_minus = 0.0
+    for side, part in enumerate((slice(None, n_fwd), slice(n_fwd, None))):
+        side_w, side_labels, side_true = w_rows[part], row_labels[part], true_w[part]
+        if side_labels.size == 0:
             continue
-        agree = member[None, :] == (labels[bucket][:, None] == col[None, :])
-        w[bucket] *= np.where(agree, e_neg, e_pos)
-        if scores is not None:
-            scores[bucket] += np.where(member, alpha, -alpha)
-    z = float(w.sum())
+        if chosen:
+            in_class = np.bincount(side_labels, weights=side_true, minlength=w_rows.shape[1])
+            members[side] = 2.0 * in_class - np.add.reduce(side_w, axis=0) > 0.0
+        member = members[side]
+        total = float(np.add.reduce(side_w, axis=None))
+        all_true = float(np.add.reduce(side_true))
+        inside = float(np.add.reduce(side_w[:, member], axis=None))
+        inside_true = float(np.add.reduce(side_true[member[side_labels]]))
+        w_plus += total - all_true - inside + 2.0 * inside_true
+        w_minus += all_true + inside - 2.0 * inside_true
+    return members, w_plus, w_minus
+
+
+def _update(w: np.ndarray, gathered, members: np.ndarray, alpha: float,
+            scores: np.ndarray | None = None) -> float:
+    """Multiplicative update on the gathered (disjoint) buckets, written back once.
+
+    Entries a side's set gets right shrink by exp(-alpha), the others grow
+    by exp(alpha); ``scores``, when given, gains the signed vote.  Returns the
+    pre-normalization total after renormalizing ``w`` in place.
+    """
+    rows, w_rows, row_labels, _, n_fwd = gathered
+    row_sets = members.repeat((n_fwd, rows.size - n_fwd), axis=0)  # each row's side's set
+    agree = row_sets == np.eye(w.shape[1], dtype=bool).take(row_labels, axis=0)
+    w[rows] = w_rows * np.where(agree, math.exp(-alpha), math.exp(alpha))
+    if scores is not None:
+        scores[rows] = scores.take(rows, axis=0) + np.where(row_sets, alpha, -alpha)
+    z = float(np.add.reduce(w, axis=None))
     if z <= 0.0:
         raise ValueError("weight update produced a nonpositive total")
     w /= z
     return z
+
+
+def _bits(members: np.ndarray) -> list[int]:
+    """The bitmask of each row of a bool label-set matrix."""
+    return [sum(1 << y for y, on in enumerate(row) if on) for row in members.tolist()]
 
 
 def _round(w: np.ndarray, labels: np.ndarray, j: int, k: int, fwd: np.ndarray,
@@ -171,32 +181,27 @@ def _round(w: np.ndarray, labels: np.ndarray, j: int, k: int, fwd: np.ndarray,
     to ``w`` (and ``scores``) in place; a zero-weight round leaves them
     alone and reports z = 1.  Returns the classifier and the round's stats.
     """
-    o_j, plus_j, minus_j = _side(w, labels, fwd)
-    o_k, plus_k, minus_k = _side(w, labels, rev)
-    w_plus, w_minus = plus_j + plus_k, minus_j + minus_k
+    gathered = _gather(w, labels, fwd, rev)
+    members, w_plus, w_minus = _sides(gathered)
     alpha = classifier_alpha(w_plus, w_minus, w.shape[0])
-    z = _update(w, labels, ((fwd, o_j), (rev, o_k)), alpha, scores) \
-        if alpha != 0.0 else 1.0
-    h = TripletClassifier(j, k, bitmask(np.flatnonzero(o_j)),
-                          bitmask(np.flatnonzero(o_k)), alpha)
-    return h, RoundStats(w_plus, w_minus, z, alpha)
+    z = _update(w, gathered, members, alpha, scores) if alpha != 0.0 else 1.0
+    return (TripletClassifier(j, k, *_bits(members), alpha),
+            RoundStats(w_plus, w_minus, z, alpha))
 
 
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[int, int]:
     """Choose the predicted label sets for both sides of the pair (j, k)."""
     fwd, rev = fired_buckets(ts, j, k)
-    return (bitmask(np.flatnonzero(_side(w, ds.labels, fwd)[0])),
-            bitmask(np.flatnonzero(_side(w, ds.labels, rev)[0])))
+    return tuple(_bits(_sides(_gather(w, ds.labels, fwd, rev))[0]))
 
 
 def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[float, float]:
     """Weighted mass of correctly and incorrectly classified (example, label) pairs."""
     fwd, rev = fired_buckets(ts, h.j, h.k)
-    _, plus_j, minus_j = _side(w, ds.labels, fwd, _mask_bools(h.o_j, ds.n_labels))
-    _, plus_k, minus_k = _side(w, ds.labels, rev, _mask_bools(h.o_k, ds.n_labels))
-    return plus_j + plus_k, minus_j + minus_k
+    members = _mask_bools((h.o_j, h.o_k), ds.n_labels)
+    return _sides(_gather(w, ds.labels, fwd, rev), members)[1:]
 
 
 def classifier_alpha(w_plus: float, w_minus: float, n: int) -> float:

@@ -27,7 +27,7 @@ from tripletboost import (
     update_weights,
     z_factor,
 )
-from tripletboost.boost import _strict_error
+from tripletboost.boost import _row_sums, _strict_error
 
 
 def _three_example_setup():
@@ -97,6 +97,14 @@ class TestSampleReferencePair:
         for pair, prob in law.items():
             sigma = math.sqrt(draws * prob * (1 - prob))
             assert abs(counts.get(pair, 0) - draws * prob) <= 3.5 * sigma
+
+    def test_row_sums_equal_numpy_bit_for_bit(self):
+        """The sampler's marginals are ``w.sum(axis=1)`` for every label count."""
+        rng = np.random.default_rng(12)
+        for n_labels in range(2, 65):
+            for n in (1, 7, 350):
+                w = rng.random((n, n_labels)) ** 4 * 10.0 ** rng.integers(-12, 1, (n, 1))
+                assert _row_sums(w).tobytes() == w.sum(axis=1).tobytes()
 
     def test_single_class_rejected(self):
         ds = Dataset(np.array([0, 0]), LabelDict(("a", "b")))
@@ -259,6 +267,16 @@ def _five_label_corpus():
                                   stats_every=250)
 
 
+def _ten_label_corpus():
+    """Ten labels: numpy sums rows of 8 or more entries pairwise, not in order."""
+    rng = np.random.default_rng(10)
+    labels = np.arange(200) % 10
+    feats = rng.normal(size=(200, 3)) + 0.6 * labels[:, None]
+    ds = Dataset(labels, LabelDict(tuple("abcdefghij")), feats)
+    store = generate_training_set(ds, "euclidean", 0.01, 0.05, 3)
+    return ds, store, BoostConfig(rounds=2000, seed=9, stats_every=500)
+
+
 # sha256 of (model file, round_stats, train_scores, checkpoints) as float64 bytes
 _PINNED = {
     "moons": (_moons_corpus, (
@@ -271,6 +289,11 @@ _PINNED = {
         "170a33ba25d9d282e40c9b247c64c28b7388feee27a548324e552086fc73b3b8",
         "0f71e8576614e85e69c1296e5e674b00916f31f84a74ddcce44fdc5e4a644b96",
         "6f18605ab9506a7d6413932d18763f0221b979d4dd954ed8e9a1c97c885b6ff2")),
+    "ten_labels": (_ten_label_corpus, (
+        "3ee91ec6629e3fd18e69f8512c42936af6f3dab9f54eb3541e642af153b5f18a",
+        "b2aa9c030f2ffd67f37e943920311c99c2b78e9ec5a04f38039cfdfe0cbe3238",
+        "bbc3a670647e1929d24ed85d8d13576e03aff8701bdf3774f9de4c9f76a43da6",
+        "e2b9cb1af73ec67fd3b264461caa42241908a6c8af3e84f45a1092fef195d5ff")),
 }
 
 

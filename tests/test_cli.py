@@ -107,6 +107,29 @@ class TestTrainCommand:
         assert float(values["recall_at_2"]) == 1.0  # k == L covers everything
         assert out.splitlines()[-1].startswith("{")
 
+    def test_evaluate_predictions_dash_is_stdout(self, tmp_path, capsys, monkeypatch):
+        """``--out-predictions -`` prints the CSV before the report; no file "-" appears."""
+        ds = make_moons(30, 0.1, 3)
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(ds.take(np.arange(24)), train_csv)
+        save_csv(ds.take(np.arange(24, 30)), test_csv)
+        trp, test_trp, model = tmp_path / "t.trp", tmp_path / "test.trp", tmp_path / "m.txt"
+        _run(capsys, "gen-triplets", "--data", train_csv, "--proportion", 0.5,
+             "--seed", 1, "--out", trp)
+        _run(capsys, "gen-triplets", "--data", train_csv, "--test-data", test_csv,
+             "--proportion", 0.5, "--seed", 2, "--out", test_trp)
+        _run(capsys, "train", "--data", train_csv, "--triplets", trp, "--rounds", 40,
+             "--out-model", model)
+        flags = ("evaluate", "--model", model, "--test-triplets", test_trp,
+                 "--labels", test_csv, "--seed", 3, "--out-predictions")
+        code, report, _ = _run(capsys, *flags, tmp_path / "preds.csv")
+        assert code == 0
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = _run(capsys, *flags, "-")
+        assert code == 0
+        assert not (tmp_path / "-").exists()
+        assert out == (tmp_path / "preds.csv").read_text(encoding="utf-8") + report
+
     def test_rounds_zero_rejected(self, tmp_path, capsys):
         data = _moons_csv(tmp_path)
         code, _, _ = _run(capsys, "gen-triplets", "--data", data,

@@ -517,6 +517,52 @@ class TestRatings:
                          np.array([5.0, 3.0, 4.0]), 3)
 
 
+def _moons_store(proportion=0.3):
+    return generate_training_set(make_moons(20, 0.1, 2), "euclidean", proportion, 0.1, 4)
+
+
+def _moons_test_set():
+    ds = make_moons(30, 0.1, 2)
+    return generate_test_set(ds.take(np.arange(20, 30)), ds.take(np.arange(20)),
+                             "euclidean", 0.3, 0.0, 4)
+
+
+def _loaded_from_shuffled_file(tmp_path):
+    """A saved store whose body lines are shuffled before loading it back."""
+    path = tmp_path / "store.txt"
+    _moons_store().save(path)
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    body = [body[i] for i in np.random.default_rng(0).permutation(len(body))]
+    path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    return [TripletStore.load(path)]
+
+
+def _from_shuffled_triplets(tmp_path):
+    store = _moons_store()
+    rows = list(store)
+    order = np.random.default_rng(1).permutation(len(rows))
+    return [TripletStore.from_triplets(store.n, [rows[i] for i in order])]
+
+
+def _split_for_evaluation(tmp_path):
+    from tripletboost import split_store_for_evaluation
+
+    full = generate_training_set(make_moons(30, 0.1, 2), "euclidean", 0.3, 0.0, 4)
+    return list(split_store_for_evaluation(full, np.arange(20), np.arange(20, 30)))
+
+
+# Each builder returns the stores whose pair index is compared with a lexsort.
+_PAIR_GROUP_STORES = {
+    "generate_training_set": lambda tmp_path: [_moons_store()],
+    "generate_test_set": lambda tmp_path: [_moons_test_set()],
+    "load": _loaded_from_shuffled_file,
+    "subsample": lambda tmp_path: [subsample(_moons_store(1.0), 0.3, 5)],
+    "add_noise": lambda tmp_path: [add_noise(_moons_test_set(), 0.2, 6)],
+    "from_triplets": _from_shuffled_triplets,
+    "split_store_for_evaluation": _split_for_evaluation,
+}
+
+
 class TestTestTriplets:
     def test_generation_matches_training_protocol(self):
         """Test anchors orient training pairs by the same strict comparison."""
@@ -620,16 +666,18 @@ class TestTestTriplets:
             assert (composed.n_test, composed.n_train) == (10, 30)
             assert composed == generate_test_set(test, train, "euclidean", 0.08, 0.15, seed)
 
-    def test_pair_groups_regroup_rows(self):
-        ds = make_moons(30, 0.1, 2)
-        train, test = ds.take(np.arange(20)), ds.take(np.arange(20, 30))
-        tset = generate_test_set(test, train, "euclidean", 0.3, 0.0, 4)
-        pkeys, anchors, near_lo = tset.pair_groups()
-        rows = sorted(zip(pkeys.tolist(), anchors.tolist(), near_lo.tolist()))
-        assert rows == list(zip(pkeys.tolist(), anchors.tolist(), near_lo.tolist()))
-        want = sorted(zip((tset._lo * 20 + tset._hi).tolist(), tset.anchors.tolist(),
-                          tset._near_lo.tolist()))
-        assert rows == want
+    @pytest.mark.parametrize("make", sorted(_PAIR_GROUP_STORES))
+    def test_pair_groups_regroup_rows(self, make, tmp_path):
+        """``pair_groups`` relies on canonical rows being sorted by anchor: it
+        equals a two-key sort for a store from every constructor."""
+        for store in _PAIR_GROUP_STORES[make](tmp_path):
+            pkeys = store._lo * store.n + store._hi
+            order = np.lexsort((store.anchors, pkeys))
+            got = store.pair_groups()
+            assert np.unique(pkeys).size < store.m  # several anchors share a pair
+            for have, want in zip(got, (pkeys[order], store.anchors[order],
+                                        store._near_lo[order])):
+                assert have.dtype == want.dtype and np.array_equal(have, want)
 
     def test_not_equal_to_store_with_same_rows(self):
         store = TripletStore(3, [0], [1], [2], [True])

@@ -11,8 +11,10 @@ from tripletboost import (
     Dataset,
     LabelDict,
     Relation,
+    RoundStats,
     TripletClassifier,
     TripletStore,
+    bitmask,
     classifier_alpha,
     init_weights,
     round_weights,
@@ -260,3 +262,104 @@ class TestClassifierType:
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(ValueError):
             TripletClassifier(0, 1, 0, 0, float("nan"))
+
+
+# -- the gather-once round against a per-side reference round --------------------
+
+
+def _oracle_side(w, labels, bucket):
+    """Reference side: its own gather of ``w[bucket]``, then its label set and W+/W-."""
+    n_labels = w.shape[1]
+    if bucket.size == 0:
+        return np.zeros(n_labels, dtype=bool), 0.0, 0.0
+    w_bucket = w[bucket]
+    bucket_labels = labels[bucket]
+    true_w = w[bucket, bucket_labels]
+    in_class = np.bincount(bucket_labels, weights=true_w, minlength=n_labels)
+    member = 2.0 * in_class - w_bucket.sum(axis=0) > 0.0
+    total = float(w_bucket.sum())
+    all_true = float(true_w.sum())
+    inside = float(w_bucket[:, member].sum())
+    inside_true = float(true_w[member[bucket_labels]].sum())
+    return (member, total - all_true - inside + 2.0 * inside_true,
+            all_true + inside - 2.0 * inside_true)
+
+
+def _oracle_round(w, labels, j, k, fwd, rev, scores):
+    """Reference round: per-side selection, then the update applied side by side."""
+    o_j, plus_j, minus_j = _oracle_side(w, labels, fwd)
+    o_k, plus_k, minus_k = _oracle_side(w, labels, rev)
+    w_plus, w_minus = plus_j + plus_k, minus_j + minus_k
+    alpha = classifier_alpha(w_plus, w_minus, w.shape[0])
+    z = 1.0
+    if alpha != 0.0:
+        col = np.arange(w.shape[1])
+        for bucket, member in ((fwd, o_j), (rev, o_k)):
+            if bucket.size == 0:
+                continue
+            agree = member[None, :] == (labels[bucket][:, None] == col[None, :])
+            w[bucket] *= np.where(agree, math.exp(-alpha), math.exp(alpha))
+            scores[bucket] += np.where(member, alpha, -alpha)
+        z = float(w.sum())
+        w /= z
+    h = TripletClassifier(j, k, bitmask(np.flatnonzero(o_j)), bitmask(np.flatnonzero(o_k)),
+                          alpha)
+    return h, RoundStats(w_plus, w_minus, z, alpha)
+
+
+def _round_case(rng, kind):
+    """(w, labels, fwd, rev, scores) for one seeded round of the given kind."""
+    n_labels = 64 if kind == "top_bit" else int(rng.choice([2, 3, 5, 8, 10, 17, 64]))
+    n = int(rng.integers(2, 60))
+    labels = rng.integers(0, n_labels, size=n)
+    w = rng.random((n, n_labels)) ** 3 + 1e-9
+    fired = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    cut = int(rng.integers(0, fired.size + 1))
+    fwd, rev = np.sort(fired[:cut]), np.sort(fired[cut:])
+    if kind in ("empty_fwd", "empty_rev", "both_empty", "one_row"):
+        fwd = fwd[:0] if kind in ("empty_fwd", "both_empty") else fwd
+        rev = rev[:0] if kind in ("empty_rev", "both_empty") else rev
+        if kind == "one_row":
+            fwd, rev = fired[:1], fired[1:2]
+    elif kind in ("all_members", "no_members"):  # every label on both sides
+        n = 2 * n_labels * int(rng.integers(1, 3))
+        labels = np.arange(n) % n_labels
+        w = rng.random((n, n_labels)) + 0.5
+        w[np.arange(n), labels] *= 1e4 if kind == "all_members" else 1e-4
+        fwd, rev = np.arange(n // 2), np.arange(n // 2, n)
+    elif kind == "zero_alpha":  # uniform weights, balanced labels: W+ == W-
+        n, n_labels = 4, 2
+        labels, w = np.array([0, 1, 0, 1]), np.ones((4, 2))
+        fwd, rev = np.array([0, 1]), np.array([2, 3])
+    elif kind == "top_bit":
+        labels[fired] = n_labels - 1
+    w /= w.sum()
+    scores = rng.normal(size=(n, n_labels))
+    return w, labels, fwd, rev, scores
+
+
+class TestRoundKernel:
+    @pytest.mark.parametrize("kind", ["random", "empty_fwd", "empty_rev", "both_empty",
+                                      "one_row", "all_members", "no_members",
+                                      "zero_alpha", "top_bit"])
+    def test_round_equals_per_side_reference_bit_for_bit(self, kind):
+        from tripletboost.weak import _round
+
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(60):
+            w, labels, fwd, rev, scores = _round_case(rng, kind)
+            want_w, want_scores = w.copy(), scores.copy()
+            want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev, want_scores)
+            h, stats = _round(w, labels, 0, 1, fwd, rev, scores)
+            assert h == want_h
+            assert np.array(stats).tobytes() == np.array(want_stats).tobytes()
+            assert w.tobytes() == want_w.tobytes()
+            assert scores.tobytes() == want_scores.tobytes()
+            if kind == "all_members":
+                assert h.o_j == h.o_k == (1 << w.shape[1]) - 1
+            elif kind == "no_members":
+                assert h.o_j == h.o_k == 0
+            elif kind == "zero_alpha":
+                assert h.alpha == 0.0
+            elif kind == "top_bit" and fwd.size:
+                assert h.o_j >> 63 == 1
