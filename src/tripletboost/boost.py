@@ -1,4 +1,8 @@
-"""The boosting loop: weight distribution, pair sampling, rounds, model assembly."""
+"""The boosting loop: weight distribution, pair sampling, rounds, model assembly.
+
+A model is columns: ``StrongModel`` holds its classifiers and round stats as
+read-only arrays, and ``TripletClassifier``/``RoundStats`` objects are views.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from .weak import (
     TripletClassifier,
     _gather,
     _mask_bools,
+    _pack_masks,
     _round,
     _update,
     fired_buckets,
@@ -57,9 +62,13 @@ class Checkpoint(NamedTuple):
 
 
 class StrongModel:
-    """Weighted vote over triplet classifiers, plus training metadata.
+    """Weighted vote over triplet classifiers, held as read-only columns.
 
-    ``train_scores`` holds the signed per-(example, label) vote totals
+    Classifier c votes ``alpha[c]`` on the pair ``j[c] < k[c]`` with the (2, L)
+    bool ``label_sets[c]``: its set for examples closer to j, then to k.
+    ``key_order`` stably sorts the pair keys j*n_train + k into
+    ``sorted_keys`` for the scorer; ``stats`` has one ``RoundStats`` row per
+    round.  ``train_scores`` holds the signed per-(example, label) vote totals
     accumulated on the training set (positive entries back the label,
     negative entries oppose it); it is not persisted by ``save_model``.
     """
@@ -67,39 +76,99 @@ class StrongModel:
     def __init__(self, classifiers, label_dict: LabelDict, n_train: int,
                  round_stats=None, rounds_run: int = 0, train_scores=None,
                  checkpoints=None):
-        self.classifiers = list(classifiers)
+        rows = [(h.j, h.k, h.o_j, h.o_k, h.alpha) for h in classifiers]
+        self._init(label_dict, n_train,
+                   *_columns(rows, int(n_train), label_dict.size,
+                             lambda idx: f"classifier {idx}"),
+                   [] if round_stats is None else list(round_stats), rounds_run,
+                   train_scores, checkpoints)
+
+    def _init(self, label_dict, n_train, pairs, sets, alpha, stats=(), rounds_run=0,
+              train_scores=None, checkpoints=None):
+        """Hold trusted columns: (j, k) pairs in either order, their (2, L) label
+        sets (j side first) and weights, and one stats row per round."""
         self.label_dict = label_dict
         self.n_train = int(n_train)
-        self.round_stats = list(round_stats) if round_stats is not None else []
         self.rounds_run = int(rounds_run)
         self.train_scores = train_scores
         self.checkpoints = list(checkpoints) if checkpoints is not None else []
-        self._index_cache = None
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        sets = np.array(sets, dtype=bool, order="C").reshape(-1, 2, label_dict.size)
+        swap = pairs[:, 0] > pairs[:, 1]  # a sampled pair may come as (k, j)
+        sets[swap] = sets[swap, ::-1]
+        self.j, self.k, self.label_sets = pairs.min(axis=1), pairs.max(axis=1), sets
+        self.alpha = np.array(alpha, dtype=np.float64)
+        self.stats = np.array(stats, dtype=np.float64).reshape(-1, 4)
+        keys = self.j * self.n_train + self.k
+        self.key_order = np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.key_order]
+        for col in (self.j, self.k, self.label_sets, self.alpha, self.stats,
+                    self.key_order, self.sorted_keys):
+            col.flags.writeable = False
+
+    @classmethod
+    def _from_columns(cls, *columns, **meta) -> "StrongModel":
+        """A model from ``_init`` alone, without the constructor's conversion and checks."""
+        out = object.__new__(cls)
+        out._init(*columns, **meta)
+        return out
 
     @property
     def n_labels(self) -> int:
         return self.label_dict.size
 
     @property
+    def classifiers(self) -> list[TripletClassifier]:
+        """A new list of views of the classifiers, in training order."""
+        masks = _pack_masks(self.label_sets).tolist()
+        return [TripletClassifier(j, k, o_j, o_k, alpha) for j, k, (o_j, o_k), alpha
+                in zip(self.j.tolist(), self.k.tolist(), masks, self.alpha.tolist())]
+
+    @property
+    def round_stats(self) -> list[RoundStats]:
+        """A new list of views of the per-round stats, in round order."""
+        return [RoundStats(*row) for row in self.stats.tolist()]
+
+    @property
     def total_alpha(self) -> float:
-        return float(sum(h.alpha for h in self.classifiers))
+        return float(sum(self.alpha.tolist()))  # not np.sum: margins keep their bits
 
     def z_history(self) -> np.ndarray:
-        return np.array([s.z for s in self.round_stats])
+        return self.stats[:, 2].copy()
 
     def w_plus_history(self) -> np.ndarray:
-        return np.array([s.w_plus for s in self.round_stats])
+        return self.stats[:, 0].copy()
 
     def w_minus_history(self) -> np.ndarray:
-        return np.array([s.w_minus for s in self.round_stats])
+        return self.stats[:, 1].copy()
 
     def __eq__(self, other):
         if not isinstance(other, StrongModel):
             return NotImplemented
-        return (self.classifiers == other.classifiers
+        return (all(np.array_equal(getattr(self, col), getattr(other, col))
+                    for col in ("j", "k", "alpha", "label_sets"))
                 and self.label_dict == other.label_dict
                 and self.n_train == other.n_train
                 and self.rounds_run == other.rounds_run)
+
+
+def _columns(rows, n_train: int, n_labels: int, where):
+    """(pairs, label sets, alpha) columns of (j, k, o_j, o_k, alpha) rows.
+
+    The first row that does not fit the model raises, named by ``where(index)``;
+    its pair is checked first, then its label sets, then its weight.
+    """
+    limit = 1 << min(n_labels, MAX_LABELS)  # a label set is at most 64 bits
+    for idx, (j, k, o_j, o_k, alpha) in enumerate(rows):
+        if not 0 <= j < k < n_train:
+            raise ValueError(f"reference pair needs 0 <= j < k < {n_train} at {where(idx)}")
+        if not (0 <= o_j < limit and 0 <= o_k < limit):
+            raise ValueError(f"label set out of range at {where(idx)}")
+        if not math.isfinite(alpha):
+            raise ValueError(f"non-finite alpha at {where(idx)}")
+    j, k, o_j, o_k, alpha = zip(*rows) if rows else ((),) * 5
+    pairs = np.array((j, k), dtype=np.int64).T
+    return pairs, _mask_bools(np.array((o_j, o_k), dtype=np.uint64).T, n_labels), alpha
 
 
 def init_weights(n: int, n_labels: int) -> np.ndarray:
@@ -190,25 +259,27 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
     rng = np.random.default_rng(cfg.seed)
     w = init_weights(n, n_labels)
     scores = np.zeros((n, n_labels))
-    classifiers: list[TripletClassifier] = []
-    stats: list[RoundStats] = []
+    pairs, sets, alphas, stats = [], [], [], []
     checkpoints: list[Checkpoint] = []
     log_z_sum = 0.0
 
     for rnd in range(1, cfg.rounds + 1):
         j, k = sample_reference_pair(ds, w, rng)
-        h, stat = _round(w, ds.labels, j, k, *fired_buckets(ts, j, k), scores)
-        if h.alpha != 0.0 or cfg.keep_zero_alpha:
-            classifiers.append(h)
+        members, stat = _round(w, ds.labels, *fired_buckets(ts, j, k), scores)
+        _, _, z, alpha = stat
+        if alpha != 0.0 or cfg.keep_zero_alpha:
+            pairs.append((j, k))
+            sets.append(members)
+            alphas.append(alpha)
         stats.append(stat)
-        log_z_sum += math.log(stat.z)
+        log_z_sum += math.log(z)
         if cfg.stats_every and (rnd % cfg.stats_every == 0 or rnd == cfg.rounds):
             checkpoints.append(Checkpoint(
                 rnd, _strict_error(scores, ds.labels),
                 0.5 * n_labels * math.exp(log_z_sum)))
 
-    return StrongModel(classifiers, ds.label_dict, n, stats, cfg.rounds,
-                       train_scores=scores, checkpoints=checkpoints)
+    return StrongModel._from_columns(ds.label_dict, n, pairs, sets, alphas, stats,
+                                     cfg.rounds, scores, checkpoints)
 
 
 # -- model persistence ----------------------------------------------------------
@@ -223,8 +294,10 @@ def save_model(model: StrongModel, path) -> None:
         fh.write(f"tripletboost-model v1 L={model.n_labels} n={model.n_train} "
                  f"C={model.rounds_run}\n")
         fh.write("\t".join(names) + "\n")
-        for h in model.classifiers:
-            fh.write(f"{h.j} {h.k} {h.alpha!r} {h.o_j:x} {h.o_k:x}\n")
+        for j, k, alpha, (o_j, o_k) in zip(model.j.tolist(), model.k.tolist(),
+                                           model.alpha.tolist(),
+                                           _pack_masks(model.label_sets).tolist()):
+            fh.write(f"{j} {k} {alpha!r} {o_j:x} {o_k:x}\n")
 
 
 def load_model(path) -> StrongModel:
@@ -238,25 +311,20 @@ def load_model(path) -> StrongModel:
     names = tuple(names_line.split("\t"))
     if len(names) != n_labels:
         raise ValueError(f"label count disagrees with header in {path}")
-    classifiers = []
+    rows, linenos, malformed = [], [], None
     for lineno, line in enumerate(body, start=3):
-        if not line.strip():
-            continue
         tokens = line.split()
-        if len(tokens) != 5:
-            raise ValueError(f"malformed classifier at line {lineno}")
+        if not tokens:
+            continue
         try:
-            j, k = int(tokens[0]), int(tokens[1])
-            alpha = float(tokens[2])
-            o_j, o_k = int(tokens[3], 16), int(tokens[4], 16)
+            j, k, alpha, o_j, o_k = tokens
+            rows.append((int(j), int(k), int(o_j, 16), int(o_k, 16), float(alpha)))
         except ValueError:
-            raise ValueError(f"malformed classifier at line {lineno}") from None
-        if not 0 <= j < k < n_train:
-            raise ValueError(f"reference pair needs 0 <= j < k < {n_train} at line {lineno}")
-        if not (0 <= o_j < 1 << n_labels and 0 <= o_k < 1 << n_labels):
-            raise ValueError(f"label set out of range at line {lineno}")
-        if not math.isfinite(alpha):
-            raise ValueError(f"non-finite alpha at line {lineno}")
-        classifiers.append(TripletClassifier(j, k, o_j, o_k, alpha))
-    return StrongModel(classifiers, LabelDict(names), n_train,
-                       rounds_run=rounds_run)
+            malformed = lineno  # reported once the rows above it pass their checks
+            break
+        linenos.append(lineno)
+    columns = _columns(rows, n_train, n_labels, lambda idx: f"line {linenos[idx]}")
+    if malformed is not None:
+        raise ValueError(f"malformed classifier at line {malformed}")
+    return StrongModel._from_columns(LabelDict(names), n_train, *columns,
+                                     rounds_run=rounds_run)

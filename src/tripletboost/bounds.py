@@ -16,7 +16,7 @@ from .boost import StrongModel, init_weights, sample_reference_pair
 from .dataset import Dataset, LabelDict
 from .predict import score
 from .triplets import _round_half_up
-from .weak import TripletClassifier, _round
+from .weak import _round
 
 __all__ = [
     "training_error_bound",
@@ -209,20 +209,22 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
     for m_idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
         rng = np.random.default_rng(child)
         w = init_weights(n, n_labels)
-        kept: list[TripletClassifier] = []
+        pairs, sets, alphas = [], [], []
         for _ in range(rounds):
             j, k = sample_reference_pair(ds, w, rng)
             revealed = np.flatnonzero(rng.random(n) < p)
             says_j = rng.random(n) < 0.5
             fwd, rev = revealed[says_j[revealed]], revealed[~says_j[revealed]]
-            h, _ = _round(w, labels, j, k, fwd, rev)
-            if h.alpha != 0.0:
-                kept.append(h)
-        model = StrongModel(kept, ds.label_dict, n)
-        pair_arr = np.array([[h.j, h.k] for h in kept], dtype=np.int64).reshape(-1, 2)
+            members, (_, _, _, alpha) = _round(w, labels, fwd, rev)
+            if alpha != 0.0:
+                pairs.append((j, k))
+                sets.append(members)
+                alphas.append(alpha)
+        model = StrongModel._from_columns(ds.label_dict, n, pairs, sets, alphas)
+        pair_arr = np.column_stack((model.j, model.k))
         abstained = 0
         for _ in range(draws_per_model):
-            fired = rng.random(len(kept)) < p if kept else np.zeros(0, dtype=bool)
+            fired = rng.random(len(alphas)) < p if alphas else np.zeros(0, dtype=bool)
             if not fired.any():
                 abstained += 1
                 continue

@@ -75,8 +75,7 @@ def _cmd_train(args) -> int:
         print(f"checkpoint round={cp.round} train_error={cp.train_error!r} "
               f"bound={cp.error_bound!r}")
     boost.save_model(model, args.out_model)
-    kept = len(model.classifiers)
-    print(f"kept {kept} classifiers out of {model.rounds_run} rounds",
+    print(f"kept {model.alpha.size} classifiers out of {model.rounds_run} rounds",
           file=sys.stderr)
     return 0
 

@@ -3,7 +3,8 @@
 Matching test pairs against model classifiers is the prediction bottleneck.
 A test set's canonical rows are grouped by example; ``predict_all`` and
 ``score`` (a one-example test set) join them against the model's sorted
-classifier keys, in blocks of whole examples: each row's pair key is
+classifier keys (``StrongModel.sorted_keys``, built with the model, whose
+columns hold the votes), in blocks of whole examples: each row's pair key is
 binary-searched among the C keys, every classifier kept on a found pair
 fires, and the hits are ordered by (example, classifier).  The cost grows
 with the rows present, O(rows log C), not with C times the examples.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .boost import StrongModel
 from .triplets import TestTripletSet, TripletStore
-from .weak import _mask_bools, fired_buckets
+from .weak import fired_buckets
 
 __all__ = [
     "ABSTAIN",
@@ -59,30 +60,6 @@ class Prediction:
         return 2.0 * self.scores - self.fired_alpha
 
 
-class _ScoringIndex:
-    """Classifier columns in training order, plus their keys sorted for the join."""
-
-    __slots__ = ("n_train", "n_labels", "keys", "alpha", "bits_j", "bits_k",
-                 "order", "sorted_keys")
-
-    def __init__(self, model: StrongModel):
-        self.n_train = model.n_train
-        self.n_labels = model.n_labels
-        cls = model.classifiers
-        self.keys = np.array([h.j * self.n_train + h.k for h in cls], dtype=np.int64)
-        self.alpha = np.array([h.alpha for h in cls], dtype=np.float64)
-        self.bits_j = _mask_bools([h.o_j for h in cls], self.n_labels)
-        self.bits_k = _mask_bools([h.o_k for h in cls], self.n_labels)
-        self.order = np.argsort(self.keys, kind="stable")
-        self.sorted_keys = self.keys[self.order]
-
-
-def _index(model: StrongModel) -> _ScoringIndex:
-    if model._index_cache is None:
-        model._index_cache = _ScoringIndex(model)
-    return model._index_cache
-
-
 def _example(pairs, n_train: int) -> TestTripletSet:
     """One example's (near, far) pairs, validated and sorted as a one-anchor test set."""
     arr = np.asarray(pairs, dtype=np.int64)
@@ -95,22 +72,22 @@ def _example(pairs, n_train: int) -> TestTripletSet:
                           np.minimum(a, b), np.maximum(a, b), a < b)
 
 
-def _accumulate(index: _ScoringIndex, fired: np.ndarray,
+def _accumulate(model: StrongModel, fired: np.ndarray,
                 near_is_j: np.ndarray) -> Prediction:
     """Sum the votes of the classifiers ``fired`` (ascending indices) in
     classifier order; every scorer ends here, so they agree bit for bit."""
-    alpha = index.alpha[fired]
-    bits = np.where(near_is_j[:, None], index.bits_j[fired], index.bits_k[fired])
+    alpha = model.alpha[fired]
+    bits = model.label_sets[fired, (~near_is_j).astype(np.intp)]  # the near side's set
     scores = (alpha[:, None] * bits).sum(axis=0) if alpha.size \
-        else np.zeros(index.n_labels)
+        else np.zeros(model.n_labels)
     label = ABSTAIN if fired.size == 0 else int(np.argmax(scores))
     return Prediction(scores, label, int(fired.size), float(alpha.sum()))
 
 
-def _join(index: _ScoringIndex, tset: TestTripletSet) -> list[Prediction]:
+def _join(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
     """Score every example of ``tset`` by one sorted join of its row pair keys
-    against the classifier keys, in blocks of whole examples."""
-    keys, n_cls = index.sorted_keys, index.sorted_keys.size
+    against the model's sorted classifier keys, in blocks of whole examples."""
+    keys, n_cls = model.sorted_keys, model.sorted_keys.size
     edges = np.searchsorted(tset.anchors, np.arange(tset.n_test + 1))
     preds = []
     x = 0
@@ -126,7 +103,7 @@ def _join(index: _ScoringIndex, tset: TestTripletSet) -> list[Prediction]:
         first = first[hit]
         count = np.searchsorted(keys, pkeys[hit], "right") - first
         rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        fired = index.order[np.repeat(first, count) + rank]
+        fired = model.key_order[np.repeat(first, count) + rank]
         row = edges[x] + np.repeat(hit, count)
         anchor = tset.anchors[row]
         # Votes ordered by (example, classifier); the key stays below
@@ -136,7 +113,7 @@ def _join(index: _ScoringIndex, tset: TestTripletSet) -> list[Prediction]:
         cuts = np.cumsum(np.bincount(anchor - x, minlength=y - x)).tolist()
         start = 0
         for stop in cuts:
-            preds.append(_accumulate(index, fired[start:stop], near_is_j[start:stop]))
+            preds.append(_accumulate(model, fired[start:stop], near_is_j[start:stop]))
             start = stop
         x = y
     return preds
@@ -149,26 +126,25 @@ def score(model: StrongModel, pairs) -> Prediction:
     classifier keys, so the cost is O(|pairs| log |pairs| + |pairs| log C)
     plus the fired classifiers' votes.
     """
-    index = _index(model)
-    return _join(index, _example(pairs, index.n_train))[0]
+    return _join(model, _example(pairs, model.n_train))[0]
 
 
 def score_naive(model: StrongModel, pairs) -> Prediction:
     """Same contract as ``score`` via the O(|pairs| * C) cross-comparison."""
-    index = _index(model)
-    example = _example(pairs, index.n_train)
+    example = _example(pairs, model.n_train)
     if example.m == 0:
-        return _accumulate(index, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+        return _accumulate(model, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
     keys = example._lo * example.n + example._hi
-    count = index.keys.size
+    cls_keys = model.j * model.n_train + model.k
+    count = cls_keys.size
     matched = np.zeros(count, dtype=bool)
     hit_at = np.zeros(count, dtype=np.int64)
     for start in range(0, count, _NAIVE_BLOCK):
         stop = min(start + _NAIVE_BLOCK, count)
-        eq = index.keys[start:stop, None] == keys[None, :]
+        eq = cls_keys[start:stop, None] == keys[None, :]
         matched[start:stop] = eq.any(axis=1)
         hit_at[start:stop] = eq.argmax(axis=1)
-    return _accumulate(index, np.flatnonzero(matched), example._near_lo[hit_at[matched]])
+    return _accumulate(model, np.flatnonzero(matched), example._near_lo[hit_at[matched]])
 
 
 def _score_matrix(predictions, n_labels: int) -> np.ndarray:
@@ -214,7 +190,7 @@ def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
     if tset.n_train != model.n_train:
         raise ValueError("test triplets index a different training universe "
                          f"(n_train={tset.n_train} vs model n={model.n_train})")
-    return _join(_index(model), tset)
+    return _join(model, tset)
 
 
 def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarray:
@@ -234,13 +210,13 @@ def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarra
     if ts.n != model.n_train:
         raise ValueError("store universe does not match the model")
     scores = np.zeros((ts.n, model.n_labels))
-    index = _index(model)
-    for h, bits_j, bits_k in zip(model.classifiers, index.bits_j, index.bits_k):
-        if h.alpha == 0.0:
+    for j, k, (bits_j, bits_k), alpha in zip(model.j.tolist(), model.k.tolist(),
+                                              model.label_sets, model.alpha.tolist()):
+        if alpha == 0.0:
             continue
-        fwd, rev = fired_buckets(ts, h.j, h.k)
-        scores[fwd] += np.where(bits_j, h.alpha, -h.alpha)
-        scores[rev] += np.where(bits_k, h.alpha, -h.alpha)
+        fwd, rev = fired_buckets(ts, j, k)
+        scores[fwd] += np.where(bits_j, alpha, -alpha)
+        scores[rev] += np.where(bits_k, alpha, -alpha)
     return scores
 
 

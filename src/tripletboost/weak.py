@@ -2,12 +2,12 @@
 
 A classifier for a pair (j, k) predicts the label set ``o_j`` on examples
 known (via some triplet) to be closer to j, the set ``o_k`` on examples
-closer to k, and abstains elsewhere.  Inside a round a label set is a bool
-vector over the labels; at the API and file boundary (``TripletClassifier``,
-the public step functions, model files) it is an int bitmask, which caps the
-label space at 64 classes.  ``_round`` is the one implementation of a
-boosting round; ``select_labels``, ``round_weights`` and
-``boost.update_weights`` expose its steps one at a time.
+closer to k, and abstains elsewhere.  Inside a round and in a model's columns
+a label set is a bool vector over the labels; at the API and file boundary
+(``TripletClassifier``, a view of a model's row, the step functions, model
+files) it is an int bitmask, which caps the label space at 64 classes.
+``_round`` is the one implementation of a boosting round; ``select_labels``,
+``round_weights`` and ``boost.update_weights`` expose its steps one at a time.
 
 A round reads its fired rows of the weights once (``_gather``), sums each
 side over a contiguous slice of that gather, which gives the bits a per-side
@@ -167,33 +167,33 @@ def _update(w: np.ndarray, gathered, members: np.ndarray, alpha: float,
     return z
 
 
-def _bits(members: np.ndarray) -> list[int]:
-    """The bitmask of each row of a bool label-set matrix."""
-    return [sum(1 << y for y, on in enumerate(row) if on) for row in members.tolist()]
+def _pack_masks(members: np.ndarray) -> np.ndarray:
+    """The uint64 bitmask of each bool row over the labels; ``_mask_bools`` inverted."""
+    shifts = np.arange(members.shape[-1], dtype=np.uint64)
+    return np.bitwise_or.reduce(members.astype(np.uint64) << shifts, axis=-1)
 
 
-def _round(w: np.ndarray, labels: np.ndarray, j: int, k: int, fwd: np.ndarray,
-           rev: np.ndarray, scores: np.ndarray | None = None
-           ) -> tuple[TripletClassifier, RoundStats]:
+def _round(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray,
+           scores: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
     """One boosting round on the buckets (closer to j, closer to k) of a pair.
 
     Chooses both label sets, weighs the classifier, and applies its update
     to ``w`` (and ``scores``) in place; a zero-weight round leaves them
-    alone and reports z = 1.  Returns the classifier and the round's stats.
+    alone and reports z = 1.  Returns the (2, L) bool sets, j side first,
+    and the round's stats (w_plus, w_minus, z, alpha) in ``RoundStats`` order.
     """
     gathered = _gather(w, labels, fwd, rev)
     members, w_plus, w_minus = _sides(gathered)
     alpha = classifier_alpha(w_plus, w_minus, w.shape[0])
     z = _update(w, gathered, members, alpha, scores) if alpha != 0.0 else 1.0
-    return (TripletClassifier(j, k, *_bits(members), alpha),
-            RoundStats(w_plus, w_minus, z, alpha))
+    return members, (w_plus, w_minus, z, alpha)
 
 
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[int, int]:
     """Choose the predicted label sets for both sides of the pair (j, k)."""
     fwd, rev = fired_buckets(ts, j, k)
-    return tuple(_bits(_sides(_gather(w, ds.labels, fwd, rev))[0]))
+    return tuple(_pack_masks(_sides(_gather(w, ds.labels, fwd, rev))[0]).tolist())
 
 
 def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,

@@ -14,7 +14,6 @@ import pytest
 
 import tripletboost as tb
 from tripletboost.boost import _strict_error
-from tripletboost.predict import _index
 
 pytestmark = pytest.mark.acceptance
 
@@ -303,7 +302,6 @@ def test_criterion_8_matching_equivalence_and_speed():
             int(j), int(k), int(rng.integers(0, 8)), int(rng.integers(0, 8)),
             float(rng.random())))
     model = tb.StrongModel(classifiers, tb.LabelDict(("a", "b", "c")), n_train)
-    _index(model)  # build once so both paths time pure matching
     total = n_train * (n_train - 1) // 2
     keys = rng.choice(total, size=count, replace=False)
     a = ((2 * n_train - 1 - np.sqrt((2 * n_train - 1) ** 2 - 8 * keys)) // 2

@@ -11,6 +11,7 @@ from tripletboost import (
     Dataset,
     LabelDict,
     RoundStats,
+    StrongModel,
     TripletClassifier,
     TripletStore,
     classifier_alpha,
@@ -21,6 +22,7 @@ from tripletboost import (
     round_weights,
     sample_reference_pair,
     save_model,
+    score,
     select_labels,
     train,
     training_error_bound,
@@ -402,6 +404,31 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="malformed header"):
             load_model(path)
 
+    @pytest.mark.parametrize("first, second, message", [
+        ("0 2 nan 1 2", "2 1 0.5 1 2", "non-finite alpha at line 3"),
+        ("0 2 nan 1 2", "0 2 0.5", "non-finite alpha at line 3"),
+        ("0 2 0.5 1 2 9", "2 1 0.5 1 2", "malformed classifier at line 3"),
+        ("2 1 nan 7 0", "0 2 0.5", "0 <= j < k < 3 at line 3"),
+        ("0 2 nan 7 0", "1 1 0.5 1 2", "label set out of range at line 3"),
+    ])
+    def test_first_bad_line_wins(self, tmp_path, first, second, message):
+        """Across lines the first bad one is named; within a line the checks run
+        malformed, then pair, then label set, then alpha."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"tripletboost-model v1 L=2 n=3 C=2\na\tb\n{first}\n{second}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_label_set_past_64_bits_rejected(self, tmp_path):
+        """A header may name more than 64 labels, but a label set holds 64."""
+        path = tmp_path / "bad.txt"
+        names = "\t".join(f"c{y}" for y in range(70))
+        path.write_text(f"tripletboost-model v1 L=70 n=3 C=1\n{names}\n"
+                        f"0 1 0.5 {1 << 65:x} 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="label set out of range at line 3"):
+            load_model(path)
+
     def test_out_of_range_label_set_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(
@@ -409,6 +436,65 @@ class TestModelFiles:
             encoding="utf-8")
         with pytest.raises(ValueError, match="label set out of range"):
             load_model(path)
+
+
+class TestStrongModel:
+    @pytest.mark.parametrize("bad, message", [
+        (TripletClassifier(0, 15, 0b01, 0, 0.5), "0 <= j < k < 10 at classifier 1"),
+        (TripletClassifier(-1, 3, 0b01, 0, 0.5), "0 <= j < k < 10 at classifier 1"),
+        (TripletClassifier(0, 2, 0b100, 0, 0.5), "label set out of range at classifier 1"),
+        (TripletClassifier(0, 2, 0, 1 << 64, 0.5), "label set out of range at classifier 1"),
+    ])
+    def test_classifier_outside_the_model_rejected(self, bad, message):
+        """A pair outside the universe would alias another pair's key (0*10+15
+        is the key of (1, 5)); a wide label set would be dropped."""
+        good = TripletClassifier(1, 5, 0b10, 0b01, 0.25)
+        with pytest.raises(ValueError, match=message):
+            StrongModel([good, bad], LabelDict(("a", "b")), 10)
+
+    def test_columns_follow_the_classifiers(self):
+        """Pairs are stored j < k with the sides' sets swapped to match."""
+        model = StrongModel([TripletClassifier(5, 2, 0b01, 0b10, 0.5),
+                             TripletClassifier(0, 1, 0b11, 0, -0.25)],
+                            LabelDict(("a", "b")), 10)
+        assert model.j.tolist() == [2, 0] and model.k.tolist() == [5, 1]
+        assert model.label_sets.tolist() == [[[False, True], [True, False]],
+                                             [[True, True], [False, False]]]
+        assert model.alpha.tolist() == [0.5, -0.25]
+        assert model.sorted_keys.tolist() == [1, 25]
+        assert model.key_order.tolist() == [1, 0]
+        assert model.classifiers == [TripletClassifier(2, 5, 0b10, 0b01, 0.5),
+                                     TripletClassifier(0, 1, 0b11, 0, -0.25)]
+
+    def test_total_alpha_is_pythons_sum(self):
+        """Python's float sum, the definition margins were computed with; numpy's
+        pairwise sum gives other bits."""
+        ds = make_moons(60, 0.1, 1)
+        model = train(ds, generate_training_set(ds, "euclidean", 0.3, 0.0, 2),
+                      BoostConfig(rounds=400, seed=3))
+        assert model.total_alpha.hex() == sum(h.alpha for h in model.classifiers).hex()
+
+    def test_views_are_copies_and_columns_read_only(self, tmp_path):
+        """Editing a returned list changes neither scores, weights nor files."""
+        ds, store = _three_example_setup()
+        model = train(ds, store, BoostConfig(rounds=5, seed=4))
+        before = (score(model, [(0, 2)]).scores.tobytes(), model.total_alpha,
+                  model.z_history().tobytes(), model.classifiers, model.round_stats)
+        save_model(model, tmp_path / "before.txt")
+        model.classifiers.append(TripletClassifier(0, 2, 0b01, 0, 1.0))
+        model.classifiers.clear()
+        model.round_stats.clear()
+        assert (score(model, [(0, 2)]).scores.tobytes(), model.total_alpha,
+                model.z_history().tobytes(), model.classifiers, model.round_stats) == before
+        assert before[3] and before[4]
+        save_model(model, tmp_path / "after.txt")
+        assert (tmp_path / "after.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
+        for col in (model.j, model.k, model.alpha, model.label_sets, model.stats,
+                    model.key_order, model.sorted_keys):
+            with pytest.raises(ValueError, match="read-only"):
+                col[...] = 0
+        with pytest.raises(AttributeError):
+            model.classifiers = []
 
 
 class TestStrictError:

@@ -343,14 +343,16 @@ class TestRoundKernel:
                                       "one_row", "all_members", "no_members",
                                       "zero_alpha", "top_bit"])
     def test_round_equals_per_side_reference_bit_for_bit(self, kind):
-        from tripletboost.weak import _round
+        from tripletboost.weak import _pack_masks, _round
 
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(60):
             w, labels, fwd, rev, scores = _round_case(rng, kind)
             want_w, want_scores = w.copy(), scores.copy()
             want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev, want_scores)
-            h, stats = _round(w, labels, 0, 1, fwd, rev, scores)
+            members, stats = _round(w, labels, fwd, rev, scores)
+            assert members.shape == (2, w.shape[1])
+            h = TripletClassifier(0, 1, *_pack_masks(members).tolist(), stats[3])
             assert h == want_h
             assert np.array(stats).tobytes() == np.array(want_stats).tobytes()
             assert w.tobytes() == want_w.tobytes()
