@@ -55,15 +55,15 @@ class Dataset:
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValueError("labels must be one-dimensional")
-        if labels.size and not (0 <= labels.min() and labels.max() < self.label_dict.size):
-            raise ValueError("label id out of range for the label dictionary")
+        bad = np.flatnonzero((labels < 0) | (labels >= self.label_dict.size))
+        if bad.size:
+            raise ValueError(f"label id out of range at {_row(bad[0])}")
         object.__setattr__(self, "labels", labels)
         if self.features is not None:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)
             if feats.ndim != 2 or feats.shape[0] != labels.size or feats.shape[1] < 1:
                 raise ValueError("features must be an (n, D) array with D >= 1")
-            if not np.all(np.isfinite(feats)):
-                raise ValueError("features must be finite (no nan or inf)")
+            _check_finite(feats, _row)
             object.__setattr__(self, "features", feats)
 
     @property
@@ -79,6 +79,17 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         feats = None if self.features is None else self.features[indices]
         return Dataset(self.labels[indices], self.label_dict, feats)
+
+
+def _row(idx: int) -> str:  # how an in-memory constructor names a bad record
+    return f"row {idx}"
+
+
+def _check_finite(features: np.ndarray, where) -> None:
+    """Reject the first example with a nan or inf feature, named by ``where(index)``."""
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"malformed row at {where(bad[0])}: non-finite feature")
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -115,11 +126,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         raise ValueError("empty dataset")
     label_dict = LabelDict(tuple(label_ids))
     features = np.array(rows, dtype=np.float64) if dim else None
-    if features is not None:
-        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-        if bad.size:  # no blank line precedes a data row, so row = start + 1 + index
-            raise ValueError(f"malformed row at row {start + 1 + int(bad[0])}: "
-                             "non-finite feature")
+    if features is not None:  # no blank line precedes a data row
+        _check_finite(features, lambda idx: f"row {start + 1 + idx}")
     return Dataset(np.array(labels, dtype=np.int64), label_dict, features)
 
 

@@ -67,9 +67,8 @@ def _example(pairs, n_train: int) -> TestTripletSet:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (near, far) id pairs")
-    a, b = arr[:, 0], arr[:, 1]
-    return TestTripletSet(1, n_train, np.zeros(a.size, dtype=np.int64),
-                          np.minimum(a, b), np.maximum(a, b), a < b)
+    return TestTripletSet._from_ijk(1, n_train, np.zeros(len(arr), dtype=np.int64), *arr.T,
+                                    lambda idx: f"pair {idx}")
 
 
 def _accumulate(model: StrongModel, fired: np.ndarray,
@@ -178,7 +177,7 @@ def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
     ``fixed_lowest``, a uniform draw from ``rng`` among the maximal labels
     under ``random``.  An abstention scores zero everywhere, so it resolves
     like a vote in which every label ties: to label 0, or to a uniform draw.
-    """
+    Each call pays a fixed overhead: resolve many predictions with ``resolve_all``."""
     return int(_resolve(prediction.scores[None, :], policy, rng)[0])
 
 

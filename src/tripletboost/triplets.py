@@ -16,14 +16,17 @@ sampler limit); a larger total is rejected with a ValueError.
 
 from __future__ import annotations
 
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import Dataset
+from .dataset import Dataset, _row
 
 __all__ = [
     "Relation",
@@ -48,6 +51,8 @@ _MAX_UNIVERSE = 2_000_000  # with n anchors, keeps (i*n + lo)*n + hi inside int6
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
+_INT64 = np.iinfo(np.int64)
+_ID = re.compile(r"[+-]?[0-9]+")  # an integer as np.loadtxt reads one
 
 
 class Relation(Enum):
@@ -58,15 +63,11 @@ class Relation(Enum):
 
 @dataclass(frozen=True)
 class Triplet:
-    """Ordered comparison: anchor i is closer to j than to k."""
+    """Ordered comparison: anchor i is closer to j than to k; a store checks it."""
 
     i: int
     j: int
     k: int
-
-    def __post_init__(self):
-        if self.j == self.k:
-            raise ValueError("reference examples j and k must differ")
 
 
 def _round_half_up(x: float) -> int:
@@ -81,8 +82,9 @@ def _check_unit(value: float, what: str) -> None:
 def _check_vectors(features: np.ndarray | None, metric: str, what: str) -> np.ndarray:
     if features is None:
         raise ValueError(f"{what} has no feature vectors")
-    if metric == "cosine" and np.any(np.linalg.norm(features, axis=1) == 0.0):
-        raise ValueError("cosine distance is undefined for zero-norm vectors")
+    if metric == "cosine" and not np.linalg.norm(features, axis=1).all():
+        raise ValueError("cosine distance is undefined for zero-norm vectors, as at "
+                         f"{what} row {np.argmin(np.linalg.norm(features, axis=1))}")
     return features
 
 
@@ -99,53 +101,75 @@ class TripletStore:
     _anchor_is_reference = True  # a training anchor is never in its own pairs
 
     def __init__(self, n, anchor, lo, hi, near_lo, _trusted=False):
-        self._init(n, n, anchor, lo, hi, near_lo, _trusted)
+        self._init(n, n, anchor, lo, hi, near_lo, None if _trusted else _row)
 
-    def _init(self, n_anchors, n, anchor, lo, hi, near_lo, trusted):
-        _check_universes(n_anchors, n)
+    def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where) -> "TripletStore":
+        """Hold the rows; ``where=None`` trusts them to be canonical."""
+        if not 1 <= n <= _MAX_UNIVERSE:
+            raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}], got {n}")
+        limit = (2**63 - 1) // (int(n) * int(n))  # packed keys (a*n + lo)*n + hi fit int64
+        if not 1 <= n_anchors <= limit:
+            raise ValueError(f"anchor universe must be in [1, {limit}] over {n} "
+                             f"references, got {n_anchors}")
         self.n_anchors = int(n_anchors)
         self.n = int(n)
         self._anchor = np.ascontiguousarray(anchor, dtype=np.int64)
         self._lo = np.ascontiguousarray(lo, dtype=np.int64)
         self._hi = np.ascontiguousarray(hi, dtype=np.int64)
         self._near_lo = np.ascontiguousarray(near_lo, dtype=bool)
-        if not trusted:
-            self._canonicalize()
+        if where is not None:
+            self._canonicalize(where)
         self._pair_cache = None
+        return self
 
-    def _canonicalize(self):
+    def _canonicalize(self, where):
+        """Check the rows and sort them.  The first bad row raises, named by
+        ``where(row)``; of a repeated triplet, the later row is the bad one.  (A row
+        outside the universes may share a key, but it is bad and comes first.)"""
         a, lo, hi, near_lo = self._anchor, self._lo, self._hi, self._near_lo
         if not a.size == lo.size == hi.size == near_lo.size:
             raise ValueError(f"column lengths differ: {a.size}, {lo.size}, {hi.size}, "
                              f"{near_lo.size}")
-        if a.size == 0:
-            return
-        if a.min() < 0 or a.max() >= self.n_anchors:
-            raise ValueError(f"anchor id out of range [0, {self.n_anchors})")
-        if min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= self.n:
-            raise ValueError(f"reference id out of range [0, {self.n})")
-        if np.any(lo == hi):
-            raise ValueError("reference examples j and k must differ")
-        if np.any(lo > hi):
-            raise ValueError("pair columns must satisfy lo < hi")
-        order, dup = _sort_rows(self.n, a, lo, hi)
-        if dup.size:
-            raise ValueError("duplicate or contradictory triplet")
+        keys = (a * self.n + lo) * self.n + hi
+        order = np.argsort(keys, kind="stable")  # a repeated key follows its first row
+        repeat = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        later = order[repeat + 1]
+        same = near_lo[later] == near_lo[order[repeat]]
+        outside = ((a < 0) | (a >= self.n_anchors) | (np.minimum(lo, hi) < 0)
+                   | (np.maximum(lo, hi) >= self.n))
+        rejected = (np.flatnonzero(lo == hi), np.flatnonzero(outside),
+                    np.flatnonzero(lo > hi), later[same], later[~same])
+        first = [(int(rows.min()), kind) for kind, rows in enumerate(rejected) if rows.size]
+        if first:  # the first bad row, and the first check listed that rejects it
+            row, kind = min(first)
+            at = where(row)
+            raise ValueError((
+                f"degenerate triplet at {at}: reference examples j and k must differ",
+                f"example id out of range at {at}: anchors lie in [0, {self.n_anchors}), "
+                f"references in [0, {self.n})",
+                f"unordered pair at {at}: pair columns must satisfy lo < hi",
+                f"duplicate triplet at {at}",
+                f"contradictory triplet at {at}")[kind])
         self._anchor, self._lo, self._hi, self._near_lo = (
             col[order] for col in (a, lo, hi, near_lo))
 
+    @classmethod
+    def _from_ijk(cls, n_anchors, n, i, j, k, where) -> "TripletStore":
+        """A store of this kind from (i, j, k) id columns, a bad row named by ``where``."""
+        return object.__new__(cls)._init(n_anchors, n, i, np.minimum(j, k),
+                                         np.maximum(j, k), j < k, where)
+
     def _with_rows(self, anchor, lo, hi, near_lo) -> "TripletStore":
         """A store of this kind, over the same universes, holding canonical rows."""
-        out = object.__new__(type(self))
-        out._init(self.n_anchors, self.n, anchor, lo, hi, near_lo, True)
-        return out
+        return object.__new__(type(self))._init(self.n_anchors, self.n, anchor, lo, hi,
+                                                near_lo, None)
 
     @staticmethod
     def from_triplets(n: int, triplets) -> "TripletStore":
         """Build a training store from (i, j, k) tuples; anchors may repeat pair members."""
         rows = [(t.i, t.j, t.k) if isinstance(t, Triplet) else tuple(t) for t in triplets]
-        i, j, k = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3).T
-        return TripletStore(n, i, np.minimum(j, k), np.maximum(j, k), j < k)
+        ids = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
+        return TripletStore._from_ijk(n, n, *ids.T, lambda idx: f"triplet {idx}")
 
     @property
     def m(self) -> int:
@@ -167,9 +191,7 @@ class TripletStore:
         return self.m
 
     def __iter__(self):
-        near, far = self.near, self.far
-        for idx in range(self.m):
-            yield Triplet(int(self._anchor[idx]), int(near[idx]), int(far[idx]))
+        return map(Triplet, self._anchor.tolist(), self.near.tolist(), self.far.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripletStore):
@@ -227,10 +249,10 @@ class TripletStore:
 
     @classmethod
     def load(cls, path) -> "TripletStore":
-        (n, m), cols = _read_id_file(path, "tripletset", ("n", "m"))
-        if cols.shape[0] != m:
-            raise ValueError(f"header claims m={m} but file has {cols.shape[0]} triplets")
-        return cls(n, *_file_rows(n, n, cols), _trusted=True)
+        (n, m), ids, where = _read_id_file(path, "tripletset", ("n", "m"))
+        if ids.shape[0] != m:
+            raise ValueError(f"header claims m={m} but file has {ids.shape[0]} triplets")
+        return cls._from_ijk(n, n, *ids.T, where)
 
     def _write(self, path, header: str) -> None:
         """The header line, then one ``anchor near far`` line per canonical row."""
@@ -257,7 +279,7 @@ class TestTripletSet(TripletStore):
     _anchor_is_reference = False
 
     def __init__(self, n_test, n_train, x, lo, hi, a_lo, _trusted=False):
-        self._init(n_test, n_train, x, lo, hi, a_lo, _trusted)
+        self._init(n_test, n_train, x, lo, hi, a_lo, None if _trusted else _row)
 
     @property
     def n_test(self) -> int:
@@ -272,47 +294,9 @@ class TestTripletSet(TripletStore):
 
     @classmethod
     def load(cls, path) -> "TestTripletSet":
-        (n_test, n_train), cols = _read_id_file(path, "testtriplets", ("n_test", "n_train"))
-        return cls(n_test, n_train, *_file_rows(n_test, n_train, cols), _trusted=True)
-
-
-def _check_universes(n_anchors: int, n: int) -> None:
-    """Universes whose packed row keys (anchor*n + lo)*n + hi fit in int64."""
-    if not 1 <= n <= _MAX_UNIVERSE:
-        raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}], got {n}")
-    limit = (2**63 - 1) // (int(n) * int(n))
-    if not 1 <= n_anchors <= limit:
-        raise ValueError(f"anchor universe must be in [1, {limit}] over {n} "
-                         f"references, got {n_anchors}")
-
-
-def _sort_rows(n: int, a, lo, hi):
-    """Stable canonical order of rows, and the sorted positions repeating a key."""
-    keys = (a * n + lo) * n + hi
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    return order, np.flatnonzero(keys[1:] == keys[:-1])
-
-
-def _file_rows(n_anchors: int, n: int, cols: np.ndarray):
-    """Canonical (anchor, lo, hi, near_lo) columns of a file's ``i j k`` rows.
-
-    Each error names its line; the header is line 1.
-    """
-    _check_universes(n_anchors, n)
-    i, j, k = cols[:, 0], cols[:, 1], cols[:, 2]
-    if np.any(j == k):
-        raise ValueError(f"degenerate triplet at line {int(np.flatnonzero(j == k)[0]) + 2}")
-    lo, hi = np.minimum(j, k), np.maximum(j, k)
-    bad = (i < 0) | (i >= n_anchors) | (lo < 0) | (hi >= n)
-    if bad.any():
-        raise ValueError(f"example id out of range at line {int(np.flatnonzero(bad)[0]) + 2}")
-    order, dup = _sort_rows(n, i, lo, hi)
-    if dup.size:
-        first, second = order[dup[0]], order[dup[0] + 1]
-        kind = "duplicate" if j[first] == j[second] else "contradictory"
-        raise ValueError(f"{kind} triplet at line {int(max(first, second)) + 2}")
-    return i[order], lo[order], hi[order], (j < k)[order]
+        (n_test, n_train), ids, where = _read_id_file(path, "testtriplets",
+                                                      ("n_test", "n_train"))
+        return cls._from_ijk(n_test, n_train, *ids.T, where)
 
 
 # -- generation from feature vectors -----------------------------------------
@@ -537,54 +521,79 @@ class RatingsTable:
     n_items: int
 
     def __post_init__(self):
-        if not self.user.size == self.item.size == self.rating.size:
-            raise ValueError(f"user, item and rating lengths differ: {self.user.size}, "
-                             f"{self.item.size}, {self.rating.size}")
-        if self.user.size == 0:
-            raise ValueError("empty ratings table")
-        if self.item.min() < 0:
-            raise ValueError("item ids must be nonnegative")
-        if self.item.max() >= self.n_items:
-            raise ValueError(f"item id {int(self.item.max())} out of range for "
-                             f"n_items={self.n_items}")
-        if not np.all(np.isfinite(self.rating)):
-            raise ValueError("non-finite rating")
-        if np.unique(np.column_stack([self.user, self.item]), axis=0).shape[0] \
-                != self.user.size:
-            raise ValueError("duplicate rating for one (user, item)")
+        sizes = [np.size(col) for col in (self.user, self.item, self.rating)]
+        if len(set(sizes)) > 1:
+            raise ValueError("user, item and rating lengths differ: "
+                             + ", ".join(map(str, sizes)))
+        for name in ("user", "item"):  # an id int64 cannot hold is rejected first
+            object.__setattr__(self, name, _int64_ids(getattr(self, name)))
+        object.__setattr__(self, "rating", np.asarray(self.rating, dtype=np.float64))
+        _check_ratings(self.user, self.item, self.rating, self.n_items, _row)
+
+
+def _int64_ids(ids) -> np.ndarray:
+    """``ids`` as int64; the first that int64 does not hold exactly is named as a row."""
+    ids = np.asarray(ids)
+    fits = (ids >= _INT64.min) & (ids <= _INT64.max)  # exact on Python ints, too
+    with np.errstate(invalid="ignore"):
+        out = np.where(fits, ids, 0).astype(np.int64)
+    bad = np.flatnonzero(~fits | (out != ids))  # out of range, a fraction or a NaN
+    if bad.size:
+        raise ValueError(f"id not an int64 integer at {_row(bad[0])}")
+    return out
+
+
+def _check_ratings(user, item, rating, n_items: int, where) -> None:
+    """Reject the first bad row of the int64/int64/float64 columns, named by
+    ``where(index)``: its item id is checked, then its rating, then whether a row
+    above rated its (user, item)."""
+    if user.size == 0:
+        raise ValueError("empty ratings table")
+    order = np.lexsort((item, user))  # stable, so a repeat follows its first row
+    u, it = user[order], item[order]
+    repeat = order[1:][(u[1:] == u[:-1]) & (it[1:] == it[:-1])]
+    rejected = (np.flatnonzero(item < 0), np.flatnonzero(item >= n_items),
+                np.flatnonzero(~np.isfinite(rating)), repeat)
+    first = [(int(rows.min()), kind) for kind, rows in enumerate(rejected) if rows.size]
+    if first:  # the first bad row, and the first check listed that rejects it
+        row, kind = min(first)
+        at = where(row)
+        raise ValueError((
+            f"negative item id at {at}",
+            f"item id {int(item[row])} out of range for n_items={n_items} at {at}",
+            f"non-finite rating at {at}",
+            f"duplicate rating at {at}")[kind])
 
 
 def load_ratings(path) -> RatingsTable:
-    """Read whitespace-separated ``user item rating`` lines.
-
-    Each (user, item) may be rated once, and ratings must be finite.
-    """
-    users, items, ratings = [], [], []
-    seen: set[tuple[int, int]] = set()
+    """Read whitespace-separated ``user item rating`` lines; errors name a line."""
+    users, items, ratings, linenos, malformed = [], [], [], [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed rating at line {lineno}")
+            if not parts:
+                continue
             try:
-                user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
+                user, item, rating = parts
+                user, item, rating = int(user), int(item), float(rating)
             except ValueError:
-                raise ValueError(f"malformed rating at line {lineno}") from None
-            if not math.isfinite(rating):
-                raise ValueError(f"non-finite rating at line {lineno}")
-            if (user, item) in seen:
-                raise ValueError(f"duplicate rating at line {lineno}")
-            seen.add((user, item))
+                malformed = f"malformed rating at line {lineno}"
+                break
+            if not (_INT64.min <= user <= _INT64.max and _INT64.min <= item <= _INT64.max):
+                malformed = f"id not an int64 integer at line {lineno}"
+                break
             users.append(user)
             items.append(item)
             ratings.append(rating)
-    if not users:
-        raise ValueError("empty ratings table")
-    item_arr = np.asarray(items, dtype=np.int64)
-    return RatingsTable(np.asarray(users, dtype=np.int64), item_arr,
-                        np.asarray(ratings, dtype=np.float64), int(item_arr.max()) + 1)
+            linenos.append(lineno)
+    cols = (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+            np.array(ratings, dtype=np.float64))
+    n_items = int(cols[1].max()) + 1 if items else 0
+    if users or malformed is None:  # the rows above a malformed line are checked first
+        _check_ratings(*cols, n_items, lambda idx: f"line {linenos[idx]}")
+    if malformed is not None:
+        raise ValueError(malformed)
+    return RatingsTable(*cols, n_items)
 
 
 def generate_from_ratings(ratings: RatingsTable, candidate_limit: int | None = None,
@@ -704,16 +713,27 @@ def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[in
 
 
 def _read_id_file(path, kind: str, names: tuple[str, str]):
-    """The two header values ``names`` and the (rows, 3) id array of a file."""
+    """The two header values ``names``, the (rows, 3) int64 ids of the nonblank
+    lines, each exactly three ids, and a namer of each row's line (header = 1)."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         body = fh.read()
     values = _parse_header(header, kind, names, path)
-    tokens = body.split()
-    if len(tokens) % 3 != 0:
-        raise ValueError(f"malformed triplet line in {path}")
+    lines = lambda: [(lineno, line.split()) for lineno, line
+                     in enumerate(body.split("\n"), start=2) if line.strip()]
     try:
-        cols = np.array([int(t) for t in tokens], dtype=np.int64).reshape(-1, 3)
-    except ValueError:
-        raise ValueError(f"non-integer id in {path}") from None
-    return values, cols
+        with warnings.catch_warnings():  # an older numpy reads 2.7 or 1e30 as a
+            warnings.simplefilter("error", DeprecationWarning)  # float, warns, casts
+            ids = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+                   if body.strip() else np.empty((0, 3), dtype=np.int64))  # else it warns
+    except (ValueError, DeprecationWarning):
+        ids = None
+    if ids is None or ids.shape[1] != 3:  # np.loadtxt's row numbers skip blank lines
+        for lineno, tokens in lines():
+            if len(tokens) != 3 or not all(
+                    _ID.fullmatch(t) and _INT64.min <= int(t) <= _INT64.max for t in tokens):
+                raise ValueError(f"malformed triplet at line {lineno}: expected three "
+                                 "int64 ids")
+        ids = np.array([[int(t) for t in tokens] for _, tokens in lines()],
+                       dtype=np.int64).reshape(-1, 3)
+    return values, ids, lambda row: f"line {lines()[row][0]}"

@@ -272,3 +272,18 @@ class TestEntryPoint:
                                "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-triplets" in proc.stdout
+
+
+class TestInputErrors:
+    def test_oversized_ids_fail_cleanly(self, tmp_path, capsys):
+        triplets = tmp_path / "t.txt"
+        triplets.write_text("tripletset v1 n=3 m=1\n99999999999999999999 1 2\n",
+                            encoding="utf-8")
+        ratings = tmp_path / "r.txt"
+        ratings.write_text("1 0 5\n99999999999999999999 1 4\n", encoding="utf-8")
+        for argv, line in ((("add-noise", "--triplets", triplets, "--rate", 0.5), 2),
+                           (("gen-triplets-ratings", "--ratings", ratings), 2)):
+            code, out, err = _run(capsys, *argv, "--out", tmp_path / "out.txt")
+            assert code == 1
+            assert err.startswith("error: ") and f"at line {line}" in err
+            assert out == ""

@@ -87,6 +87,10 @@ class TestDatasetFeatures:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([0, 1, 0]), LabelDict(("a", "b")), feats)
 
+    def test_label_out_of_range_names_the_row(self):
+        with pytest.raises(ValueError, match="label id out of range at row 2"):
+            Dataset(np.array([0, 1, 2]), LabelDict(("a", "b")))
+
 
 class TestLabelDict:
     def test_duplicate_names_rejected(self):

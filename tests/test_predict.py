@@ -115,7 +115,7 @@ class TestScore:
             score(model, [(1, 99)])
         with pytest.raises(ValueError, match="must differ"):
             score(model, [(1, 1)])
-        with pytest.raises(ValueError, match="duplicate or contradictory"):
+        with pytest.raises(ValueError, match="contradictory triplet at pair 1"):
             score(model, [(1, 2), (2, 1)])
         with pytest.raises(ValueError, match="sequence of \\(near, far\\) id pairs"):
             score(model, [(1, 2, 3)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,16 @@ from tripletboost import (
     generate_from_vectors,
     generate_test_set,
     generate_training_set,
+    load_csv,
     load_ratings,
     make_moons,
+    score,
     split,
     subsample,
 )
+from tripletboost.boost import StrongModel
 from tripletboost.triplets import _per_group_take, _unrank_pairs
+from tripletboost.weak import TripletClassifier
 
 
 def _vec_dataset(points, labels=None):
@@ -100,6 +105,9 @@ class TestGenerateFromVectors:
         ds = _vec_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="zero-norm"):
             generate_from_vectors(ds, "cosine")
+        test = _vec_dataset([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-norm vectors, as at test dataset row 1"):
+            generate_test_set(test, ds, "cosine", 1.0, 0.0, 0)
 
     def test_missing_features_rejected(self):
         ds = Dataset(np.array([0, 1, 0]), LabelDict(("a", "b")))
@@ -361,11 +369,11 @@ class TestLookup:
 
 class TestStoreInvariants:
     def test_contradictory_construction_rejected(self):
-        with pytest.raises(ValueError, match="duplicate or contradictory"):
+        with pytest.raises(ValueError, match="contradictory triplet at triplet 1"):
             TripletStore.from_triplets(3, [(0, 1, 2), (0, 2, 1)])
 
     def test_duplicate_construction_rejected(self):
-        with pytest.raises(ValueError, match="duplicate or contradictory"):
+        with pytest.raises(ValueError, match="duplicate triplet at triplet 1"):
             TripletStore.from_triplets(3, [(0, 1, 2), (0, 1, 2)])
 
     def test_equality_covers_orientation(self):
@@ -618,6 +626,8 @@ class TestTestTriplets:
         ("0 1 2\n0 1 3\n", "example id out of range at line 3"),
         ("0 0 1\n0 1 2\n0 1 2\n", "duplicate triplet at line 4"),
         ("0 2 2\n", "degenerate triplet at line 2"),
+        ("0 1 2\n\n0 2 1\n", "contradictory triplet at line 4"),  # blank lines count
+        ("0 2 1\n0 0 1\n0 1 2\n0 1 1\n", "contradictory triplet at line 4"),  # first wins
     ])
     def test_load_names_the_line(self, tmp_path, rows, message):
         path = tmp_path / "tt.txt"
@@ -715,3 +725,123 @@ class TestEvaluationSplit:
         full = generate_from_vectors(make_moons(10, 0.1, 0), "euclidean")
         with pytest.raises(ValueError, match="one test id"):
             split_store_for_evaluation(full, [0, 1, 2], [])
+
+
+class TestRecordChecks:
+    """One check per record type: in memory it names the row, in a file the line."""
+
+    _STORE = "tripletset v1 n=3 m=2\n"
+
+    @pytest.mark.parametrize("stem, in_memory, text, load, at", [
+        ("degenerate triplet", lambda: TripletStore(3, [0, 0], [1, 1], [2, 1], [True, True]),
+         _STORE + "0 1 2\n0 1 1\n", TripletStore.load, "line 3"),
+        ("example id out of range",
+         lambda: TripletStore(3, [0, 3], [1, 1], [2, 2], [True, True]),
+         _STORE + "0 1 2\n3 1 2\n", TripletStore.load, "line 3"),
+        ("duplicate triplet", lambda: TripletStore(3, [0, 0], [1, 1], [2, 2], [True, True]),
+         _STORE + "0 1 2\n0 1 2\n", TripletStore.load, "line 3"),
+        ("contradictory triplet",
+         lambda: TestTripletSet(1, 3, [0, 0], [1, 1], [2, 2], [True, False]),
+         "testtriplets v1 n_test=1 n_train=3\n0 1 2\n0 2 1\n", TestTripletSet.load,
+         "line 3"),
+        # a ratings file has no header: its first line is blank
+        ("duplicate rating", lambda: RatingsTable(np.array([1, 1]), np.array([0, 0]),
+                                                  np.array([5.0, 4.0]), 1),
+         "\n1 0 5\n1 0 4\n", load_ratings, "line 3"),
+        ("non-finite rating", lambda: RatingsTable(np.array([1, 1]), np.array([0, 1]),
+                                                   np.array([5.0, math.nan]), 2),
+         "\n1 0 5\n1 1 nan\n", load_ratings, "line 3"),
+        ("negative item id", lambda: RatingsTable(np.array([1, 1]), np.array([0, -1]),
+                                                  np.array([5.0, 4.0]), 1),
+         "\n1 0 5\n1 -1 4\n", load_ratings, "line 3"),
+        ("id not an int64 integer",
+         lambda: RatingsTable([1, 2**64], [0, 1], [5.0, 4.0], 2),
+         "\n1 0 5\n18446744073709551616 1 4\n", load_ratings, "line 3"),
+        ("malformed row", lambda: Dataset(np.array([0, 1]), LabelDict(("a", "b")),
+                                          np.array([[1.0], [math.inf]])),
+         "label,f1\na,1.0\nb,inf\n", lambda path: load_csv(path, has_header=True), "row 3"),
+    ], ids=["degenerate", "out-of-range", "duplicate", "contradictory", "duplicate-rating",
+            "non-finite-rating", "negative-item", "oversized-id", "non-finite-feature"])
+    def test_memory_and_file_agree(self, tmp_path, stem, in_memory, text, load, at):
+        with pytest.raises(ValueError, match=f"^{stem} at row 1"):
+            in_memory()
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{stem} at {at}"):
+            load(path)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TripletStore(3, [0], [5], [1], [True]), "example id out of range at row 0"),
+        (lambda: TripletStore(3, [0], [2], [-1], [True]),
+         "example id out of range at row 0"),
+        (lambda: RatingsTable(np.array([1.0, 1.5]), np.array([0, 1]), np.array([5.0, 4.0]),
+                              2), "id not an int64 integer at row 1"),
+        (lambda: RatingsTable(np.array([1, 1, 2]), np.array([0, 0, -1]),
+                              np.array([5.0, 4.0, math.nan]), 2), "duplicate rating at row 1"),
+        (lambda: RatingsTable(np.array([1, 2, 1]), np.array([0, 5, 0]),
+                              np.array([5.0, math.nan, 4.0]), 2),
+         "item id 5 out of range for n_items=2 at row 1"),
+    ])
+    def test_memory_rows_named_by_kind(self, make, message):
+        """An unordered in-memory row with an id out of range is named as out of range,
+        and of several bad rows the first is named."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+
+    def test_constructors_name_the_triplet_or_pair(self):
+        with pytest.raises(ValueError, match="example id out of range at triplet 2"):
+            TripletStore.from_triplets(3, [(0, 1, 2), (1, 0, 2), (2, 5, 0)])
+        model = StrongModel([TripletClassifier(0, 1, 0b01, 0b10, 0.5)],
+                            LabelDict(("a", "b")), 4)
+        with pytest.raises(ValueError, match="degenerate triplet at pair 2"):
+            score(model, [(0, 1), (3, 2), (2, 2)])
+
+    @pytest.mark.parametrize("header, body, line", [
+        ("tripletset v1 n=6 m=2", "0 1 2 3\n4 5\n", 2),
+        ("testtriplets v1 n_test=2 n_train=5", "0 1 2 1\n3 4\n", 2),
+        ("tripletset v1 n=6 m=2", "0 1 2\n\n3 4\n5\n", 4),
+        ("tripletset v1 n=6 m=2", "0 1 2\n3 4 5.0\n", 3),
+        ("tripletset v1 n=3 m=1", "99999999999999999999 1 2\n", 2),
+        ("testtriplets v1 n_test=1 n_train=3", "0 1 2\n0 1 -9223372036854775809\n", 3),
+    ])
+    def test_each_line_holds_three_int64_ids(self, tmp_path, header, body, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        load = TestTripletSet.load if header.startswith("test") else TripletStore.load
+        with pytest.raises(ValueError, match=f"malformed triplet at line {line}: "
+                                             "expected three int64 ids"):
+            load(path)
+
+    def test_parse_falls_back_to_the_line_scan(self, tmp_path, monkeypatch):
+        """A numpy whose loadtxt reads a fraction as a float, warns and casts it is still
+        refused at the line; a body loadtxt refuses but the scan accepts still loads."""
+        def casting(text, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated",
+                          DeprecationWarning, stacklevel=2)
+            return np.array([[0, 1, 2], [1, 0, 2]], dtype=np.int64)
+
+        path = tmp_path / "t.txt"
+        path.write_text("tripletset v1 n=3 m=2\n0 1 2\n1 0 2.7\n", encoding="utf-8")
+        monkeypatch.setattr(np, "loadtxt", casting)
+        with pytest.raises(ValueError, match="malformed triplet at line 3"):
+            TripletStore.load(path)
+        store = TripletStore.from_triplets(3, [(0, 1, 2), (1, 0, 2)])
+        store.save(path)
+
+        def refusing(text, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refusing)
+        assert TripletStore.load(path) == store
+
+    def test_malformed_rating_waits_for_the_rows_above(self, tmp_path):
+        path = tmp_path / "ratings.txt"
+        path.write_text("1 0 5\n1 0 4\n1 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="duplicate rating at line 2"):
+            load_ratings(path)
+        path.write_text("1 0 5\n1 1\n1 0 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed rating at line 2"):
+            load_ratings(path)
+        path.write_text("1 0 x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed rating at line 1"):
+            load_ratings(path)

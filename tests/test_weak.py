@@ -17,6 +17,7 @@ from tripletboost import (
     bitmask,
     classifier_alpha,
     init_weights,
+    mask_labels,
     round_weights,
     select_labels,
     update_weights,
@@ -262,6 +263,14 @@ class TestClassifierType:
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(ValueError):
             TripletClassifier(0, 1, 0, 0, float("nan"))
+
+    @given(st.sets(st.integers(0, 63)))
+    def test_bitmask_round_trip(self, labels):
+        """Packing then unpacking gives the sorted label ids, the 64th bit included."""
+        mask = bitmask(labels)
+        assert mask_labels(mask, 64) == sorted(labels)
+        assert bitmask(mask_labels(mask, 64)) == mask
+        assert mask_labels(mask, 3) == sorted(y for y in labels if y < 3)
 
 
 # -- the gather-once round against a per-side reference round --------------------
