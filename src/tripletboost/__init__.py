@@ -40,6 +40,7 @@ from .boost import (
 from .predict import (
     ABSTAIN,
     Prediction,
+    Predictions,
     predict_all,
     resolve,
     resolve_all,

@@ -67,8 +67,11 @@ class StrongModel:
     Classifier c votes ``alpha[c]`` on the pair ``j[c] < k[c]`` with the (2, L)
     bool ``label_sets[c]``: its set for examples closer to j, then to k.
     ``key_order`` stably sorts the pair keys j*n_train + k into
-    ``sorted_keys`` for the scorer; ``stats`` has one ``RoundStats`` row per
-    round.  ``train_scores`` holds the signed per-(example, label) vote totals
+    ``sorted_keys`` for the scorer, ``key_slots`` finds a key's first position
+    there by hashing (see ``_slot_table``) and ``key_runs[p]`` counts the
+    classifiers sharing the key at position p; ``stats`` has one ``RoundStats``
+    row per round.  ``train_scores`` holds the signed per-(example, label) vote
+    totals
     accumulated on the training set (positive entries back the label,
     negative entries oppose it); it is not persisted by ``save_model``.
     """
@@ -102,9 +105,34 @@ class StrongModel:
         keys = self.j * self.n_train + self.k
         self.key_order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.key_order]
+        self.key_slots, self.key_runs = _slot_table(self.sorted_keys)
         for col in (self.j, self.k, self.label_sets, self.alpha, self.stats,
-                    self.key_order, self.sorted_keys):
+                    self.key_order, self.sorted_keys, self.key_slots, self.key_runs):
             col.flags.writeable = False
+
+    def _match(self, keys: np.ndarray):
+        """Each (index into ``keys``, classifier) whose pair key j*n_train + k is
+        that key; the classifiers of one index come together, in ascending order.
+        A key is looked up in ``key_slots``: one that meets another key probes the
+        next slot, until it meets its own or a free slot."""
+        slot = _home(keys, _slot_bits(self.sorted_keys.size))
+        held = self.key_slots[slot]
+        rows = np.flatnonzero(held > 0)  # the keys at a taken slot
+        slot, held = slot[rows], held[rows] - 1
+        found, first = [rows[:0]], [held[:0]]
+        while rows.size:
+            own = self.sorted_keys[held] == keys[rows]
+            found.append(rows[own])
+            first.append(held[own])
+            rows, slot = rows[~own], slot[~own] + 1
+            held = self.key_slots[slot]
+            taken = held > 0
+            rows, slot, held = rows[taken], slot[taken], held[taken] - 1
+        found, first = np.concatenate(found), np.concatenate(first)
+        # A key several classifiers share matches each: positions first, first + 1, ...
+        count = self.key_runs[first]
+        at = np.repeat(first - np.cumsum(count) + count, count)
+        return np.repeat(found, count), self.key_order[at + np.arange(at.size)]
 
     @classmethod
     def _from_columns(cls, *columns, **meta) -> "StrongModel":
@@ -169,6 +197,44 @@ def _columns(rows, n_train: int, n_labels: int, where):
     j, k, o_j, o_k, alpha = zip(*rows) if rows else ((),) * 5
     pairs = np.array((j, k), dtype=np.int64).T
     return pairs, _mask_bools(np.array((o_j, o_k), dtype=np.uint64).T, n_labels), alpha
+
+
+_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio: Fibonacci hashing
+
+
+def _slot_bits(size: int) -> int:
+    """log2 of the hashed slots for ``size`` keys: more than 8 slots a key, so
+    nearly every lookup ends at its home slot."""
+    return (8 * size).bit_length() or 1
+
+
+def _home(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Home slots in [0, 2**bits) of nonnegative int64 keys (Fibonacci hashing)."""
+    out = keys.view(np.uint64) * _FIB
+    out >>= np.uint64(64 - bits)
+    return out.view(np.int64)
+
+
+def _slot_table(sorted_keys: np.ndarray):
+    """A linear-probing hash table of the C sorted (nonnegative) keys, and their run lengths.
+
+    The table has 2**bits + C int32 slots, bits = ``_slot_bits(C)``.  A distinct key
+    takes the first slot from its home on that no other key took, and the slot
+    holds 1 + the key's first position in ``sorted_keys``; a free slot holds 0.
+    The C slots past 2**bits take what probing pushes over the end, so a lookup
+    never wraps around.
+    """
+    size, bits = sorted_keys.size, _slot_bits(sorted_keys.size)
+    first = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    runs = np.diff(first, append=size)
+    home = _home(sorted_keys[first], bits)
+    order = np.argsort(home, kind="stable")
+    rank = np.arange(first.size)
+    # In home order each key takes max(its home, the slot before it + 1).
+    slot = np.maximum.accumulate(home[order] - rank) + rank
+    table = np.zeros((1 << bits) + size, dtype=np.int32)
+    table[slot] = first[order] + 1
+    return table, np.repeat(runs, runs)
 
 
 def init_weights(n: int, n_labels: int) -> np.ndarray:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import LabelDict
-from .predict import Prediction, _resolve, _score_matrix
+from .predict import ABSTAIN, Prediction, _columns, _resolve
 
 __all__ = ["EvalReport", "evaluate_predictions", "parse_labels_file"]
 
@@ -50,10 +51,11 @@ class EvalReport:
         }, sort_keys=True)
 
 
-def evaluate_predictions(predictions: list[Prediction], truth: list[frozenset[int]],
+def evaluate_predictions(predictions: Sequence[Prediction], truth: list[frozenset[int]],
                          label_dict: LabelDict, policy: str = "random",
                          seed: int = 0, k: int = 5) -> EvalReport:
-    """Score predictions against (possibly multi-label) ground truth.
+    """Score predictions (``predict_all``'s columns or ``Prediction``s) against
+    (possibly multi-label) ground truth.
 
     Accuracy counts a resolved label as correct when it belongs to the truth
     set; labels are resolved as ``resolve_all`` does, from one generator
@@ -68,7 +70,8 @@ def evaluate_predictions(predictions: list[Prediction], truth: list[frozenset[in
         raise ValueError("nothing to evaluate")
     n_labels, count = label_dict.size, len(predictions)
     k = max(1, min(k, n_labels))
-    scores = _score_matrix(predictions, n_labels)
+    columns = _columns(predictions, n_labels)
+    scores = columns.scores
     true = _truth_matrix(truth, n_labels)
     rows = np.arange(count)
     hit = true[rows, _resolve(scores, policy, np.random.default_rng(seed))]
@@ -83,7 +86,7 @@ def evaluate_predictions(predictions: list[Prediction], truth: list[frozenset[in
     }
     return EvalReport(
         accuracy=int(hit.sum()) / count,
-        abstention_rate=sum(p.abstained for p in predictions) / count,
+        abstention_rate=int((columns.label == ABSTAIN).sum()) / count,
         per_class_accuracy=per_class,
         precision_at_1=int(true[rows, ranking[:, 0]].sum()) / count,
         recall_at_k=recall_sum / count,

@@ -2,31 +2,35 @@
 
 Matching test pairs against model classifiers is the prediction bottleneck.
 A test set's canonical rows are grouped by example; ``predict_all`` and
-``score`` (a one-example test set) join them against the model's sorted
-classifier keys (``StrongModel.sorted_keys``, built with the model, whose
-columns hold the votes), in blocks of whole examples: each row's pair key is
-binary-searched among the C keys, every classifier kept on a found pair
-fires, and the hits are ordered by (example, classifier).  The cost grows
-with the rows present, O(rows log C), not with C times the examples.
+``score`` (a one-example test set) join them against the model's classifier
+keys in blocks of whole examples: each row's pair key is looked up by address
+in the model's hashed slot table (``StrongModel.key_slots``, built with the
+model), every classifier kept on a found pair fires, and the votes are ordered
+by (example, classifier).  The cost grows
+with the rows present, O(rows), not with C times the examples.
 ``score_naive`` performs the full cross-comparison and exists as the
 correctness oracle and benchmark foil.  All feed the identical accumulation
-step with the fired classifiers in ascending order, so their outputs agree
-bit for bit.
+step, which sums each example's votes in ascending classifier order, so their
+outputs agree bit for bit.  ``predict_all`` returns columns (``Predictions``),
+which ``resolve_all``, ``evaluate_predictions`` and the CSV writer read as
+they are.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boost import StrongModel
-from .triplets import TestTripletSet, TripletStore
+from .triplets import TestTripletSet, TripletStore, _int64_ids
 from .weak import fired_buckets
 
 __all__ = [
     "ABSTAIN",
     "Prediction",
+    "Predictions",
     "score",
     "score_naive",
     "resolve",
@@ -39,7 +43,7 @@ __all__ = [
 ABSTAIN = -1
 
 _NAIVE_BLOCK = 128  # classifiers per cross-comparison block
-_JOIN_BLOCK = 1 << 17  # test-set rows per join block, rounded to whole examples
+_JOIN_BLOCK = 1 << 16  # test-set rows per join block, rounded to whole examples
 
 
 @dataclass(frozen=True)
@@ -60,70 +64,108 @@ class Prediction:
         return 2.0 * self.scores - self.fired_alpha
 
 
+class Predictions(Sequence):
+    """Many predictions as read-only columns: ``scores`` (examples x labels),
+    ``label``, ``matched`` and ``fired_alpha``.  Indexing and iteration give
+    ``Prediction`` row views; ``+`` concatenates into a list, as lists do."""
+
+    __slots__ = ("scores", "label", "matched", "fired_alpha")
+
+    def __init__(self, scores, label, matched, fired_alpha):
+        for name, col in zip(self.__slots__, (scores, label, matched, fired_alpha)):
+            col.flags.writeable = False
+            setattr(self, name, col)
+
+    def __len__(self) -> int:
+        return self.label.size
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return Predictions(self.scores[idx], self.label[idx], self.matched[idx],
+                               self.fired_alpha[idx])
+        return Prediction(self.scores[idx], int(self.label[idx]), int(self.matched[idx]),
+                          float(self.fired_alpha[idx]))
+
+    def __iter__(self):
+        return map(Prediction, self.scores, self.label.tolist(), self.matched.tolist(),
+                   self.fired_alpha.tolist())
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+
 def _example(pairs, n_train: int) -> TestTripletSet:
     """One example's (near, far) pairs, validated and sorted as a one-anchor test set."""
-    arr = np.asarray(pairs, dtype=np.int64)
+    where = lambda idx: f"pair {idx}"
+    arr = _int64_ids(pairs, where)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (near, far) id pairs")
     return TestTripletSet._from_ijk(1, n_train, np.zeros(len(arr), dtype=np.int64), *arr.T,
-                                    lambda idx: f"pair {idx}")
+                                    where)
 
 
-def _accumulate(model: StrongModel, fired: np.ndarray,
-                near_is_j: np.ndarray) -> Prediction:
-    """Sum the votes of the classifiers ``fired`` (ascending indices) in
-    classifier order; every scorer ends here, so they agree bit for bit."""
-    alpha = model.alpha[fired]
-    bits = model.label_sets[fired, (~near_is_j).astype(np.intp)]  # the near side's set
-    scores = (alpha[:, None] * bits).sum(axis=0) if alpha.size \
-        else np.zeros(model.n_labels)
-    label = ABSTAIN if fired.size == 0 else int(np.argmax(scores))
-    return Prediction(scores, label, int(fired.size), float(alpha.sum()))
+def _accumulate(model: StrongModel, matched: np.ndarray, votes: np.ndarray) -> Predictions:
+    """Sum the votes of each example: ``votes`` holds, example by example
+    (``matched[e]`` of them) and in ascending classifier order, 2*c + s for a
+    fired classifier c and the side s of the set it casts (0: the near example is
+    its j).  Every scorer ends here, so they agree bit for bit."""
+    n_labels = model.n_labels
+    sets = model.label_sets.reshape(-1, n_labels)
+    scores = np.zeros((matched.size, n_labels))
+    fired_alpha = np.zeros(matched.size)
+    starts = np.cumsum(matched) - matched
+    by_count = np.argsort(matched, kind="stable")
+    counts, bounds = np.unique(matched[by_count], return_index=True)
+    # The k examples with c votes each sum a (k, c) gather of alpha along its rows
+    # and a (k, c, L) gather of weighted sets along its middle axis: numpy sums
+    # each example's votes as it would sum them alone, whatever k is.
+    for count, lo, hi in zip(counts.tolist(), bounds.tolist(),
+                             bounds[1:].tolist() + [matched.size]):
+        if count == 0:
+            continue  # examples without votes keep zero scores
+        step = max(1, _JOIN_BLOCK // (count * n_labels))  # bounds each gather
+        for part in range(lo, hi, step):
+            ex = by_count[part:min(part + step, hi)]
+            cast = votes[starts[ex, None] + np.arange(count)]
+            alpha = model.alpha[cast >> 1]
+            scores[ex] = (alpha[..., None] * np.take(sets, cast, axis=0)).sum(axis=1)
+            fired_alpha[ex] = alpha.sum(axis=1)
+    label = np.where(matched > 0, np.argmax(scores, axis=1), ABSTAIN)
+    return Predictions(scores, label, matched, fired_alpha)
 
 
-def _join(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
-    """Score every example of ``tset`` by one sorted join of its row pair keys
-    against the model's sorted classifier keys, in blocks of whole examples."""
-    keys, n_cls = model.sorted_keys, model.sorted_keys.size
+def _join(model: StrongModel, tset: TestTripletSet) -> Predictions:
+    """Score every example of ``tset`` by one join of its row pair keys against
+    the model's hashed classifier keys, in blocks of whole examples."""
+    n_cls = model.sorted_keys.size
     edges = np.searchsorted(tset.anchors, np.arange(tset.n_test + 1))
-    preds = []
+    matched, votes = [], []
     x = 0
     while x < tset.n_test:
         y = max(x + 1, int(np.searchsorted(edges, edges[x] + _JOIN_BLOCK, "right")) - 1)
         block = slice(edges[x], edges[y])
-        pkeys = tset._lo[block] * tset.n + tset._hi[block]
-        first = np.searchsorted(keys, pkeys)
-        # Without classifiers the clipped position would be -1.
-        hit = (np.flatnonzero(keys[np.minimum(first, n_cls - 1)] == pkeys) if n_cls
-               else np.zeros(0, dtype=np.int64))
-        # A pair kept by several classifiers fires each of them.
-        first = first[hit]
-        count = np.searchsorted(keys, pkeys[hit], "right") - first
-        rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        fired = model.key_order[np.repeat(first, count) + rank]
-        row = edges[x] + np.repeat(hit, count)
+        keys = tset._lo[block] * tset.n
+        keys += tset._hi[block]
+        hit, fired = model._match(keys)
+        row = edges[x] + hit
         anchor = tset.anchors[row]
-        # Votes ordered by (example, classifier); the key stays below
-        # _JOIN_BLOCK * C, since a block of several examples has no more rows.
-        by_vote = np.argsort((edges[anchor] - edges[x]) * n_cls + fired)
-        fired, near_is_j = fired[by_vote], tset._near_lo[row[by_vote]]
-        cuts = np.cumsum(np.bincount(anchor - x, minlength=y - x)).tolist()
-        start = 0
-        for stop in cuts:
-            preds.append(_accumulate(model, fired[start:stop], near_is_j[start:stop]))
-            start = stop
+        # Sorted by value, the packed votes run in (example, classifier) order, and
+        # modulo 2C each is 2*classifier + side.  The key stays below
+        # 2 * _JOIN_BLOCK * C, since a block of several examples has no more rows.
+        packed = ((edges[anchor] - edges[x]) * n_cls + fired) * 2 + ~tset._near_lo[row]
+        votes.append(np.sort(packed) % (2 * n_cls))
+        matched.append(np.bincount(anchor - x, minlength=y - x))
         x = y
-    return preds
+    return _accumulate(model, np.concatenate(matched), np.concatenate(votes))
 
 
 def score(model: StrongModel, pairs) -> Prediction:
     """Vote totals for one example given its (near, far) training pairs.
 
-    Sorts the pairs once, then joins them against the model's sorted
-    classifier keys, so the cost is O(|pairs| log |pairs| + |pairs| log C)
-    plus the fired classifiers' votes.
+    Sorts the pairs once, then looks each up in the model's hashed classifier
+    keys, so the cost is O(|pairs| log |pairs|) plus the fired classifiers' votes.
     """
     return _join(model, _example(pairs, model.n_train))[0]
 
@@ -132,7 +174,7 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
     """Same contract as ``score`` via the O(|pairs| * C) cross-comparison."""
     example = _example(pairs, model.n_train)
     if example.m == 0:
-        return _accumulate(model, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+        return _accumulate(model, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))[0]
     keys = example._lo * example.n + example._hi
     cls_keys = model.j * model.n_train + model.k
     count = cls_keys.size
@@ -143,17 +185,29 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
         eq = cls_keys[start:stop, None] == keys[None, :]
         matched[start:stop] = eq.any(axis=1)
         hit_at[start:stop] = eq.argmax(axis=1)
-    return _accumulate(model, np.flatnonzero(matched), example._near_lo[hit_at[matched]])
+    fired = np.flatnonzero(matched)
+    votes = 2 * fired + ~example._near_lo[hit_at[fired]]
+    return _accumulate(model, np.array([fired.size]), votes)[0]
 
 
-def _score_matrix(predictions, n_labels: int) -> np.ndarray:
-    """The (examples x labels) scores of ``predictions``, each of ``n_labels``."""
-    sizes = np.array([p.scores.size for p in predictions], dtype=np.int64)
+def _columns(predictions, n_labels: int) -> Predictions:
+    """``predictions`` (``Predictions`` or ``Prediction``s) as columns, each
+    prediction holding ``n_labels`` scores."""
+    if isinstance(predictions, Predictions):
+        sizes = np.full(len(predictions), predictions.scores.shape[1])
+    else:
+        sizes = np.array([p.scores.size for p in predictions], dtype=np.int64)
     bad = np.flatnonzero(sizes != n_labels)
     if bad.size:
         raise ValueError(f"prediction {bad[0]} has {sizes[bad[0]]} scores "
                          f"for {n_labels} labels")
-    return np.array([p.scores for p in predictions]).reshape(sizes.size, n_labels)
+    if isinstance(predictions, Predictions):
+        return predictions
+    scores = np.array([p.scores for p in predictions], dtype=np.float64)
+    return Predictions(scores.reshape(sizes.size, n_labels),
+                       *(np.array([getattr(p, name) for p in predictions], dtype=dtype)
+                         for name, dtype in (("label", np.int64), ("matched", np.int64),
+                                             ("fired_alpha", np.float64))))
 
 
 def _resolve(scores: np.ndarray, policy: str, rng) -> np.ndarray:
@@ -181,7 +235,7 @@ def resolve(prediction: Prediction, policy: str = "random", rng=None) -> int:
     return int(_resolve(prediction.scores[None, :], policy, rng)[0])
 
 
-def predict_all(model: StrongModel, tset: TestTripletSet) -> list[Prediction]:
+def predict_all(model: StrongModel, tset: TestTripletSet) -> Predictions:
     """Score every test example; resolution is left to the caller."""
     if not isinstance(tset, TestTripletSet):
         raise ValueError("predict_all needs a TestTripletSet of test examples, "
@@ -196,7 +250,7 @@ def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarra
     """``resolve`` for each prediction in turn, on one generator seeded ``seed``."""
     if not predictions:
         return np.zeros(0, dtype=np.int64)
-    return _resolve(_score_matrix(predictions, predictions[0].scores.size), policy,
+    return _resolve(_columns(predictions, predictions[0].scores.size).scores, policy,
                     np.random.default_rng(seed))
 
 
@@ -222,10 +276,12 @@ def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarra
 def write_predictions_csv(fh, predictions, resolved: np.ndarray) -> None:
     """Rows ``example_id,label,abstained,score_0,...``; label is the resolved id."""
     n_labels = predictions[0].scores.size if predictions else 0
+    cols = _columns(predictions, n_labels)
     header = ",".join(["example_id", "label", "abstained"]
                       + [f"score_{y}" for y in range(n_labels)])
     fh.write(header + "\n")
-    for idx, pred in enumerate(predictions):
-        cells = [str(idx), str(int(resolved[idx])), str(int(pred.abstained))]
-        cells += [repr(float(s)) for s in pred.scores]
+    for idx, (label, abstained, scores) in enumerate(zip(
+            resolved, (cols.label == ABSTAIN).tolist(), cols.scores.tolist(), strict=True)):
+        cells = [str(idx), str(int(label)), str(int(abstained))]
+        cells += [repr(s) for s in scores]
         fh.write(",".join(cells) + "\n")

@@ -168,8 +168,9 @@ class TripletStore:
     def from_triplets(n: int, triplets) -> "TripletStore":
         """Build a training store from (i, j, k) tuples; anchors may repeat pair members."""
         rows = [(t.i, t.j, t.k) if isinstance(t, Triplet) else tuple(t) for t in triplets]
-        ids = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
-        return TripletStore._from_ijk(n, n, *ids.T, lambda idx: f"triplet {idx}")
+        where = lambda idx: f"triplet {idx}"
+        ids = _int64_ids(rows, where).reshape(len(rows), 3)
+        return TripletStore._from_ijk(n, n, *ids.T, where)
 
     @property
     def m(self) -> int:
@@ -249,10 +250,11 @@ class TripletStore:
 
     @classmethod
     def load(cls, path) -> "TripletStore":
-        (n, m), ids, where = _read_id_file(path, "tripletset", ("n", "m"))
-        if ids.shape[0] != m:
-            raise ValueError(f"header claims m={m} but file has {ids.shape[0]} triplets")
-        return cls._from_ijk(n, n, *ids.T, where)
+        (_, m), store = _read_id_file(cls, path, "tripletset", ("n", "m"),
+                                      lambda n, m: (n, n))
+        if store.m != m:
+            raise ValueError(f"header claims m={m} but file has {store.m} triplets")
+        return store
 
     def _write(self, path, header: str) -> None:
         """The header line, then one ``anchor near far`` line per canonical row."""
@@ -294,9 +296,8 @@ class TestTripletSet(TripletStore):
 
     @classmethod
     def load(cls, path) -> "TestTripletSet":
-        (n_test, n_train), ids, where = _read_id_file(path, "testtriplets",
-                                                      ("n_test", "n_train"))
-        return cls._from_ijk(n_test, n_train, *ids.T, where)
+        return _read_id_file(cls, path, "testtriplets", ("n_test", "n_train"),
+                             lambda n_test, n_train: (n_test, n_train))[1]
 
 
 # -- generation from feature vectors -----------------------------------------
@@ -531,15 +532,18 @@ class RatingsTable:
         _check_ratings(self.user, self.item, self.rating, self.n_items, _row)
 
 
-def _int64_ids(ids) -> np.ndarray:
-    """``ids`` as int64; the first that int64 does not hold exactly is named as a row."""
+def _int64_ids(ids, where=_row) -> np.ndarray:
+    """``ids`` (one id or one row of ids per record) as int64; the first record
+    with an id that int64 does not hold exactly is named by ``where(index)``."""
     ids = np.asarray(ids)
+    if ids.dtype == np.int64:
+        return ids
     fits = (ids >= _INT64.min) & (ids <= _INT64.max)  # exact on Python ints, too
     with np.errstate(invalid="ignore"):
         out = np.where(fits, ids, 0).astype(np.int64)
-    bad = np.flatnonzero(~fits | (out != ids))  # out of range, a fraction or a NaN
+    bad = np.argwhere(~fits | (out != ids))  # out of range, a fraction or a NaN
     if bad.size:
-        raise ValueError(f"id not an int64 integer at {_row(bad[0])}")
+        raise ValueError(f"id not an int64 integer at {where(bad[0][0])}")
     return out
 
 
@@ -712,9 +716,11 @@ def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[in
         raise ValueError(f"malformed header in {path}") from None
 
 
-def _read_id_file(path, kind: str, names: tuple[str, str]):
-    """The two header values ``names``, the (rows, 3) int64 ids of the nonblank
-    lines, each exactly three ids, and a namer of each row's line (header = 1)."""
+def _read_id_file(cls, path, kind: str, names: tuple[str, str], universes):
+    """The two header values ``names``, and the ``cls`` store over the universes
+    ``universes(*values)`` of the nonblank lines, each exactly three int64 ids.
+    The first bad line raises, named by its number (header = 1): the rows above
+    a malformed line are checked before it is reported."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         body = fh.read()
@@ -728,12 +734,17 @@ def _read_id_file(path, kind: str, names: tuple[str, str]):
                    if body.strip() else np.empty((0, 3), dtype=np.int64))  # else it warns
     except (ValueError, DeprecationWarning):
         ids = None
+    malformed = None
     if ids is None or ids.shape[1] != 3:  # np.loadtxt's row numbers skip blank lines
+        rows = []
         for lineno, tokens in lines():
             if len(tokens) != 3 or not all(
                     _ID.fullmatch(t) and _INT64.min <= int(t) <= _INT64.max for t in tokens):
-                raise ValueError(f"malformed triplet at line {lineno}: expected three "
-                                 "int64 ids")
-        ids = np.array([[int(t) for t in tokens] for _, tokens in lines()],
-                       dtype=np.int64).reshape(-1, 3)
-    return values, ids, lambda row: f"line {lines()[row][0]}"
+                malformed = lineno
+                break
+            rows.append([int(t) for t in tokens])
+        ids = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    store = cls._from_ijk(*universes(*values), *ids.T, lambda row: f"line {lines()[row][0]}")
+    if malformed is not None:
+        raise ValueError(f"malformed triplet at line {malformed}: expected three int64 ids")
+    return values, store

@@ -13,6 +13,7 @@ from tripletboost import (
     TestTripletSet,
     TripletClassifier,
     TripletStore,
+    evaluate_predictions,
     generate_test_set,
     generate_training_set,
     make_moons,
@@ -24,6 +25,7 @@ from tripletboost import (
     signed_scores_on_training,
     train,
 )
+from tripletboost import boost as boost_module
 from tripletboost import predict as predict_module
 from tripletboost.predict import write_predictions_csv
 
@@ -342,3 +344,184 @@ class TestPredictAll:
         for got in preds:
             assert got.abstained and got.matched == 0
             assert got.scores.tolist() == [0.0] * 3
+
+
+def _random_test_set(rng, n_train, n_test, max_rows):
+    """Test examples over random distinct pairs; some examples have no rows, and
+    some repeat the pairs of the example before, so vote counts recur."""
+    all_pairs = [(a, b) for a in range(n_train) for b in range(a + 1, n_train)]
+    anchor, lo, hi, near_lo = [], [], [], []
+    chosen = []
+    for x in range(n_test):
+        if rng.random() < 0.2:
+            chosen = []
+        elif rng.random() < 0.6:
+            size = int(rng.integers(1, min(max_rows, len(all_pairs)) + 1))
+            chosen = rng.choice(len(all_pairs), size, replace=False)
+        for idx in chosen:
+            anchor.append(x)
+            lo.append(all_pairs[idx][0])
+            hi.append(all_pairs[idx][1])
+            near_lo.append(bool(rng.random() < 0.5))
+    return TestTripletSet(n_test, n_train, anchor, lo, hi, near_lo)
+
+
+def _per_example_sums(model, pairs):
+    """Scores and fired alpha of one example summed alone: the fired classifiers in
+    ascending order, each adding alpha times its near side's set (the bits of the
+    per-example accumulation every scorer once ran)."""
+    near_far = {(int(a), int(b)) for a, b in pairs}
+    fired, side = [], []
+    for c, (j, k) in enumerate(zip(model.j.tolist(), model.k.tolist())):
+        if (j, k) in near_far or (k, j) in near_far:
+            fired.append(c)
+            side.append(int((k, j) in near_far))
+    alpha = model.alpha[fired]
+    bits = model.label_sets[fired, side]
+    scores = (alpha[:, None] * bits).sum(axis=0) if fired else np.zeros(model.n_labels)
+    return scores, len(fired), float(alpha.sum())
+
+
+def _assert_columns_match_score_naive(model, tset):
+    preds = predict_all(model, tset)
+    assert len(preds) == tset.n_test
+    for x in range(tset.n_test):
+        want = score_naive(model, tset.pairs_for(x))
+        assert preds.scores[x].tobytes() == want.scores.tobytes()
+        assert (int(preds.label[x]), int(preds.matched[x])) == (want.label, want.matched)
+        assert preds.fired_alpha[x].hex() == want.fired_alpha.hex()
+        scores, matched, fired_alpha = _per_example_sums(model, tset.pairs_for(x))
+        assert (want.scores.tobytes(), want.matched) == (scores.tobytes(), matched)
+        assert want.fired_alpha.hex() == fired_alpha.hex()
+    return preds
+
+
+class TestColumnarJoin:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_labels", [1, 2, 5])
+    def test_columns_match_score_naive_on_random_models(self, seed, n_labels):
+        """Repeated classifier pairs, weights of both signs across many orders of
+        magnitude (so votes of 0 * -alpha are -0.0), and examples with no rows,
+        with enough votes per example to reach numpy's pairwise summation."""
+        rng = np.random.default_rng(seed)
+        n_train = int(rng.integers(3, 30))
+        pool = rng.choice(n_train, size=(int(rng.integers(1, 40)), 2))
+        pool = pool[pool[:, 0] != pool[:, 1]]
+        classifiers = [
+            TripletClassifier(int(j), int(k), int(rng.integers(0, 1 << n_labels)),
+                              int(rng.integers(0, 1 << n_labels)),
+                              float(rng.choice([-1.0, 1.0]) * rng.random()
+                                    * 10.0 ** rng.integers(-9, 9)))
+            for j, k in pool[rng.integers(0, len(pool), size=int(rng.integers(0, 300)))]
+        ] if len(pool) else []
+        model = _model(classifiers, n_train, n_labels)
+        tset = _random_test_set(rng, n_train, int(rng.integers(1, 40)), 200)
+        preds = _assert_columns_match_score_naive(model, tset)
+        for x in range(0, tset.n_test, 7):
+            got = score(model, tset.pairs_for(x))
+            assert got.scores.tobytes() == preds.scores[x].tobytes()
+            assert got.fired_alpha.hex() == preds.fired_alpha[x].hex()
+
+    def test_empty_model_and_examples_without_rows(self):
+        rng = np.random.default_rng(4)
+        tset = _random_test_set(rng, 8, 30, 10)
+        preds = _assert_columns_match_score_naive(_model([], 8, 3), tset)
+        assert preds.matched.tolist() == [0] * 30
+        assert preds.label.tolist() == [ABSTAIN] * 30
+
+    def test_colliding_keys_in_a_huge_universe(self):
+        """Pairs of a 1.5M-example universe (2.25e12 keys) whose hashes share one
+        home slot, so lookups probe a long run of taken slots; the slot table
+        stays sized by the classifier count."""
+        rng = np.random.default_rng(11)
+        n_train, count = 1_500_000, 40
+        j = rng.integers(0, n_train - 1, size=200_000)
+        k = j + 1 + rng.integers(0, n_train - 1 - j)
+        keys = np.unique(j * n_train + k)
+        home = boost_module._home(keys, boost_module._slot_bits(count))
+        crowded = keys[home == np.bincount(home).argmax()]
+        assert crowded.size >= count + 20
+        cls_keys = rng.permutation(crowded[:count])
+        classifiers = [TripletClassifier(int(key // n_train), int(key % n_train),
+                                         int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                                         float(rng.random())) for key in cls_keys]
+        model = _model(classifiers + classifiers[:5], n_train, 2)
+        assert model.key_slots.nbytes < 4096
+        # Each example holds classifier pairs, pairs that share their home but
+        # are no classifier's, and pairs elsewhere.
+        misses = np.concatenate([crowded[count:count + 20], keys[:20]])
+        anchor, lo, hi, near_lo, fired = [], [], [], [], []
+        for x in range(6):
+            held = rng.choice(cls_keys, 8 * x, replace=False)
+            chosen = np.concatenate([held, rng.choice(misses, 5, replace=False)])
+            anchor += [x] * chosen.size
+            lo += (chosen // n_train).tolist()
+            hi += (chosen % n_train).tolist()
+            near_lo += (rng.random(chosen.size) < 0.5).tolist()
+            fired.append(held.size + int(np.isin(held, cls_keys[:5]).sum()))
+        tset = TestTripletSet(6, n_train, anchor, lo, hi, near_lo)
+        preds = _assert_columns_match_score_naive(model, tset)
+        assert preds.matched.tolist() == fired
+
+    @pytest.mark.parametrize("n_train, n_cls", [(6, 0), (12, 30), (40, 600)])
+    def test_slot_table_matches_every_classifier_of_a_key(self, n_train, n_cls):
+        rng = np.random.default_rng(n_cls)
+        model, _ = _random_model_and_pairs(rng, n_train=n_train, n_cls=n_cls, n_pairs=0)
+        keys = model.j * n_train + model.k
+        query = rng.permutation(np.concatenate([keys, keys[:5]]))
+        rows, fired = model._match(query)
+        want = [(row, c) for row, key in enumerate(query.tolist())
+                for c in np.flatnonzero(keys == key).tolist()]
+        assert sorted(zip(rows.tolist(), fired.tolist())) == want
+        runs = np.searchsorted(model.sorted_keys, model.sorted_keys, "right") \
+            - np.searchsorted(model.sorted_keys, model.sorted_keys)
+        assert model.key_runs.tolist() == runs.tolist()
+        absent = np.setdiff1d(np.arange(n_train * n_train), keys)
+        assert model._match(absent)[0].size == 0
+        for col in (model.key_slots, model.key_runs):
+            with pytest.raises(ValueError, match="read-only"):
+                col[...] = 0
+
+
+class TestPredictionColumns:
+    def test_reads_like_the_list_of_predictions(self):
+        """Items, negative items, slices, iteration and ``+`` give what per-example
+        scoring gives; resolution, evaluation and the CSV read both forms alike."""
+        rng = np.random.default_rng(6)
+        model, _ = _random_model_and_pairs(rng, n_train=12, n_labels=3, n_cls=80, n_pairs=0)
+        tset = _random_test_set(rng, 12, 25, 20)
+        preds = predict_all(model, tset)
+        rows = [score(model, tset.pairs_for(x)) for x in range(25)]
+
+        def key(p):
+            return p.scores.tobytes(), p.label, p.matched, p.fired_alpha.hex()
+
+        want = [key(p) for p in rows]
+        assert [key(p) for p in preds] == want
+        assert [key(preds[x]) for x in range(-25, 25)] == want + want
+        assert [key(p) for p in preds[3:20:4]] == want[3:20:4]
+        assert [key(p) for p in preds + rows[:2]] == want + want[:2]
+        assert any(p.abstained for p in preds) and not all(p.abstained for p in preds)
+        with pytest.raises(IndexError):
+            preds[25]
+        truth = [frozenset([int(rng.integers(3))]) for _ in range(25)]
+        for policy in ("random", "fixed_lowest"):
+            assert resolve_all(preds, policy, 5).tolist() == resolve_all(rows, policy, 5).tolist()
+            assert (evaluate_predictions(preds, truth, model.label_dict, policy, 5, 2)
+                    == evaluate_predictions(rows, truth, model.label_dict, policy, 5, 2))
+        csv = []
+        for form in (preds, rows):
+            buf = io.StringIO()
+            write_predictions_csv(buf, form, resolve_all(form, "random", 1))
+            csv.append(buf.getvalue())
+        assert csv[0] == csv[1]
+
+    def test_columns_are_read_only(self):
+        preds = predict_all(_model([TripletClassifier(0, 1, 0b01, 0, 0.5)]),
+                            TestTripletSet(2, 10, [0, 1], [0, 2], [1, 3], [True, True]))
+        for col in (preds.scores, preds.label, preds.matched, preds.fired_alpha,
+                    preds[0].scores):
+            with pytest.raises(ValueError, match="read-only"):
+                col[...] = 0
+        with pytest.raises(ValueError, match="prediction 0 has 2 scores for 3 labels"):
+            evaluate_predictions(preds, [frozenset([0])] * 2, LabelDict(("a", "b", "c")))

@@ -26,6 +26,7 @@ from tripletboost import (
     load_ratings,
     make_moons,
     score,
+    score_naive,
     split,
     subsample,
 )
@@ -795,6 +796,37 @@ class TestRecordChecks:
                             LabelDict(("a", "b")), 4)
         with pytest.raises(ValueError, match="degenerate triplet at pair 2"):
             score(model, [(0, 1), (3, 2), (2, 2)])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda model: TripletStore.from_triplets(3, [(0, 1, 2), (1, 2**64, 2)]),
+         "id not an int64 integer at triplet 1"),
+        (lambda model: TripletStore.from_triplets(3, [(0, 1, 2), (1, 0, 2), (2, 1, -2**63 - 1)]),
+         "id not an int64 integer at triplet 2"),
+        (lambda model: score(model, [(0, 1), (2**64, 2)]), "id not an int64 integer at pair 1"),
+        (lambda model: score_naive(model, [(0, 1), (3, 2), (1, 2**70)]),
+         "id not an int64 integer at pair 2"),
+    ])
+    def test_oversized_ids_name_the_triplet_or_pair(self, make, message):
+        model = StrongModel([TripletClassifier(0, 1, 0b01, 0b10, 0.5)],
+                            LabelDict(("a", "b")), 4)
+        with pytest.raises(ValueError, match=message):
+            make(model)
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("tripletset v1 n=3 m=3", "0 1 2\n0 1 2\n0 1 x\n", "duplicate triplet at line 3"),
+        ("tripletset v1 n=3 m=3", "0 1 2\n\n0 1 7\n0 1\n", "out of range at line 4"),
+        ("testtriplets v1 n_test=1 n_train=3", "0 1 2\n0 2 1\n0 1 2 0\n",
+         "contradictory triplet at line 3"),
+        ("testtriplets v1 n_test=1 n_train=3", "0 1 2\n0 1 x\n0 1 2\n",
+         "malformed triplet at line 3"),
+    ])
+    def test_first_bad_line_wins(self, tmp_path, header, body, message):
+        """Rows above a malformed line are checked before it is reported."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        load = TestTripletSet.load if header.startswith("test") else TripletStore.load
+        with pytest.raises(ValueError, match=message):
+            load(path)
 
     @pytest.mark.parametrize("header, body, line", [
         ("tripletset v1 n=6 m=2", "0 1 2 3\n4 5\n", 2),
