@@ -354,8 +354,10 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
 def save_model(model: StrongModel, path) -> None:
     """Canonical text format; classifiers keep their training order."""
     names = model.label_dict.names
-    if any("\t" in name or "\n" in name for name in names):
-        raise ValueError("label names with tabs or newlines cannot be serialized")
+    for name in names:  # the reader splits the names line at tabs, and reads \r as \n
+        if "\t" in name or "\n" in name or "\r" in name:
+            raise ValueError(f"label name {name!r} cannot be serialized: "
+                             "it holds a tab or line break")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"tripletboost-model v1 L={model.n_labels} n={model.n_train} "
                  f"C={model.rounds_run}\n")

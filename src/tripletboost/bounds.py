@@ -14,8 +14,8 @@ from scipy.special import logsumexp
 
 from .boost import StrongModel, init_weights, sample_reference_pair
 from .dataset import Dataset, LabelDict
-from .predict import score
-from .triplets import _round_half_up
+from .predict import ABSTAIN, predict_all
+from .triplets import TestTripletSet, _round_half_up
 from .weak import _round
 
 __all__ = [
@@ -194,13 +194,16 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
     Each model runs the real boosting round (pair sampling, label selection,
     vote weighting, weight update) with every training example revealing its
     side to the round's classifier independently with probability p — the
-    regime where the closed form is exact.  Test draws fire each kept
-    classifier with probability p and ask the real scorer whether the model
-    abstains.  Returns the mean abstention rate and its standard error over
-    models.
+    regime where the closed form is exact.  Test draw d fires each kept
+    classifier with probability p and holds its distinct fired pairs as test
+    example d; one ``predict_all`` call, the real scorer, says which draws the
+    model abstains on.  Returns the mean abstention rate and its standard
+    error over models.
     """
     if n_models < 2:
         raise ValueError("need at least two models for a standard error")
+    if draws_per_model < 1:
+        raise ValueError("need at least one draw per model")
     if n_labels < 2 or n_labels > n:
         raise ValueError("need 2 <= n_labels <= n")
     labels = np.arange(n, dtype=np.int64) % n_labels
@@ -221,15 +224,10 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
                 sets.append(members)
                 alphas.append(alpha)
         model = StrongModel._from_columns(ds.label_dict, n, pairs, sets, alphas)
-        pair_arr = np.column_stack((model.j, model.k))
-        abstained = 0
-        for _ in range(draws_per_model):
-            fired = rng.random(len(alphas)) < p if alphas else np.zeros(0, dtype=bool)
-            if not fired.any():
-                abstained += 1
-                continue
-            abstained += int(score(model, np.unique(pair_arr[fired], axis=0)).abstained)
-        rates[m_idx] = abstained / draws_per_model
+        draw, fired = np.nonzero(rng.random((draws_per_model, len(alphas))) < p)
+        rows = np.unique(np.column_stack((draw, model.j[fired], model.k[fired])), axis=0)
+        tset = TestTripletSet(draws_per_model, n, *rows.T, np.ones(len(rows), dtype=bool))
+        rates[m_idx] = np.mean(predict_all(model, tset).label == ABSTAIN)
     estimate = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(n_models))
     return estimate, stderr

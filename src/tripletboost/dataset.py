@@ -132,7 +132,14 @@ def load_csv(path, has_header: bool = False) -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset back to CSV; floats use shortest round-trip decimals."""
+    """Write a dataset back to CSV; floats use shortest round-trip decimals.
+    A label name ``load_csv`` cannot read back raises: one holding a comma or a
+    line break, or a blank one in a feature-free dataset (its rows are blank)."""
+    for name in (ds.label_dict.names[y] for y in np.unique(ds.labels).tolist()):
+        if "," in name or len(f"{name}.".splitlines()) > 1 or not (
+                name.strip() or ds.features is not None):
+            raise ValueError(f"label name {name!r} cannot be written to CSV: it holds "
+                             "a comma or line break, or is blank in a feature-free row")
     with open(path, "w", encoding="utf-8") as fh:
         for idx in range(ds.n):
             name = ds.label_dict.names[ds.labels[idx]]

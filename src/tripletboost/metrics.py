@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,15 +40,7 @@ class EvalReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n_examples": self.n_examples,
-            "accuracy": self.accuracy,
-            "abstention_rate": self.abstention_rate,
-            "precision_at_1": self.precision_at_1,
-            "recall_at_k": self.recall_at_k,
-            "k": self.k,
-            "per_class_accuracy": self.per_class_accuracy,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def evaluate_predictions(predictions: Sequence[Prediction], truth: list[frozenset[int]],

@@ -6,8 +6,8 @@ A test set's canonical rows are grouped by example; ``predict_all`` and
 keys in blocks of whole examples: each row's pair key is looked up by address
 in the model's hashed slot table (``StrongModel.key_slots``, built with the
 model), every classifier kept on a found pair fires, and the votes are ordered
-by (example, classifier).  The cost grows
-with the rows present, O(rows), not with C times the examples.
+by (example, classifier).  The cost grows with the rows present, O(rows), not
+with C times the examples; ``signed_scores_on_training`` joins a training store.
 ``score_naive`` performs the full cross-comparison and exists as the
 correctness oracle and benchmark foil.  All feed the identical accumulation
 step, which sums each example's votes in ascending classifier order, so their
@@ -25,7 +25,6 @@ import numpy as np
 
 from .boost import StrongModel
 from .triplets import TestTripletSet, TripletStore, _int64_ids
-from .weak import fired_buckets
 
 __all__ = [
     "ABSTAIN",
@@ -106,13 +105,14 @@ def _example(pairs, n_train: int) -> TestTripletSet:
                                     where)
 
 
-def _accumulate(model: StrongModel, matched: np.ndarray, votes: np.ndarray) -> Predictions:
+def _accumulate(model: StrongModel, matched: np.ndarray, votes: np.ndarray,
+                sets: np.ndarray) -> Predictions:
     """Sum the votes of each example: ``votes`` holds, example by example
     (``matched[e]`` of them) and in ascending classifier order, 2*c + s for a
-    fired classifier c and the side s of the set it casts (0: the near example is
-    its j).  Every scorer ends here, so they agree bit for bit."""
+    fired classifier c and its side s (0: the near example is its j), which adds
+    alpha[c] * ``sets[c, s]``.  Every scorer ends here, so they agree bit for bit."""
     n_labels = model.n_labels
-    sets = model.label_sets.reshape(-1, n_labels)
+    sets = sets.reshape(-1, n_labels)
     scores = np.zeros((matched.size, n_labels))
     fired_alpha = np.zeros(matched.size)
     starts = np.cumsum(matched) - matched
@@ -136,14 +136,14 @@ def _accumulate(model: StrongModel, matched: np.ndarray, votes: np.ndarray) -> P
     return Predictions(scores, label, matched, fired_alpha)
 
 
-def _join(model: StrongModel, tset: TestTripletSet) -> Predictions:
-    """Score every example of ``tset`` by one join of its row pair keys against
-    the model's hashed classifier keys, in blocks of whole examples."""
+def _join(model: StrongModel, tset: TripletStore, sets: np.ndarray) -> Predictions:
+    """Sum the ``sets`` votes of every anchor of ``tset`` by one join of its row pair
+    keys against the model's hashed classifier keys, in blocks of whole anchors."""
     n_cls = model.sorted_keys.size
-    edges = np.searchsorted(tset.anchors, np.arange(tset.n_test + 1))
+    edges = np.searchsorted(tset.anchors, np.arange(tset.n_anchors + 1))
     matched, votes = [], []
     x = 0
-    while x < tset.n_test:
+    while x < tset.n_anchors:
         y = max(x + 1, int(np.searchsorted(edges, edges[x] + _JOIN_BLOCK, "right")) - 1)
         block = slice(edges[x], edges[y])
         keys = tset._lo[block] * tset.n
@@ -158,7 +158,7 @@ def _join(model: StrongModel, tset: TestTripletSet) -> Predictions:
         votes.append(np.sort(packed) % (2 * n_cls))
         matched.append(np.bincount(anchor - x, minlength=y - x))
         x = y
-    return _accumulate(model, np.concatenate(matched), np.concatenate(votes))
+    return _accumulate(model, np.concatenate(matched), np.concatenate(votes), sets)
 
 
 def score(model: StrongModel, pairs) -> Prediction:
@@ -167,14 +167,15 @@ def score(model: StrongModel, pairs) -> Prediction:
     Sorts the pairs once, then looks each up in the model's hashed classifier
     keys, so the cost is O(|pairs| log |pairs|) plus the fired classifiers' votes.
     """
-    return _join(model, _example(pairs, model.n_train))[0]
+    return _join(model, _example(pairs, model.n_train), model.label_sets)[0]
 
 
 def score_naive(model: StrongModel, pairs) -> Prediction:
     """Same contract as ``score`` via the O(|pairs| * C) cross-comparison."""
     example = _example(pairs, model.n_train)
     if example.m == 0:
-        return _accumulate(model, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))[0]
+        return _accumulate(model, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                           model.label_sets)[0]
     keys = example._lo * example.n + example._hi
     cls_keys = model.j * model.n_train + model.k
     count = cls_keys.size
@@ -187,7 +188,7 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
         hit_at[start:stop] = eq.argmax(axis=1)
     fired = np.flatnonzero(matched)
     votes = 2 * fired + ~example._near_lo[hit_at[fired]]
-    return _accumulate(model, np.array([fired.size]), votes)[0]
+    return _accumulate(model, np.array([fired.size]), votes, model.label_sets)[0]
 
 
 def _columns(predictions, n_labels: int) -> Predictions:
@@ -243,7 +244,7 @@ def predict_all(model: StrongModel, tset: TestTripletSet) -> Predictions:
     if tset.n_train != model.n_train:
         raise ValueError("test triplets index a different training universe "
                          f"(n_train={tset.n_train} vs model n={model.n_train})")
-    return _join(model, tset)
+    return _join(model, tset, model.label_sets)
 
 
 def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarray:
@@ -255,22 +256,17 @@ def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarra
 
 
 def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarray:
-    """Recompute the signed training vote totals from a store.
+    """Recompute the signed training vote totals from a training store (a fired
+    classifier votes +alpha inside its set, -alpha outside).
 
-    Matches ``StrongModel.train_scores`` up to float summation order; useful
-    after loading a persisted model.
+    Matches ``StrongModel.train_scores``; useful after loading a persisted model.
     """
+    if isinstance(ts, TestTripletSet):
+        raise ValueError("signed_scores_on_training needs the training store, "
+                         "not a TestTripletSet")
     if ts.n != model.n_train:
         raise ValueError("store universe does not match the model")
-    scores = np.zeros((ts.n, model.n_labels))
-    for j, k, (bits_j, bits_k), alpha in zip(model.j.tolist(), model.k.tolist(),
-                                              model.label_sets, model.alpha.tolist()):
-        if alpha == 0.0:
-            continue
-        fwd, rev = fired_buckets(ts, j, k)
-        scores[fwd] += np.where(bits_j, alpha, -alpha)
-        scores[rev] += np.where(bits_k, alpha, -alpha)
-    return scores
+    return _join(model, ts, np.where(model.label_sets, 1.0, -1.0)).scores
 
 
 def write_predictions_csv(fh, predictions, resolved: np.ndarray) -> None:

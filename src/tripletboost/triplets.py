@@ -100,8 +100,8 @@ class TripletStore:
     __slots__ = ("n", "n_anchors", "_anchor", "_lo", "_hi", "_near_lo", "_pair_cache")
     _anchor_is_reference = True  # a training anchor is never in its own pairs
 
-    def __init__(self, n, anchor, lo, hi, near_lo, _trusted=False):
-        self._init(n, n, anchor, lo, hi, near_lo, None if _trusted else _row)
+    def __init__(self, n, anchor, lo, hi, near_lo):
+        self._init(n, n, anchor, lo, hi, near_lo, _row)
 
     def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where) -> "TripletStore":
         """Hold the rows; ``where=None`` trusts them to be canonical."""
@@ -159,10 +159,10 @@ class TripletStore:
         return object.__new__(cls)._init(n_anchors, n, i, np.minimum(j, k),
                                          np.maximum(j, k), j < k, where)
 
-    def _with_rows(self, anchor, lo, hi, near_lo) -> "TripletStore":
-        """A store of this kind, over the same universes, holding canonical rows."""
-        return object.__new__(type(self))._init(self.n_anchors, self.n, anchor, lo, hi,
-                                                near_lo, None)
+    @classmethod
+    def _canonical(cls, n_anchors, n, anchor, lo, hi, near_lo) -> "TripletStore":
+        """A store of this kind holding rows trusted to be canonical, unchecked."""
+        return object.__new__(cls)._init(n_anchors, n, anchor, lo, hi, near_lo, None)
 
     @staticmethod
     def from_triplets(n: int, triplets) -> "TripletStore":
@@ -280,8 +280,8 @@ class TestTripletSet(TripletStore):
     __slots__ = ()
     _anchor_is_reference = False
 
-    def __init__(self, n_test, n_train, x, lo, hi, a_lo, _trusted=False):
-        self._init(n_test, n_train, x, lo, hi, a_lo, None if _trusted else _row)
+    def __init__(self, n_test, n_train, x, lo, hi, a_lo):
+        self._init(n_test, n_train, x, lo, hi, a_lo, _row)
 
     @property
     def n_test(self) -> int:
@@ -478,8 +478,8 @@ def _generate(anchor_ds: Dataset, ref_ds: Dataset | None, metric: str,
     sub_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
     rows = _generate_sampled(feats, metric, proportion, np.random.default_rng(sub_seed),
                              ref)
-    store = (TripletStore(anchor_ds.n, *rows, _trusted=True) if ref_ds is None
-             else TestTripletSet(anchor_ds.n, ref_ds.n, *rows, _trusted=True))
+    store = (TripletStore._canonical(anchor_ds.n, anchor_ds.n, *rows) if ref_ds is None
+             else TestTripletSet._canonical(anchor_ds.n, ref_ds.n, *rows))
     return add_noise(store, noise, noise_seed)
 
 
@@ -494,7 +494,8 @@ def subsample(ts: TripletStore, proportion: float, seed) -> TripletStore:
     take = _per_group_take(counts, keep, rng)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     idx = np.concatenate([offsets[g] + take[g] for g in range(ts.n_anchors)])
-    return ts._with_rows(ts._anchor[idx], ts._lo[idx], ts._hi[idx], ts._near_lo[idx])
+    return type(ts)._canonical(ts.n_anchors, ts.n, ts._anchor[idx], ts._lo[idx],
+                               ts._hi[idx], ts._near_lo[idx])
 
 
 def add_noise(ts: TripletStore, rate: float, seed) -> TripletStore:
@@ -506,7 +507,7 @@ def add_noise(ts: TripletStore, rate: float, seed) -> TripletStore:
     idx = np.random.default_rng(seed).choice(ts.m, size=n_swap, replace=False)
     near_lo = ts._near_lo.copy()
     near_lo[idx] = ~near_lo[idx]
-    return ts._with_rows(ts._anchor, ts._lo, ts._hi, near_lo)
+    return type(ts)._canonical(ts.n_anchors, ts.n, ts._anchor, ts._lo, ts._hi, near_lo)
 
 
 # -- generation from ratings --------------------------------------------------
@@ -695,10 +696,10 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     ref_ok = (lo >= 0) & (hi >= 0)
     tr = ref_ok & (to_train[store._anchor] >= 0)
     te = ref_ok & (to_test[store._anchor] >= 0)
-    return (TripletStore(train_ids.size, to_train[store._anchor[tr]], lo[tr], hi[tr],
-                         near_lo[tr], _trusted=True),
-            TestTripletSet(test_ids.size, train_ids.size, to_test[store._anchor[te]],
-                           lo[te], hi[te], near_lo[te], _trusted=True))
+    return (TripletStore._canonical(train_ids.size, train_ids.size,
+                                    to_train[store._anchor[tr]], lo[tr], hi[tr], near_lo[tr]),
+            TestTripletSet._canonical(test_ids.size, train_ids.size,
+                                      to_test[store._anchor[te]], lo[te], hi[te], near_lo[te]))
 
 
 # -- shared text I/O -----------------------------------------------------------

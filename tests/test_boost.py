@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,18 @@ class TestModelFiles:
         first, second = path.read_text(encoding="utf-8").splitlines()[:2]
         assert first == f"tripletboost-model v1 L=2 n=25 C=50"
         assert second == "0\t1"
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+    def test_unreadable_label_name_rejected(self, tmp_path, name):
+        model = StrongModel([], LabelDict((name, "c")), 3)
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_model(model, tmp_path / "model.txt")
+
+    def test_unusual_label_names_round_trip(self, tmp_path):
+        model = StrongModel([TripletClassifier(0, 2, 1, 2, 0.5)],
+                            LabelDict(("a,b", "x\u2028y", " ")), 3)
+        save_model(model, tmp_path / "model.txt")
+        assert load_model(tmp_path / "model.txt") == model
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"

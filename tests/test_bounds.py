@@ -276,3 +276,22 @@ class TestEndToEnd:
         """Exact output recorded before the round moved into one kernel."""
         assert end_to_end_abstention(6, 3, 0.2, 10, n_models=60, draws_per_model=4,
                                      seed=3) == (0.2, 0.02898957537160537)
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            end_to_end_abstention(6, 3, 0.2, 10, n_models=2, draws_per_model=0)
+
+    @pytest.mark.parametrize("args, want", [
+        ((6, 2, 0.0, 10, 3, 5, 1), ("0x1.0000000000000p+0", "0x0.0p+0")),  # p = 0
+        ((4, 2, 0.05, 2, 6, 7, 4), ("0x1.0000000000000p+0", "0x0.0p+0")),  # none kept
+        ((7, 2, 0.02, 6, 8, 25, 9), ("0x1.fd70a3d70a3d7p-1", "0x1.47ae147ae1480p-8")),
+        ((9, 3, 0.08, 15, 5, 40, 3), ("0x1.0f5c28f5c28f6p-1", "0x1.2b98b8e7632ebp-5")),
+        ((10, 3, 0.1, 30, 4, 40, 5), ("0x1.1999999999999p-3", "0x1.08654a2d4f6dap-6")),
+        ((5, 5, 0.5, 5, 3, 10, 0), ("0x1.1111111111111p-4", "0x1.1111111111112p-5")),
+        ((6, 3, 0.1, 8, 6, 30, 12), ("0x1.527d27d27d27dp-1", "0x1.a97960526d4f5p-5")),
+    ])
+    def test_hex_snapshot(self, args, want):
+        """Exact outputs recorded when each draw was scored by its own ``score``
+        call; (7, 2, 0.02, ...) mixes models without and with kept classifiers."""
+        est, se = end_to_end_abstention(*args)
+        assert (est.hex(), se.hex()) == want

@@ -1,5 +1,7 @@
 """Dataset ingestion, label dictionaries, and split contracts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,21 @@ class TestLoadCsv:
             save_csv(back, tmp_path / f"rt{trial}b.csv")
             assert (tmp_path / f"rt{trial}.csv").read_bytes() == \
                 (tmp_path / f"rt{trial}b.csv").read_bytes()
+
+    @pytest.mark.parametrize("features", [None, np.zeros((2, 1))])
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "a\r\n", "a\u2028b"])
+    def test_unreadable_label_name_rejected(self, tmp_path, name, features):
+        ds = Dataset(np.array([0, 1]), LabelDict((name, "c")), features)
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_csv(ds, tmp_path / "out.csv")
+
+    @pytest.mark.parametrize("name", ["", " \t"])
+    def test_blank_label_name_needs_features(self, tmp_path, name):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_csv(Dataset(np.array([0, 1]), LabelDict(("c", name))), tmp_path / "a.csv")
+        save_csv(Dataset(np.array([0, 1]), LabelDict(("c", name)), np.zeros((2, 1))),
+                 tmp_path / "b.csv")
+        assert load_csv(tmp_path / "b.csv").label_dict.names == ("c", name)
 
 
 class TestDatasetFeatures:

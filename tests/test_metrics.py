@@ -178,6 +178,13 @@ class TestEvaluate:
         assert any(line.startswith("accuracy=") for line in lines)
         assert '"accuracy": 1.0' in report.to_json()
 
+    def test_json_bytes_pinned(self):
+        report = EvalReport(0.5, 0.25, {"b": 1.0, 'a"\u00e9': 1 / 3}, 0.75, 0.1 + 0.2, 2, 4)
+        assert report.to_json() == (
+            '{"abstention_rate": 0.25, "accuracy": 0.5, "k": 2, "n_examples": 4, '
+            '"per_class_accuracy": {"a\\"\\u00e9": 0.3333333333333333, "b": 1.0}, '
+            '"precision_at_1": 0.75, "recall_at_k": 0.30000000000000004}')
+
     def test_length_mismatch_rejected(self):
         model = _model([], 2)
         with pytest.raises(ValueError):

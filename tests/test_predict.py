@@ -8,6 +8,7 @@ import pytest
 from tripletboost import (
     ABSTAIN,
     BoostConfig,
+    Dataset,
     LabelDict,
     StrongModel,
     TestTripletSet,
@@ -16,10 +17,12 @@ from tripletboost import (
     evaluate_predictions,
     generate_test_set,
     generate_training_set,
+    load_model,
     make_moons,
     predict_all,
     resolve,
     resolve_all,
+    save_model,
     score,
     score_naive,
     signed_scores_on_training,
@@ -28,6 +31,7 @@ from tripletboost import (
 from tripletboost import boost as boost_module
 from tripletboost import predict as predict_module
 from tripletboost.predict import write_predictions_csv
+from tripletboost.weak import fired_buckets
 
 
 def _model(classifiers, n_train=10, n_labels=2):
@@ -239,6 +243,71 @@ class TestSignedScores:
         model = train(ds, store, BoostConfig(rounds=150, seed=6))
         recomputed = signed_scores_on_training(model, store)
         np.testing.assert_allclose(recomputed, model.train_scores, atol=1e-9)
+
+
+def _per_classifier_signed(model, ts):
+    """Reference: the signed totals summed one classifier at a time, in training
+    order, over the store's rows that reveal each classifier's pair."""
+    scores = np.zeros((ts.n, model.n_labels))
+    for j, k, (bits_j, bits_k), alpha in zip(model.j.tolist(), model.k.tolist(),
+                                              model.label_sets, model.alpha.tolist()):
+        if alpha == 0.0:
+            continue
+        fwd, rev = fired_buckets(ts, j, k)
+        scores[fwd] += np.where(bits_j, alpha, -alpha)
+        scores[rev] += np.where(bits_k, alpha, -alpha)
+    return scores
+
+
+def _signed_corpus():
+    """40 seeded trained models on their stores: 2-5 labels, zero-weight rounds kept
+    or dropped, grid features (many tied cityblock or euclidean distances), noise."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n_labels = 2 + seed % 4
+        n = int(rng.integers(3 * n_labels, 40))
+        ds = Dataset(np.arange(n) % n_labels, LabelDict(tuple("abcde"[:n_labels])),
+                     rng.integers(0, 4, size=(n, 2)).astype(float))
+        store = generate_training_set(ds, ("cityblock", "euclidean")[seed // 4 % 2],
+                                      float(rng.uniform(0.02, 0.5)),
+                                      (0.0, 0.1)[seed // 8 % 2], seed)
+        cfg = BoostConfig(rounds=int(rng.integers(20, 120)), seed=seed,
+                          keep_zero_alpha=bool(seed // 2 % 2))
+        yield store, train(ds, store, cfg)
+
+
+class TestSignedScoresJoin:
+    """``signed_scores_on_training`` is the scoring join with a +-1 vote table."""
+
+    def test_equals_per_classifier_loop_and_train_scores(self):
+        zero_alpha_models = 0
+        for store, model in _signed_corpus():
+            got = signed_scores_on_training(model, store)
+            want = _per_classifier_signed(model, store)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, model.train_scores)
+            if (model.alpha == 0.0).any():
+                zero_alpha_models += 1  # such a vote may sum to -0.0 where the loop has 0.0
+            else:
+                assert got.tobytes() == want.tobytes() == model.train_scores.tobytes()
+        assert 0 < zero_alpha_models < 40
+
+    def test_saved_and_reloaded_model_and_store(self, tmp_path):
+        ds = make_moons(60, 0.1, 2)
+        store = generate_training_set(ds, "euclidean", 0.2, 0.1, 4)
+        model = train(ds, store, BoostConfig(rounds=300, seed=5))
+        save_model(model, tmp_path / "model.txt")
+        store.save(tmp_path / "store.txt")
+        got = signed_scores_on_training(load_model(tmp_path / "model.txt"),
+                                        TripletStore.load(tmp_path / "store.txt"))
+        assert got.tobytes() == model.train_scores.tobytes()
+        assert got.tobytes() == _per_classifier_signed(model, store).tobytes()
+
+    def test_test_set_rejected(self):
+        model = _model([TripletClassifier(0, 1, 0b01, 0b10, 0.5)], 10, 2)
+        tset = TestTripletSet(1, 10, [0], [0], [1], [True])
+        with pytest.raises(ValueError, match="TestTripletSet"):
+            signed_scores_on_training(model, tset)
 
 
 class TestPredictAll:

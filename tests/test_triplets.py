@@ -382,6 +382,14 @@ class TestStoreInvariants:
         b = TripletStore.from_triplets(3, [(0, 2, 1)])
         assert a != b
 
+    def test_public_constructors_always_check_rows(self):
+        with pytest.raises(TypeError):
+            TripletStore(3, [0], [2], [1], [True], _trusted=True)
+        with pytest.raises(TypeError):
+            TestTripletSet(1, 3, [0], [2], [1], [True], _trusted=True)
+        with pytest.raises(ValueError, match="unordered pair at row 0"):
+            TestTripletSet(1, 3, [0], [2], [1], [True])
+
 
 class TestStoreFiles:
     def test_round_trip(self, tmp_path):
