@@ -140,17 +140,18 @@ def _join(model: StrongModel, tset: TripletStore, sets: np.ndarray) -> Predictio
     """Sum the ``sets`` votes of every anchor of ``tset`` by one join of its row pair
     keys against the model's hashed classifier keys, in blocks of whole anchors."""
     n_cls = model.sorted_keys.size
-    edges = np.searchsorted(tset.anchors, np.arange(tset.n_anchors + 1))
+    anchors = tset.anchors  # needles of its dtype, else searchsorted converts it whole
+    edges = anchors.searchsorted(np.arange(tset.n_anchors + 1, dtype=anchors.dtype))
     matched, votes = [], []
     x = 0
     while x < tset.n_anchors:
         y = max(x + 1, int(np.searchsorted(edges, edges[x] + _JOIN_BLOCK, "right")) - 1)
         block = slice(edges[x], edges[y])
-        keys = tset._lo[block] * tset.n
+        keys = np.multiply(tset._lo[block], tset.n, dtype=np.int64)
         keys += tset._hi[block]
         hit, fired = model._match(keys)
         row = edges[x] + hit
-        anchor = tset.anchors[row]
+        anchor = anchors[row]
         # Sorted by value, the packed votes run in (example, classifier) order, and
         # modulo 2C each is 2*classifier + side.  The key stays below
         # 2 * _JOIN_BLOCK * C, since a block of several examples has no more rows.
@@ -176,7 +177,7 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
     if example.m == 0:
         return _accumulate(model, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
                            model.label_sets)[0]
-    keys = example._lo * example.n + example._hi
+    keys = np.multiply(example._lo, example.n, dtype=np.int64) + example._hi
     cls_keys = model.j * model.n_train + model.k
     count = cls_keys.size
     matched = np.zeros(count, dtype=bool)

@@ -17,6 +17,7 @@ sampler limit); a larger total is rejected with a ValueError.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 import warnings
@@ -48,6 +49,7 @@ __all__ = [
 METRICS = ("euclidean", "cityblock", "cosine")
 
 _MAX_UNIVERSE = 2_000_000  # with n anchors, keeps (i*n + lo)*n + hi inside int64
+_ID_DTYPE = np.int32  # a store's id columns: both universes fit it
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
@@ -94,7 +96,8 @@ class TripletStore:
 
     A training store has one universe (``n_anchors == n``); a test set
     anchors test examples on pairs of training examples.  Rows are sorted by
-    (anchor, lo, hi), so one anchor's rows are contiguous.
+    (anchor, lo, hi), so one anchor's rows are contiguous.  A row takes 13
+    bytes: int32 anchor, lo and hi, and the bool ``near_lo``.
     """
 
     __slots__ = ("n", "n_anchors", "_anchor", "_lo", "_hi", "_near_lo", "_pair_cache")
@@ -104,29 +107,32 @@ class TripletStore:
         self._init(n, n, anchor, lo, hi, near_lo, _row)
 
     def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where) -> "TripletStore":
-        """Hold the rows; ``where=None`` trusts them to be canonical."""
+        """Hold the rows as int32 ids.  ``where=None`` trusts them to be canonical
+        and takes them as they are, else they are checked in int64 and sorted."""
         if not 1 <= n <= _MAX_UNIVERSE:
             raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}], got {n}")
-        limit = (2**63 - 1) // (int(n) * int(n))  # packed keys (a*n + lo)*n + hi fit int64
+        # packed keys (a*n + lo)*n + hi fit int64, and anchor ids fit int32
+        limit = min((2**63 - 1) // (int(n) * int(n)), np.iinfo(_ID_DTYPE).max)
         if not 1 <= n_anchors <= limit:
             raise ValueError(f"anchor universe must be in [1, {limit}] over {n} "
                              f"references, got {n_anchors}")
         self.n_anchors = int(n_anchors)
         self.n = int(n)
-        self._anchor = np.ascontiguousarray(anchor, dtype=np.int64)
-        self._lo = np.ascontiguousarray(lo, dtype=np.int64)
-        self._hi = np.ascontiguousarray(hi, dtype=np.int64)
-        self._near_lo = np.ascontiguousarray(near_lo, dtype=bool)
         if where is not None:
-            self._canonicalize(where)
+            anchor, lo, hi, near_lo = self._canonicalize(
+                *(np.asarray(col, dtype=np.int64) for col in (anchor, lo, hi)),
+                np.asarray(near_lo, dtype=bool), where)
+        self._anchor, self._lo, self._hi = (np.ascontiguousarray(col, dtype=_ID_DTYPE)
+                                            for col in (anchor, lo, hi))
+        self._near_lo = np.ascontiguousarray(near_lo, dtype=bool)
         self._pair_cache = None
         return self
 
-    def _canonicalize(self, where):
-        """Check the rows and sort them.  The first bad row raises, named by
-        ``where(row)``; of a repeated triplet, the later row is the bad one.  (A row
-        outside the universes may share a key, but it is bad and comes first.)"""
-        a, lo, hi, near_lo = self._anchor, self._lo, self._hi, self._near_lo
+    def _canonicalize(self, a, lo, hi, near_lo, where):
+        """The int64 rows checked, then as int32 columns in canonical order.  The
+        first bad row raises, named by ``where(row)``; of a repeated triplet, the
+        later row is the bad one.  (A row outside the universes may share a key,
+        but it is bad and comes first.)"""
         if not a.size == lo.size == hi.size == near_lo.size:
             raise ValueError(f"column lengths differ: {a.size}, {lo.size}, {hi.size}, "
                              f"{near_lo.size}")
@@ -150,8 +156,7 @@ class TripletStore:
                 f"unordered pair at {at}: pair columns must satisfy lo < hi",
                 f"duplicate triplet at {at}",
                 f"contradictory triplet at {at}")[kind])
-        self._anchor, self._lo, self._hi, self._near_lo = (
-            col[order] for col in (a, lo, hi, near_lo))
+        return (*(col.astype(_ID_DTYPE)[order] for col in (a, lo, hi)), near_lo[order])
 
     @classmethod
     def _from_ijk(cls, n_anchors, n, i, j, k, where) -> "TripletStore":
@@ -204,7 +209,10 @@ class TripletStore:
                     (other._anchor, other._lo, other._hi, other._near_lo))))
 
     def _rows_of(self, i: int) -> slice:
-        start, stop = np.searchsorted(self._anchor, [i, i + 1])
+        if not 0 <= i < self.n_anchors:
+            return slice(0, 0)
+        # an int32 needle: any other dtype makes searchsorted convert all anchors
+        start, stop = self._anchor.searchsorted(np.array([i, i + 1], dtype=_ID_DTYPE))
         return slice(int(start), int(stop))
 
     def lookup(self, i: int, j: int, k: int) -> Relation:
@@ -214,7 +222,7 @@ class TripletStore:
         lo, hi = (j, k) if j < k else (k, j)
         key = lo * self.n + hi
         rows = self._rows_of(i)
-        pkeys = self._lo[rows] * self.n + self._hi[rows]
+        pkeys = np.multiply(self._lo[rows], self.n, dtype=np.int64) + self._hi[rows]
         pos = int(np.searchsorted(pkeys, key))
         if pos >= pkeys.size or pkeys[pos] != key:
             return Relation.ABSENT
@@ -228,14 +236,33 @@ class TripletStore:
         return np.column_stack([np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)])
 
     def pair_groups(self):
-        """Rows regrouped by reference pair: (sorted pair keys, anchors, near_lo).
+        """Rows regrouped by reference pair: (keys, bounds, anchors, near_lo).
 
-        Within one pair key, anchors are ascending.  Cached; treat as read-only.
+        ``keys`` holds the distinct pair keys lo*n + hi (int64), ascending; the rows
+        of pair ``keys[g]`` are ``bounds[g]:bounds[g + 1]`` of ``anchors`` (int32,
+        ascending within a pair) and ``near_lo``.  Cached; treat as read-only.
         """
         if self._pair_cache is None:
-            pkeys = self._lo * self.n + self._hi
-            order = np.argsort(pkeys, kind="stable")  # stable: rows are anchor-sorted
-            self._pair_cache = (pkeys[order], self._anchor[order], self._near_lo[order])
+            # One unique key per row, ((lo*n + hi)*n_anchors + anchor)*2 + near_lo,
+            # sorted in place: it fits uint64 because n_anchors*n*n fits int64.
+            keys = np.multiply(self._lo, self.n, dtype=np.int64)
+            keys += self._hi
+            keys *= self.n_anchors
+            keys += self._anchor
+            keys = keys.view(np.uint64)
+            keys <<= np.uint64(1)
+            keys |= self._near_lo
+            keys.sort()
+            near_lo = np.empty(keys.size, dtype=bool)
+            np.bitwise_and(keys, 1, out=near_lo, casting="unsafe")
+            keys >>= np.uint64(1)
+            anchors = np.empty(keys.size, dtype=_ID_DTYPE)
+            np.remainder(keys, self.n_anchors, out=anchors, casting="unsafe")
+            keys //= np.uint64(self.n_anchors)  # now each row's pair key
+            starts = np.ones(keys.size + 1, dtype=bool)  # where a pair's rows start
+            np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+            bounds = np.flatnonzero(starts)
+            self._pair_cache = (keys[bounds[:-1]].view(np.int64), bounds, anchors, near_lo)
         return self._pair_cache
 
     def availability(self) -> float:
@@ -308,14 +335,17 @@ def _pairs_before(a, m: int):
     return a * m - a * (a + 1) // 2
 
 
-def _unrank_pairs(ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _unrank_pairs(ranks: np.ndarray, m: int,
+                  first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic pairs (a, b), a < b, at positions ``ranks`` among C(m, 2).
 
-    Looks the first element up in the table of first-pair ranks, in exact
-    integer arithmetic.
+    Looks the first element up in the table of first-pair ranks ``first``
+    (``_pairs_before`` of 0..m-1, built here when not given), in exact integer
+    arithmetic.
     """
     ranks = np.asarray(ranks, dtype=np.int64)
-    first = _pairs_before(np.arange(m, dtype=np.int64), m)
+    if first is None:
+        first = _pairs_before(np.arange(m, dtype=np.int64), m)
     a = np.searchsorted(first, ranks, side="right") - 1
     return a, ranks - first[a] + a + 1
 
@@ -384,7 +414,8 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     pairs' ranks and unranked into its pair.  That costs O(m log m) per
     anchor, plus the number of its tied pairs (zero for continuous data) and
     O(log m) per drawn pair, and O(m + drawn) memory per anchor beyond the
-    distance block.
+    distance block.  Returns the canonical (anchor, lo, hi, near_lo) columns, ids
+    int32, each filled in place as its anchors' ranks are drawn.
     """
     n_anchors = feats.shape[0]
     width = n_anchors - 1 if ref is None else ref.shape[0]
@@ -395,47 +426,52 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     counts = width * (width - 1) // 2 - ties
     total = int(counts.sum())
     keep = total if proportion >= 1.0 else _round_half_up(proportion * total)
-    take = _per_group_take(counts, keep, rng)
+    first = _pairs_before(np.arange(width, dtype=np.int64), width)
 
-    empty = np.empty(0, dtype=np.int64)
-    parts = [(empty, empty, empty, np.empty(0, dtype=bool))]
-    for start in range(0, n_anchors, _ANCHOR_BLOCK):
-        stop = min(start + _ANCHOR_BLOCK, n_anchors)
-        if not any(ranks.size for ranks in take[start:stop]):
+    anchor, lo_ids, hi_ids = (np.empty(keep, dtype=_ID_DTYPE) for _ in range(3))
+    near_lo = np.empty(keep, dtype=bool)
+    at, block = 0, -1
+    for a, ranks in enumerate(_per_group_take(counts, keep, rng)):
+        if ranks.size == 0:
             continue
-        rows = _reference_rows(feats, metric, start, stop, ref)
-        for a in range(start, stop):
-            ranks = take[a]
-            if ranks.size == 0:
-                continue
-            row = rows[a - start]
-            if ties[a]:
-                tied = _tied_ranks(row)
-                ranks = ranks + np.searchsorted(tied - np.arange(tied.size), ranks,
-                                                side="right")
-            lo, hi = _unrank_pairs(ranks, width)
-            near_lo = row[lo] < row[hi]
-            if ref is None:  # back to example ids; the shift keeps lo < hi
-                lo += lo >= a
-                hi += hi >= a
-            parts.append((np.full(ranks.size, a, dtype=np.int64), lo, hi, near_lo))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+        if a // _ANCHOR_BLOCK != block:  # a block's distances, once one of it draws
+            block = a // _ANCHOR_BLOCK
+            start = block * _ANCHOR_BLOCK
+            rows = _reference_rows(feats, metric, start,
+                                   min(start + _ANCHOR_BLOCK, n_anchors), ref)
+        row = rows[a - start]
+        if ties[a]:
+            tied = _tied_ranks(row)
+            ranks = ranks + np.searchsorted(tied - np.arange(tied.size), ranks,
+                                            side="right")
+        lo, hi = _unrank_pairs(ranks, width, first)
+        part = slice(at, at + ranks.size)
+        near_lo[part] = row[lo] < row[hi]
+        if ref is None:  # back to example ids; the shift keeps lo < hi
+            lo += lo >= a
+            hi += hi >= a
+        anchor[part], lo_ids[part], hi_ids[part] = a, lo, hi
+        at = part.stop
+    return anchor, lo_ids, hi_ids, near_lo
 
 
-def _per_group_take(counts: np.ndarray, keep: int, rng) -> list:
-    """Sorted within-group ranks realizing a uniform draw of ``keep`` items."""
+def _per_group_take(counts: np.ndarray, keep: int, rng):
+    """Sorted within-group ranks realizing a uniform draw of ``keep`` items, an
+    iterator in group order.  A group's ranks are drawn as the iterator reaches
+    it, so the caller holds one group's at a time; the checks and the split of
+    ``keep`` among the groups happen at the call."""
     total = int(counts.sum())
     if keep >= total:
-        return [np.arange(c, dtype=np.int64) for c in counts]
+        return (np.arange(c, dtype=np.int64) for c in counts)
     empty = np.empty(0, dtype=np.int64)
     if keep <= 0:
-        return [empty] * counts.size
+        return itertools.repeat(empty, counts.size)
     if total >= _SAMPLER_LIMIT:
         raise ValueError(f"cannot subsample {total} candidates: the sampler takes "
                          f"fewer than {_SAMPLER_LIMIT}")
     per_group = rng.multivariate_hypergeometric(counts, keep, method="marginals")
-    return [np.sort(rng.choice(count, size=k, replace=False)) if k else empty
-            for count, k in zip(counts, per_group)]
+    return (np.sort(rng.choice(count, size=k, replace=False)) if k else empty
+            for count, k in zip(counts, per_group))
 
 
 def generate_from_vectors(ds: Dataset, metric: str) -> TripletStore:
@@ -491,9 +527,9 @@ def subsample(ts: TripletStore, proportion: float, seed) -> TripletStore:
         return ts
     rng = np.random.default_rng(seed)
     counts = np.bincount(ts._anchor, minlength=ts.n_anchors).astype(np.int64)
-    take = _per_group_take(counts, keep, rng)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    idx = np.concatenate([offsets[g] + take[g] for g in range(ts.n_anchors)])
+    idx = np.concatenate([offsets[g] + ranks
+                          for g, ranks in enumerate(_per_group_take(counts, keep, rng))])
     return type(ts)._canonical(ts.n_anchors, ts.n, ts._anchor[idx], ts._lo[idx],
                                ts._hi[idx], ts._near_lo[idx])
 
@@ -537,8 +573,8 @@ def _int64_ids(ids, where=_row) -> np.ndarray:
     """``ids`` (one id or one row of ids per record) as int64; the first record
     with an id that int64 does not hold exactly is named by ``where(index)``."""
     ids = np.asarray(ids)
-    if ids.dtype == np.int64:
-        return ids
+    if np.can_cast(ids.dtype, np.int64):  # any integer (or bool) dtype int64 holds
+        return ids.astype(np.int64, copy=False)
     fits = (ids >= _INT64.min) & (ids <= _INT64.max)  # exact on Python ints, too
     with np.errstate(invalid="ignore"):
         out = np.where(fits, ids, 0).astype(np.int64)
@@ -686,9 +722,9 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     ids = np.concatenate([train_ids, test_ids])
     if ids.min() < 0 or ids.max() >= store.n:
         raise ValueError("ids out of range for the store universe")
-    to_train = np.full(store.n, -1, dtype=np.int64)
+    to_train = np.full(store.n, -1, dtype=_ID_DTYPE)
     to_train[train_ids] = np.arange(train_ids.size)
-    to_test = np.full(store.n, -1, dtype=np.int64)
+    to_test = np.full(store.n, -1, dtype=_ID_DTYPE)
     to_test[test_ids] = np.arange(test_ids.size)
 
     # ascending relabelling preserves both lo < hi and the canonical order

@@ -103,16 +103,18 @@ def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndar
     """Anchor ids with a triplet revealing their side: (closer to j, closer to k)."""
     if j == k:
         raise ValueError("reference examples j and k must differ")
-    key = min(j, k) * ts.n + max(j, k)
-    pkeys, anchors, near_lo = ts.pair_groups()
-    rows = slice(pkeys.searchsorted(key), pkeys.searchsorted(key, "right"))
+    lo, hi = min(j, k), max(j, k)
+    keys, bounds, anchors, near_lo = ts.pair_groups()
+    key = lo * ts.n + hi if 0 <= lo and hi < ts.n else -1  # -1: a pair no row has
+    g = keys.searchsorted(key)
+    rows = slice(*bounds[g:g + 2].tolist()) if g < keys.size and keys[g] == key else slice(0)
     near_j = near_lo[rows] if j < k else ~near_lo[rows]
     return anchors[rows][near_j], anchors[rows][~near_j]
 
 
 def _gather(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray):
     """Both buckets' rows, j side first: (rows, w[rows], labels, true weights, |fwd|)."""
-    rows = np.concatenate((fwd, rev))
+    rows = np.concatenate((fwd, rev), dtype=np.intp)  # intp: numpy indexes by it as is
     row_labels = labels[rows]
     return rows, w.take(rows, axis=0), row_labels, w[rows, row_labels], fwd.size
 

@@ -126,6 +126,22 @@ class TestScore:
         with pytest.raises(ValueError, match="sequence of \\(near, far\\) id pairs"):
             score(model, [(1, 2, 3)])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
+    def test_integer_pair_dtypes(self, dtype):
+        """Pairs of any integer dtype whose values int64 holds, such as the int32
+        ``pairs_for`` returns, score as int64 pairs do."""
+        model, pairs = _random_model_and_pairs(np.random.default_rng(7))
+        want = score(model, pairs.astype(np.int64))
+        for scorer in (score, score_naive):
+            got = scorer(model, pairs.astype(dtype))
+            np.testing.assert_array_equal(got.scores, want.scores)
+            assert (got.matched, got.fired_alpha) == (want.matched, want.fired_alpha)
+
+    def test_uint64_id_beyond_int64_rejected(self):
+        model = _model([TripletClassifier(1, 2, 0b01, 0, 0.5)])
+        with pytest.raises(ValueError, match="id not an int64 integer at pair 1"):
+            score(model, np.array([(1, 2), (2**63, 2)], dtype=np.uint64))
+
 
 class TestMatchingEquivalence:
     def test_exact_equality_on_random_instances(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -687,15 +688,19 @@ class TestTestTriplets:
 
     @pytest.mark.parametrize("make", sorted(_PAIR_GROUP_STORES))
     def test_pair_groups_regroup_rows(self, make, tmp_path):
-        """``pair_groups`` relies on canonical rows being sorted by anchor: it
-        equals a two-key sort for a store from every constructor."""
+        """``pair_groups`` equals a two-key sort for a store from every constructor:
+        its distinct keys, expanded by their group bounds, are the sorted pair keys,
+        and its anchors and near_lo follow the same order."""
         for store in _PAIR_GROUP_STORES[make](tmp_path):
-            pkeys = store._lo * store.n + store._hi
+            pkeys = store._lo.astype(np.int64) * store.n + store._hi
             order = np.lexsort((store.anchors, pkeys))
-            got = store.pair_groups()
+            keys, bounds, anchors, near_lo = store.pair_groups()
             assert np.unique(pkeys).size < store.m  # several anchors share a pair
-            for have, want in zip(got, (pkeys[order], store.anchors[order],
-                                        store._near_lo[order])):
+            assert keys.dtype == np.int64 and np.array_equal(keys, np.unique(pkeys))
+            assert bounds[0] == 0 and bounds[-1] == store.m and (np.diff(bounds) > 0).all()
+            for have, want in zip((np.repeat(keys, np.diff(bounds)), anchors, near_lo),
+                                  (pkeys[order], store.anchors[order],
+                                   store._near_lo[order])):
                 assert have.dtype == want.dtype and np.array_equal(have, want)
 
     def test_not_equal_to_store_with_same_rows(self):
@@ -885,3 +890,28 @@ class TestRecordChecks:
         path.write_text("1 0 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match="malformed rating at line 1"):
             load_ratings(path)
+
+
+class TestMemoryBudget:
+    def test_bytes_per_row(self):
+        """A generated store holds 13 bytes a row (int32 anchor, lo, hi and the bool
+        near_lo) and its pair index 5 (int32 anchor and bool near_lo, plus a key and
+        a bound per distinct pair); generation writes its rows into the store's own
+        columns, and the index sorts one 8-byte key a row in place.  Measured with
+        tracemalloc, which counts numpy's buffers exactly on any machine."""
+        ds = make_moons(120, 0.1, 0)
+        tracemalloc.start()
+        try:
+            store = generate_training_set(ds, "euclidean", 0.5, 0.0, 1)
+            held, gen_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            store.pair_groups()
+            index_held, index_peak = (v - held for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        per_row = np.array([held, gen_peak, index_held, index_peak]) / store.m
+        assert store.m > 400_000
+        assert per_row[0] <= 13.5, f"store holds {per_row[0]:.2f} B/row"
+        assert per_row[1] <= 16.0, f"generation peaks at {per_row[1]:.2f} B/row"
+        assert per_row[2] <= 6.5, f"pair index holds {per_row[2]:.2f} B/row"
+        assert per_row[3] <= 16.0, f"pair index build peaks at {per_row[3]:.2f} B/row"

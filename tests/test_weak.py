@@ -13,6 +13,7 @@ from tripletboost import (
     Relation,
     RoundStats,
     TripletClassifier,
+    TestTripletSet,
     TripletStore,
     bitmask,
     classifier_alpha,
@@ -22,7 +23,12 @@ from tripletboost import (
     select_labels,
     update_weights,
     z_factor,
+    add_noise,
+    generate_test_set,
+    generate_training_set,
+    make_moons,
 )
+from tripletboost.weak import fired_buckets
 
 # -- independent oracles: literal sums over the defining formulas ---------------
 
@@ -374,3 +380,36 @@ class TestRoundKernel:
                 assert h.alpha == 0.0
             elif kind == "top_bit" and fwd.size:
                 assert h.o_j >> 63 == 1
+
+
+def _row_filter(store, j, k):
+    """``fired_buckets`` by brute force: scan every row for the pair {j, k}."""
+    rows = (store._lo == min(j, k)) & (store._hi == max(j, k))
+    near, anchors = store.near[rows], store.anchors[rows]
+    return anchors[near == j], anchors[near == k]
+
+
+class TestFiredBuckets:
+    @pytest.mark.parametrize("kind", ["training store", "test set", "empty store"])
+    def test_matches_row_filter_for_every_pair(self, kind):
+        """Every ordered pair (j > k too), pairs no row has, and ids outside the
+        reference universe, whose packed key could alias a stored pair's."""
+        ds = make_moons(24, 0.1, 3)
+        train, test = ds.take(np.arange(16)), ds.take(np.arange(16, 24))
+        store = {
+            "training store": lambda: add_noise(
+                generate_training_set(train, "euclidean", 0.2, 0.0, 4), 0.3, 5),
+            "test set": lambda: generate_test_set(test, train, "cityblock", 0.3, 0.2, 6),
+            "empty store": lambda: TestTripletSet(3, 16, [], [], [], []),
+        }[kind]()
+        absent = 0
+        for j in range(-2, 18):
+            for k in range(-2, 18):
+                if j == k:
+                    continue
+                got, want = fired_buckets(store, j, k), _row_filter(store, j, k)
+                absent += want[0].size + want[1].size == 0
+                for have, expected in zip(got, want):
+                    assert have.dtype == np.int32
+                    np.testing.assert_array_equal(have, expected)
+        assert absent > 2 * 16 * 4  # the out-of-universe pairs, and some inside it
