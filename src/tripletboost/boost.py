@@ -245,7 +245,8 @@ def init_weights(n: int, n_labels: int) -> np.ndarray:
 
 
 def _draw_index(cum: np.ndarray, u: float) -> int:
-    idx = int(cum.searchsorted(u, "right"))
+    """The index that a uniform u in [0, 1) draws from the cumulative masses ``cum``."""
+    idx = int(cum.searchsorted(u * float(cum[-1]), "right"))
     if idx >= cum.size:  # u rounded up to the total mass
         idx = cum.size - 1
         while idx > 0 and cum[idx] == cum[idx - 1]:
@@ -256,23 +257,54 @@ def _draw_index(cum: np.ndarray, u: float) -> int:
 def _row_sums(w: np.ndarray) -> np.ndarray:
     """``w.sum(axis=1)`` bit for bit: numpy adds fewer than 8 entries in order, so
     narrow rows are summed column by column, without its one inner loop per row."""
-    return sum(w.T[2:], w[:, 0] + w[:, 1]) if 1 < w.shape[1] < 8 else w.sum(axis=1)
+    if not 1 < w.shape[1] < 8:
+        return w.sum(axis=1)
+    cols = w.T
+    out = cols[0] + cols[1]
+    for col in range(2, w.shape[1]):
+        out += cols[col]
+    return out
+
+
+class _PairDraw:
+    """Draws reference pairs from one distribution ``w``: j from the example
+    marginal, then k from the marginal of the examples of another class, whose
+    cumulative table is built the first time j has that class.  ``others`` holds
+    each class's examples of other classes, and may outlive the draw."""
+
+    def __init__(self, labels: np.ndarray, w: np.ndarray, others: dict):
+        self.labels, self.others, self.tables = labels, others, {}
+        self.marg = _row_sums(w)
+        self.cum = np.add.accumulate(self.marg)
+        if self.cum[-1] <= 0.0:
+            raise ValueError("weight distribution has no mass")
+
+    def __call__(self, uniform) -> tuple[int, int]:
+        """A pair (j, k) from two calls of ``uniform``, each a double in [0, 1)."""
+        j = _draw_index(self.cum, uniform())
+        c = int(self.labels[j])
+        if c not in self.tables:
+            if c not in self.others:
+                self.others[c] = np.flatnonzero(self.labels != c)
+            # These are the cumulative masses of the marginal with zeros for j's
+            # class, which the draw skips: adding 0.0 changes no partial sum.
+            cum = np.add.accumulate(self.marg.take(self.others[c]))
+            if not cum.size or cum[-1] <= 0.0:
+                raise ValueError("need at least two classes to sample a reference pair")
+            self.tables[c] = cum
+        return j, int(self.others[c][_draw_index(self.tables[c], uniform())])
 
 
 def sample_reference_pair(ds: Dataset, w: np.ndarray, rng) -> tuple[int, int]:
     """Draw j from the example marginal, then k from the other-label marginal."""
-    marg = _row_sums(w)
-    cum = marg.cumsum()
-    total = float(cum[-1])
-    if total <= 0.0:
-        raise ValueError("weight distribution has no mass")
-    j = _draw_index(cum, rng.random() * total)
-    cum_k = np.where(ds.labels != ds.labels[j], marg, 0.0).cumsum()
-    total_k = float(cum_k[-1])
-    if total_k <= 0.0:
-        raise ValueError("need at least two classes to sample a reference pair")
-    k = _draw_index(cum_k, rng.random() * total_k)
-    return j, k
+    return _PairDraw(ds.labels, w, {})(rng.random)
+
+
+def _uniforms(rng, count: int, block: int = 1 << 13):
+    """``count`` draws of ``rng.random()``, taken ``block`` at a time: an array
+    draw holds the doubles that as many scalar draws return."""
+    for start in range(0, count, block):
+        yield from rng.random(min(block, count - start)).tolist()
 
 
 def update_weights(w: np.ndarray, h: TripletClassifier, ts: TripletStore,
@@ -322,17 +354,22 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
     if ts.n != n:
         raise ValueError("triplet store universe does not match the dataset")
 
-    rng = np.random.default_rng(cfg.seed)
+    uniform = _uniforms(np.random.default_rng(cfg.seed), 2 * cfg.rounds).__next__
     w = init_weights(n, n_labels)
     scores = np.zeros((n, n_labels))
     pairs, sets, alphas, stats = [], [], [], []
     checkpoints: list[Checkpoint] = []
     log_z_sum = 0.0
+    draw, others = None, {}
 
     for rnd in range(1, cfg.rounds + 1):
-        j, k = sample_reference_pair(ds, w, rng)
+        if draw is None:  # a round with alpha = 0 leaves w, and so its tables, as they were
+            draw = _PairDraw(ds.labels, w, others)
+        j, k = draw(uniform)
         members, stat = _round(w, ds.labels, *fired_buckets(ts, j, k), scores)
         _, _, z, alpha = stat
+        if alpha != 0.0:
+            draw = None
         if alpha != 0.0 or cfg.keep_zero_alpha:
             pairs.append((j, k))
             sets.append(members)

@@ -116,13 +116,16 @@ def _accumulate(model: StrongModel, matched: np.ndarray, votes: np.ndarray,
     scores = np.zeros((matched.size, n_labels))
     fired_alpha = np.zeros(matched.size)
     starts = np.cumsum(matched) - matched
-    by_count = np.argsort(matched, kind="stable")
-    counts, bounds = np.unique(matched[by_count], return_index=True)
+    if matched.size and matched.min() == matched.max():  # one count, as in ``score``
+        by_count, groups = np.arange(matched.size), [(int(matched[0]), 0, matched.size)]
+    else:
+        by_count = np.argsort(matched, kind="stable")
+        counts, bounds = np.unique(matched[by_count], return_index=True)
+        groups = zip(counts.tolist(), bounds.tolist(), bounds[1:].tolist() + [matched.size])
     # The k examples with c votes each sum a (k, c) gather of alpha along its rows
     # and a (k, c, L) gather of weighted sets along its middle axis: numpy sums
     # each example's votes as it would sum them alone, whatever k is.
-    for count, lo, hi in zip(counts.tolist(), bounds.tolist(),
-                             bounds[1:].tolist() + [matched.size]):
+    for count, lo, hi in groups:
         if count == 0:
             continue  # examples without votes keep zero scores
         step = max(1, _JOIN_BLOCK // (count * n_labels))  # bounds each gather

@@ -236,33 +236,41 @@ class TripletStore:
         return np.column_stack([np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)])
 
     def pair_groups(self):
-        """Rows regrouped by reference pair: (keys, bounds, anchors, near_lo).
+        """Rows regrouped by reference pair and side: (keys, bounds, split, anchors).
 
         ``keys`` holds the distinct pair keys lo*n + hi (int64), ascending; the rows
-        of pair ``keys[g]`` are ``bounds[g]:bounds[g + 1]`` of ``anchors`` (int32,
-        ascending within a pair) and ``near_lo``.  Cached; treat as read-only.
+        of pair ``keys[g]`` are ``bounds[g]:bounds[g + 1]`` of ``anchors`` (int32):
+        those closer to lo up to ``split[g]``, then those closer to hi, each run
+        ascending.  Cached and read-only.
         """
         if self._pair_cache is None:
-            # One unique key per row, ((lo*n + hi)*n_anchors + anchor)*2 + near_lo,
+            # One unique key per row, ((lo*n + hi)*2 + far_lo)*n_anchors + anchor,
             # sorted in place: it fits uint64 because n_anchors*n*n fits int64.
             keys = np.multiply(self._lo, self.n, dtype=np.int64)
             keys += self._hi
-            keys *= self.n_anchors
-            keys += self._anchor
             keys = keys.view(np.uint64)
             keys <<= np.uint64(1)
             keys |= self._near_lo
+            keys ^= np.uint64(1)  # far_lo: the rows closer to lo come first
+            keys *= np.uint64(self.n_anchors)
+            keys += self._anchor.view(np.uint32)  # anchors are nonnegative
             keys.sort()
-            near_lo = np.empty(keys.size, dtype=bool)
-            np.bitwise_and(keys, 1, out=near_lo, casting="unsafe")
-            keys >>= np.uint64(1)
             anchors = np.empty(keys.size, dtype=_ID_DTYPE)
-            np.remainder(keys, self.n_anchors, out=anchors, casting="unsafe")
-            keys //= np.uint64(self.n_anchors)  # now each row's pair key
-            starts = np.ones(keys.size + 1, dtype=bool)  # where a pair's rows start
+            # now each row's pair key*2 + far_lo, and its anchor
+            np.divmod(keys, np.uint64(self.n_anchors), out=(keys, anchors), casting="unsafe")
+            starts = np.ones(keys.size + 1, dtype=bool)  # where a (pair, side) run starts
             np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-            bounds = np.flatnonzero(starts)
-            self._pair_cache = (keys[bounds[:-1]].view(np.int64), bounds, anchors, near_lo)
+            runs = np.flatnonzero(starts)
+            sides = keys[runs[:-1]]
+            pairs = sides >> np.uint64(1)
+            first = np.flatnonzero(np.diff(pairs, prepend=~pairs[:1]))  # a pair's first run
+            bounds = np.append(runs[first], runs[-1])
+            # a pair whose first run is closer to hi splits at its start, else where
+            # that run ends
+            split = np.where(sides[first] & np.uint64(1), runs[first], runs[first + 1])
+            self._pair_cache = (pairs[first].view(np.int64), bounds, split, anchors)
+            for col in self._pair_cache:
+                col.flags.writeable = False
         return self._pair_cache
 
     def availability(self) -> float:

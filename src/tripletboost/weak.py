@@ -9,13 +9,32 @@ files) it is an int bitmask, which caps the label space at 64 classes.
 ``_round`` is the one implementation of a boosting round; ``select_labels``,
 ``round_weights`` and ``boost.update_weights`` expose its steps one at a time.
 
-A round reads its fired rows of the weights once (``_gather``), sums each
-side over a contiguous slice of that gather, which gives the bits a per-side
-gather would, and writes the updated rows back with one scatter (``_update``).
+A round reads its fired rows of the weights once (``_gather``), j's side
+first, and writes them back with one scatter (``_update``), each row's factors
+and votes looked up by its code side*L + label.  Its sums keep the bits of a
+round that gathers and sums each side on its own, because each is added in
+the same order:
+
+- numpy adds a ``bincount``'s weights and a column sum (a reduction down the
+  rows of a C-ordered matrix) in row order, so one ``bincount`` over the codes
+  gives both sides' in-class masses, and one over each entry's side*L + column
+  both sides' column masses: each bin meets its side's rows in order;
+- it adds a whole-array reduction pairwise (in order below 8 entries, in 8
+  running sums up to 128, by halves above), so where such a sum starts and
+  ends sets its bits.  The four masses of W+ and W- (total, true, inside the
+  set, inside and true) are reduced side by side.  Their shortcuts are exact:
+  an empty set adds 0.0; a one-label set's inside mass reduces the strided
+  column, which numpy adds as it adds the one-column copy; a larger set's
+  ``side_w[:, set]`` is a Fortran-ordered copy that adds column after column,
+  as ``side_w.T[set]`` does; and a set of every label has inside-true mass
+  equal to the true mass;
+- a label joins a set when 2a - b > 0, which holds iff 2a > b: a difference
+  of finite doubles rounds to zero only when they are equal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -100,23 +119,52 @@ def _mask_bools(masks, n_labels: int) -> np.ndarray:
 
 
 def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor ids with a triplet revealing their side: (closer to j, closer to k)."""
+    """Anchor ids with a triplet revealing their side: (closer to j, closer to k).
+
+    Both are read-only slices of the store's pair index."""
     if j == k:
         raise ValueError("reference examples j and k must differ")
     lo, hi = min(j, k), max(j, k)
-    keys, bounds, anchors, near_lo = ts.pair_groups()
+    keys, bounds, split, anchors = ts.pair_groups()
     key = lo * ts.n + hi if 0 <= lo and hi < ts.n else -1  # -1: a pair no row has
-    g = keys.searchsorted(key)
-    rows = slice(*bounds[g:g + 2].tolist()) if g < keys.size and keys[g] == key else slice(0)
-    near_j = near_lo[rows] if j < k else ~near_lo[rows]
-    return anchors[rows][near_j], anchors[rows][~near_j]
+    g = int(keys.searchsorted(key))
+    start = mid = stop = 0
+    if g < keys.size and keys[g] == key:
+        start, stop = bounds[g:g + 2].tolist()
+        mid = int(split[g])
+    near_lo, near_hi = anchors[start:mid], anchors[mid:stop]
+    return (near_lo, near_hi) if j < k else (near_hi, near_lo)
+
+
+@functools.cache
+def _side_codes(n_labels: int) -> np.ndarray:
+    """The (2, L) codes side*L + label."""
+    return np.arange(2 * n_labels).reshape(2, n_labels)
+
+
+@functools.lru_cache(maxsize=256)
+def _update_index(sets: bytes, n_labels: int) -> np.ndarray:
+    """Indices into (exp(alpha), exp(-alpha), -alpha, alpha) for the label sets
+    ``sets``, the bytes of a (2, L) bool matrix: row side*L + y holds the factors
+    of that side's examples of label y, then their votes."""
+    members = np.frombuffer(sets, dtype=bool).reshape(2, 1, n_labels)
+    right = members == np.eye(n_labels, dtype=bool)  # the entries that shrink
+    votes = np.broadcast_to(members + 2, right.shape)
+    index = np.concatenate((right, votes), axis=2, dtype=np.int8).reshape(2 * n_labels, -1)
+    index.flags.writeable = False
+    return index
 
 
 def _gather(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray):
-    """Both buckets' rows, j side first: (rows, w[rows], labels, true weights, |fwd|)."""
+    """Both buckets' rows, j side first: (rows, w[rows], cells, codes, true weights,
+    |fwd|).  A row's code is side*L + its label, the side 0 for j and 1 for k;
+    ``cells`` holds side*L + label for each entry of ``w[rows]``.
+    """
     rows = np.concatenate((fwd, rev), dtype=np.intp)  # intp: numpy indexes by it as is
-    row_labels = labels[rows]
-    return rows, w.take(rows, axis=0), row_labels, w[rows, row_labels], fwd.size
+    row_labels = labels.take(rows)
+    cells = _side_codes(w.shape[1]).repeat((fwd.size, rev.size), axis=0)
+    return (rows, w.take(rows, axis=0), cells, row_labels + cells[:, 0],
+            w[rows, row_labels], fwd.size)
 
 
 def _sides(gathered, members: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
@@ -127,22 +175,30 @@ def _sides(gathered, members: np.ndarray | None = None) -> tuple[np.ndarray, flo
     counts as correct when membership of y in its side's set agrees with y
     being i's true label; abstaining examples are not gathered.
     """
-    _, w_rows, row_labels, true_w, n_fwd = gathered
-    chosen = members is None
-    members = np.zeros((2, w_rows.shape[1]), dtype=bool) if chosen else members
+    _, w_rows, cells, codes, true_w, n_fwd = gathered
+    n_labels = w_rows.shape[1]
+    if members is None:
+        in_class = np.bincount(codes, weights=true_w, minlength=2 * n_labels)
+        column = np.bincount(cells.ravel(), weights=w_rows.ravel(), minlength=2 * n_labels)
+        members = (2.0 * in_class > column).reshape(2, n_labels)  # 2a - b > 0 iff 2a > b
+    sets = members.tolist()
+    in_set = members.ravel().take(codes)  # each row's label is in its side's set
     w_plus = w_minus = 0.0
     for side, part in enumerate((slice(None, n_fwd), slice(n_fwd, None))):
-        side_w, side_labels, side_true = w_rows[part], row_labels[part], true_w[part]
-        if side_labels.size == 0:
+        side_w, side_true, size = w_rows[part], true_w[part], sum(sets[side])
+        if side_true.size == 0:
             continue
-        if chosen:
-            in_class = np.bincount(side_labels, weights=side_true, minlength=w_rows.shape[1])
-            members[side] = 2.0 * in_class - np.add.reduce(side_w, axis=0) > 0.0
-        member = members[side]
         total = float(np.add.reduce(side_w, axis=None))
         all_true = float(np.add.reduce(side_true))
-        inside = float(np.add.reduce(side_w[:, member], axis=None))
-        inside_true = float(np.add.reduce(side_true[member[side_labels]]))
+        inside = inside_true = 0.0
+        if size == 1:
+            inside = float(np.add.reduce(side_w[:, sets[side].index(True)]))
+        elif size:
+            inside = float(np.add.reduce(side_w.T[members[side]], axis=None))
+        if size == n_labels:
+            inside_true = all_true
+        elif size:
+            inside_true = float(np.add.reduce(side_true[in_set[part]]))
         w_plus += total - all_true - inside + 2.0 * inside_true
         w_minus += all_true + inside - 2.0 * inside_true
     return members, w_plus, w_minus
@@ -156,12 +212,14 @@ def _update(w: np.ndarray, gathered, members: np.ndarray, alpha: float,
     by exp(alpha); ``scores``, when given, gains the signed vote.  Returns the
     pre-normalization total after renormalizing ``w`` in place.
     """
-    rows, w_rows, row_labels, _, n_fwd = gathered
-    row_sets = members.repeat((n_fwd, rows.size - n_fwd), axis=0)  # each row's side's set
-    agree = row_sets == np.eye(w.shape[1], dtype=bool).take(row_labels, axis=0)
-    w[rows] = w_rows * np.where(agree, math.exp(-alpha), math.exp(alpha))
+    rows, w_rows, _, codes, _, _ = gathered
+    n_labels = w.shape[1]
+    values = np.array((math.exp(alpha), math.exp(-alpha), -alpha, alpha))
+    by_code = values.take(_update_index(members.tobytes(), n_labels))
+    row_values = by_code.take(codes, axis=0)  # each row's factors, then its votes
+    w[rows] = w_rows * row_values[:, :n_labels]
     if scores is not None:
-        scores[rows] = scores.take(rows, axis=0) + np.where(row_sets, alpha, -alpha)
+        scores[rows] = scores.take(rows, axis=0) + row_values[:, n_labels:]
     z = float(np.add.reduce(w, axis=None))
     if z <= 0.0:
         raise ValueError("weight update produced a nonpositive total")

@@ -40,6 +40,25 @@ def _three_example_setup():
     return ds, TripletStore.from_triplets(3, rows)
 
 
+def _zero_filled_draw(ds, w, rng):
+    """The sampler's earlier form: k from the cumulative sum of the marginal with
+    zeros for the examples of j's class."""
+
+    def draw(cum, u):
+        idx = int(cum.searchsorted(u, "right"))
+        if idx >= cum.size:
+            idx = cum.size - 1
+            while idx > 0 and cum[idx] == cum[idx - 1]:
+                idx -= 1
+        return idx
+
+    marg = w.sum(axis=1)
+    cum = marg.cumsum()
+    j = draw(cum, rng.random() * float(cum[-1]))
+    cum_k = np.where(ds.labels != ds.labels[j], marg, 0.0).cumsum()
+    return j, draw(cum_k, rng.random() * float(cum_k[-1]))
+
+
 class TestInitWeights:
     def test_uniform_values(self):
         w = init_weights(2, 2)
@@ -100,6 +119,36 @@ class TestSampleReferencePair:
         for pair, prob in law.items():
             sigma = math.sqrt(draws * prob * (1 - prob))
             assert abs(counts.get(pair, 0) - draws * prob) <= 3.5 * sigma
+
+    def test_rounded_up_draw_equals_zero_filled_reference(self):
+        """A uniform that rounds up to the total mass lands on the last example with
+        mass, past trailing examples of zero mass, as the draw from the cumulative
+        sum with zeros for j's class (the sampler's earlier form) did."""
+
+        class Ones:
+            def random(self):
+                return 1.0
+
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            n = int(rng.integers(2, 12))
+            labels = rng.integers(0, 3, n)
+            labels[:2] = (0, 1)
+            w = rng.random((n, 3)) * (rng.random((n, 1)) < 0.6)  # zero-mass rows
+            w[:2] += 0.1  # mass in two classes, whatever the class of j
+            ds = Dataset(labels, LabelDict(("a", "b", "c")))
+            for make in (Ones, lambda: np.random.default_rng(trial)):
+                got = sample_reference_pair(ds, w, make())
+                assert got == _zero_filled_draw(ds, w, make())
+                assert w[got[0]].sum() > 0.0 and w[got[1]].sum() > 0.0
+
+    def test_uniform_blocks_equal_scalar_draws(self):
+        """``train`` takes its uniforms in blocks; they are the scalar draws."""
+        from tripletboost.boost import _uniforms
+
+        rng = np.random.default_rng(4)
+        scalar = [rng.random() for _ in range(20_000)]
+        assert list(_uniforms(np.random.default_rng(4), 20_000, block=4096)) == scalar
 
     def test_row_sums_equal_numpy_bit_for_bit(self):
         """The sampler's marginals are ``w.sum(axis=1)`` for every label count."""
@@ -280,6 +329,13 @@ def _ten_label_corpus():
     return ds, store, BoostConfig(rounds=2000, seed=9, stats_every=500)
 
 
+def _sparse_corpus():
+    """Few triplets a pair: about half the rounds earn weight zero and are dropped."""
+    ds = make_moons(150, 0.1, 0)
+    store = generate_training_set(ds, "euclidean", 0.005, 0.0, 1)
+    return ds, store, BoostConfig(rounds=1500, seed=3, stats_every=250)
+
+
 # sha256 of (model file, round_stats, train_scores, checkpoints) as float64 bytes
 _PINNED = {
     "moons": (_moons_corpus, (
@@ -297,6 +353,11 @@ _PINNED = {
         "b2aa9c030f2ffd67f37e943920311c99c2b78e9ec5a04f38039cfdfe0cbe3238",
         "bbc3a670647e1929d24ed85d8d13576e03aff8701bdf3774f9de4c9f76a43da6",
         "e2b9cb1af73ec67fd3b264461caa42241908a6c8af3e84f45a1092fef195d5ff")),
+    "sparse": (_sparse_corpus, (
+        "54ac8d244d67f9f68b28c9d9086012860828b5d57037b98e494c7b1984e40631",
+        "bcdf981928f8b4b8a15240e9dabf33a7bd218ec4273372c30b22d065c18b2a47",
+        "6099c7e6d9176d2a6c2baa9d4b18698bf1b4b1dc951865dbb437387f7c56fc98",
+        "490a7f9b4a622c3776b16c0c0f0bebeba65fe55fdc997f79cc8ae70dda118593")),
 }
 
 
@@ -348,6 +409,14 @@ class TestTrainSnapshots:
             path.read_bytes(), stats.tobytes(), model.train_scores.tobytes(),
             checkpoints.tobytes()))
         assert got == want
+
+
+def test_sparse_corpus_drops_about_half_the_rounds():
+    """The sparse pinned corpus keeps the regime it pins: 30-60% of its rounds
+    earn weight zero, so the sampler reuses its tables there."""
+    ds, store, cfg = _sparse_corpus()
+    zero = train(ds, store, cfg).stats[:, 3] == 0.0
+    assert 0.3 <= zero.mean() <= 0.6
 
 
 class TestModelFiles:

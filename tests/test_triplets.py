@@ -688,20 +688,24 @@ class TestTestTriplets:
 
     @pytest.mark.parametrize("make", sorted(_PAIR_GROUP_STORES))
     def test_pair_groups_regroup_rows(self, make, tmp_path):
-        """``pair_groups`` equals a two-key sort for a store from every constructor:
-        its distinct keys, expanded by their group bounds, are the sorted pair keys,
-        and its anchors and near_lo follow the same order."""
+        """``pair_groups`` equals a three-key sort (pair, far side, anchor) for a
+        store from every constructor: its distinct keys, expanded by their group
+        bounds, are the sorted pair keys; its anchors follow the same order; and
+        each pair splits where its rows closer to hi begin."""
         for store in _PAIR_GROUP_STORES[make](tmp_path):
             pkeys = store._lo.astype(np.int64) * store.n + store._hi
-            order = np.lexsort((store.anchors, pkeys))
-            keys, bounds, anchors, near_lo = store.pair_groups()
+            order = np.lexsort((store.anchors, ~store._near_lo, pkeys))
+            keys, bounds, split, anchors = store.pair_groups()
             assert np.unique(pkeys).size < store.m  # several anchors share a pair
             assert keys.dtype == np.int64 and np.array_equal(keys, np.unique(pkeys))
             assert bounds[0] == 0 and bounds[-1] == store.m and (np.diff(bounds) > 0).all()
-            for have, want in zip((np.repeat(keys, np.diff(bounds)), anchors, near_lo),
-                                  (pkeys[order], store.anchors[order],
-                                   store._near_lo[order])):
-                assert have.dtype == want.dtype and np.array_equal(have, want)
+            assert anchors.dtype == store.anchors.dtype
+            assert np.array_equal(np.repeat(keys, np.diff(bounds)), pkeys[order])
+            assert np.array_equal(anchors, store.anchors[order])
+            # in the sort, each pair's rows closer to lo come first
+            near_lo = store._near_lo[order].astype(np.int64)
+            assert np.array_equal(split, bounds[:-1] + np.add.reduceat(near_lo, bounds[:-1]))
+            assert not any(col.flags.writeable for col in (keys, bounds, split, anchors))
 
     def test_not_equal_to_store_with_same_rows(self):
         store = TripletStore(3, [0], [1], [2], [True])

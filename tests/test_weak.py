@@ -381,6 +381,64 @@ class TestRoundKernel:
             elif kind == "top_bit" and fwd.size:
                 assert h.o_j >> 63 == 1
 
+    def test_summation_block_edges_equal_per_side_reference(self):
+        """Sides of 7, 8, 9, 16, 17, 128, 129 and 300 rows, where numpy's pairwise
+        sum changes shape (fewer than 8 entries in order, then 8 accumulators, then
+        halves past 128), at L = 2, 3, 8 and 64; sets empty, of one, some and every
+        label, and a label whose in-class mass is exactly half its column mass when
+        both are added in row order (pairwise sums would often admit it)."""
+        from tripletboost.weak import _pack_masks, _round
+
+        sizes = (7, 8, 9, 16, 17, 128, 129, 300)
+        rng = np.random.default_rng(20)
+        seen = set()
+        for n_labels in (2, 3, 8, 64):
+            for n_fwd in sizes:
+                for n_rev in sizes:
+                    for kind in ("none", "one", "some", "all", "tie"):
+                        w, labels, fwd, rev, scores = _edge_case(rng, n_fwd, n_rev,
+                                                                 n_labels, kind)
+                        want_w, want_scores = w.copy(), scores.copy()
+                        want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev,
+                                                           want_scores)
+                        members, stats = _round(w, labels, fwd, rev, scores)
+                        h = TripletClassifier(0, 1, *_pack_masks(members).tolist(),
+                                              stats[3])
+                        assert h == want_h
+                        assert np.array(stats).tobytes() == np.array(want_stats).tobytes()
+                        assert w.tobytes() == want_w.tobytes()
+                        assert scores.tobytes() == want_scores.tobytes()
+                        for size in members.sum(axis=1).tolist():
+                            seen.add("all" if size == n_labels else min(size, 2))
+        assert seen == {0, 1, 2, "all"}
+
+
+def _edge_case(rng, n_fwd, n_rev, n_labels, kind):
+    """(w, labels, fwd, rev, scores) whose sides hold n_fwd and n_rev rows and whose
+    label sets come out empty, one label, some labels or every label present; a
+    ``tie`` puts a label of j's side exactly on the boundary of its set."""
+    n = n_fwd + n_rev + 3  # three examples fire nothing
+    labels = np.arange(n) % n_labels
+    if kind == "one":
+        labels[:] = rng.integers(0, n_labels)
+    elif kind == "some":
+        labels = rng.choice(rng.permutation(n_labels)[:max(2, n_labels // 2)], n)
+    rng.shuffle(labels)
+    w = rng.random((n, n_labels)) ** 3 + 1e-9
+    w[np.arange(n), labels] *= 1e-4 if kind == "none" else 1e4
+    w /= w.sum()
+    fired = rng.permutation(n)
+    fwd, rev = np.sort(fired[:n_fwd]), np.sort(fired[n_fwd:n_fwd + n_rev])
+    if kind == "tie":  # the last row's entry puts 2a - b = 0 exactly, added in row order
+        y = (labels[fwd[-1]] + 1) % n_labels
+        in_class = prefix = 0.0
+        for i in fwd[:-1]:
+            in_class += w[i, y] if labels[i] == y else 0.0
+            prefix += w[i, y]
+        if in_class > 0.0:  # y is on this side
+            w[fwd[-1], y] = 2.0 * in_class - prefix
+    return w, labels, fwd, rev, rng.normal(size=(n, n_labels))
+
 
 def _row_filter(store, j, k):
     """``fired_buckets`` by brute force: scan every row for the pair {j, k}."""
