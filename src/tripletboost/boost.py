@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, LabelDict
-from .triplets import TripletStore, _parse_header
+from .triplets import TripletStore, _int64, _pair_keys, _parse_header, _records, _write_lines
 from .weak import (
     MAX_LABELS,
     RoundStats,
@@ -102,7 +102,7 @@ class StrongModel:
         self.j, self.k, self.label_sets = pairs.min(axis=1), pairs.max(axis=1), sets
         self.alpha = np.array(alpha, dtype=np.float64)
         self.stats = np.array(stats, dtype=np.float64).reshape(-1, 4)
-        keys = self.j * self.n_train + self.k
+        keys = _pair_keys(self.j, self.k, self.n_train)
         self.key_order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.key_order]
         self.key_slots, self.key_runs = _slot_table(self.sorted_keys)
@@ -395,41 +395,25 @@ def save_model(model: StrongModel, path) -> None:
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"label name {name!r} cannot be serialized: "
                              "it holds a tab or line break")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"tripletboost-model v1 L={model.n_labels} n={model.n_train} "
-                 f"C={model.rounds_run}\n")
-        fh.write("\t".join(names) + "\n")
-        for j, k, alpha, (o_j, o_k) in zip(model.j.tolist(), model.k.tolist(),
-                                           model.alpha.tolist(),
-                                           _pack_masks(model.label_sets).tolist()):
-            fh.write(f"{j} {k} {alpha!r} {o_j:x} {o_k:x}\n")
+    _write_lines(path, [f"tripletboost-model v1 L={model.n_labels} n={model.n_train} "
+                        f"C={model.rounds_run}", "\t".join(names)], "{} {} {!r} {:x} {:x}\n",
+                 (model.j, model.k, model.alpha, *_pack_masks(model.label_sets).T))
 
 
 def load_model(path) -> StrongModel:
     """Read a ``save_model`` file; each classifier error names its line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
-        names_line = fh.readline().rstrip("\n")
-        body = fh.read().splitlines()
+        names = tuple(fh.readline().rstrip("\n").split("\t"))
+        body = fh.read()
     n_labels, n_train, rounds_run = _parse_header(
         header, "tripletboost-model", ("L", "n", "C"), path)
-    names = tuple(names_line.split("\t"))
     if len(names) != n_labels:
         raise ValueError(f"label count disagrees with header in {path}")
-    rows, linenos, malformed = [], [], None
-    for lineno, line in enumerate(body, start=3):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            j, k, alpha, o_j, o_k = tokens
-            rows.append((int(j), int(k), int(o_j, 16), int(o_k, 16), float(alpha)))
-        except ValueError:
-            malformed = lineno  # reported once the rows above it pass their checks
-            break
-        linenos.append(lineno)
-    columns = _columns(rows, n_train, n_labels, lambda idx: f"line {linenos[idx]}")
-    if malformed is not None:
-        raise ValueError(f"malformed classifier at line {malformed}")
+    rows, name, bad = _records(body, 3, lambda j, k, alpha, o_j, o_k: (
+        _int64(j), _int64(k), int(o_j, 16), int(o_k, 16), float(alpha)))
+    columns = _columns(rows, n_train, n_labels, name)  # the rows above a bad line first
+    if bad is not None:
+        raise ValueError(f"malformed classifier at line {bad[0]}")
     return StrongModel._from_columns(LabelDict(names), n_train, *columns,
                                      rounds_run=rounds_run)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .boost import StrongModel, init_weights, sample_reference_pair
+from .boost import StrongModel, _PairDraw, init_weights
 from .dataset import Dataset, LabelDict
 from .predict import ABSTAIN, predict_all
 from .triplets import TestTripletSet, _round_half_up
@@ -209,12 +209,13 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
     labels = np.arange(n, dtype=np.int64) % n_labels
     ds = Dataset(labels, LabelDict(tuple(str(y) for y in range(n_labels))))
     rates = np.empty(n_models)
+    others = {}  # each class's examples of other classes, as train keeps them
     for m_idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
         rng = np.random.default_rng(child)
         w = init_weights(n, n_labels)
         pairs, sets, alphas = [], [], []
         for _ in range(rounds):
-            j, k = sample_reference_pair(ds, w, rng)
+            j, k = _PairDraw(ds.labels, w, others)(rng.random)
             revealed = np.flatnonzero(rng.random(n) < p)
             says_j = rng.random(n) < 0.5
             fwd, rev = revealed[says_j[revealed]], revealed[~says_j[revealed]]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import StrongModel
-from .triplets import TestTripletSet, TripletStore, _int64_ids
+from .triplets import TestTripletSet, TripletStore, _int64_ids, _pair_keys
 
 __all__ = [
     "ABSTAIN",
@@ -150,9 +150,7 @@ def _join(model: StrongModel, tset: TripletStore, sets: np.ndarray) -> Predictio
     while x < tset.n_anchors:
         y = max(x + 1, int(np.searchsorted(edges, edges[x] + _JOIN_BLOCK, "right")) - 1)
         block = slice(edges[x], edges[y])
-        keys = np.multiply(tset._lo[block], tset.n, dtype=np.int64)
-        keys += tset._hi[block]
-        hit, fired = model._match(keys)
+        hit, fired = model._match(tset._keys(block))
         row = edges[x] + hit
         anchor = anchors[row]
         # Sorted by value, the packed votes run in (example, classifier) order, and
@@ -180,8 +178,8 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
     if example.m == 0:
         return _accumulate(model, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
                            model.label_sets)[0]
-    keys = np.multiply(example._lo, example.n, dtype=np.int64) + example._hi
-    cls_keys = model.j * model.n_train + model.k
+    keys = example._keys()
+    cls_keys = _pair_keys(model.j, model.k, model.n_train)
     count = cls_keys.size
     matched = np.zeros(count, dtype=bool)
     hit_at = np.zeros(count, dtype=np.int64)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -54,7 +53,6 @@ _ANCHOR_BLOCK = 256  # anchors per distance block during generation
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
 _INT64 = np.iinfo(np.int64)
-_ID = re.compile(r"[+-]?[0-9]+")  # an integer as np.loadtxt reads one
 
 
 class Relation(Enum):
@@ -88,6 +86,12 @@ def _check_vectors(features: np.ndarray | None, metric: str, what: str) -> np.nd
         raise ValueError("cosine distance is undefined for zero-norm vectors, as at "
                          f"{what} row {np.argmin(np.linalg.norm(features, axis=1))}")
     return features
+
+
+def _pair_keys(lo, hi, n: int) -> np.ndarray:
+    """The int64 pair keys lo*n + hi on which the scorer joins store rows and classifiers."""
+    keys = np.multiply(lo, n, dtype=np.int64)
+    return np.add(keys, hi, out=keys)
 
 
 class TripletStore:
@@ -222,12 +226,16 @@ class TripletStore:
         lo, hi = (j, k) if j < k else (k, j)
         key = lo * self.n + hi
         rows = self._rows_of(i)
-        pkeys = np.multiply(self._lo[rows], self.n, dtype=np.int64) + self._hi[rows]
+        pkeys = self._keys(rows)
         pos = int(np.searchsorted(pkeys, key))
         if pos >= pkeys.size or pkeys[pos] != key:
             return Relation.ABSENT
         stored_near = lo if self._near_lo[rows.start + pos] else hi
         return Relation.FORWARD if stored_near == j else Relation.REVERSE
+
+    def _keys(self, rows=slice(None)) -> np.ndarray:
+        """The pair keys of ``rows``, in a new int64 array."""
+        return _pair_keys(self._lo[rows], self._hi[rows], self.n)
 
     def pairs_for(self, i: int) -> np.ndarray:
         """(count, 2) array of the (near, far) reference ids stored for anchor i."""
@@ -246,9 +254,7 @@ class TripletStore:
         if self._pair_cache is None:
             # One unique key per row, ((lo*n + hi)*2 + far_lo)*n_anchors + anchor,
             # sorted in place: it fits uint64 because n_anchors*n*n fits int64.
-            keys = np.multiply(self._lo, self.n, dtype=np.int64)
-            keys += self._hi
-            keys = keys.view(np.uint64)
+            keys = self._keys().view(np.uint64)
             keys <<= np.uint64(1)
             keys |= self._near_lo
             keys ^= np.uint64(1)  # far_lo: the rows closer to lo come first
@@ -281,27 +287,16 @@ class TripletStore:
 
     def save(self, path) -> None:
         """Write the canonical text format; equal stores produce identical bytes."""
-        self._write(path, f"tripletset v1 n={self.n} m={self.m}")
+        _write_lines(path, [f"tripletset v1 n={self.n} m={self.m}"], "{} {} {}\n",
+                     (self._anchor, self.near, self.far))
 
     @classmethod
     def load(cls, path) -> "TripletStore":
-        (_, m), store = _read_id_file(cls, path, "tripletset", ("n", "m"),
-                                      lambda n, m: (n, n))
+        # a training store's anchors and references are both its n examples
+        (_, _, m), store = _read_id_file(cls, path, "tripletset", ("n", "n", "m"))
         if store.m != m:
             raise ValueError(f"header claims m={m} but file has {store.m} triplets")
         return store
-
-    def _write(self, path, header: str) -> None:
-        """The header line, then one ``anchor near far`` line per canonical row."""
-        near, far = self.near, self.far
-        block = 1 << 16
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for start in range(0, self.m, block):
-                stop = min(start + block, self.m)
-                fh.write("\n".join([f"{int(self._anchor[i])} {int(near[i])} {int(far[i])}"
-                                    for i in range(start, stop)]))
-                fh.write("\n")
 
 
 class TestTripletSet(TripletStore):
@@ -327,12 +322,12 @@ class TestTripletSet(TripletStore):
         return self.n
 
     def save(self, path) -> None:
-        self._write(path, f"testtriplets v1 n_test={self.n_test} n_train={self.n_train}")
+        _write_lines(path, [f"testtriplets v1 n_test={self.n_test} n_train={self.n_train}"],
+                     "{} {} {}\n", (self._anchor, self.near, self.far))
 
     @classmethod
     def load(cls, path) -> "TestTripletSet":
-        return _read_id_file(cls, path, "testtriplets", ("n_test", "n_train"),
-                             lambda n_test, n_train: (n_test, n_train))[1]
+        return _read_id_file(cls, path, "testtriplets", ("n_test", "n_train"))[1]
 
 
 # -- generation from feature vectors -----------------------------------------
@@ -616,32 +611,17 @@ def _check_ratings(user, item, rating, n_items: int, where) -> None:
 
 def load_ratings(path) -> RatingsTable:
     """Read whitespace-separated ``user item rating`` lines; errors name a line."""
-    users, items, ratings, linenos, malformed = [], [], [], [], None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                user, item, rating = parts
-                user, item, rating = int(user), int(item), float(rating)
-            except ValueError:
-                malformed = f"malformed rating at line {lineno}"
-                break
-            if not (_INT64.min <= user <= _INT64.max and _INT64.min <= item <= _INT64.max):
-                malformed = f"id not an int64 integer at line {lineno}"
-                break
-            users.append(user)
-            items.append(item)
-            ratings.append(rating)
-            linenos.append(lineno)
-    cols = (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-            np.array(ratings, dtype=np.float64))
-    n_items = int(cols[1].max()) + 1 if items else 0
-    if users or malformed is None:  # the rows above a malformed line are checked first
-        _check_ratings(*cols, n_items, lambda idx: f"line {linenos[idx]}")
-    if malformed is not None:
-        raise ValueError(malformed)
+        rows, name, bad = _records(fh.read(), 1, lambda user, item, rating: (
+            _int64(user), _int64(item), float(rating)))
+    ids = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    cols = (*ids.T, np.array([row[2] for row in rows], dtype=np.float64))
+    n_items = int(cols[1].max()) + 1 if rows else 0
+    if rows or bad is None:  # the rows above a malformed line are checked first
+        _check_ratings(*cols, n_items, name)
+    if bad is not None:
+        raise ValueError(("id not an int64 integer" if isinstance(bad[1], OverflowError)
+                          else "malformed rating") + f" at line {bad[0]}")
     return RatingsTable(*cols, n_items)
 
 
@@ -749,6 +729,18 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
 # -- shared text I/O -----------------------------------------------------------
 
 
+def _plain(text: str) -> bool:
+    """ASCII without ``_``, the one token rule: ``int`` reads what ``np.loadtxt`` reads."""
+    return text.isascii() and "_" not in text
+
+
+def _int64(token: str) -> int:
+    """A plain token's id: a ValueError unless decimal, an OverflowError outside int64."""
+    if not -(1 << 63) <= (value := int(token)) < 1 << 63:
+        raise OverflowError(token)
+    return value
+
+
 def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[int, ...]:
     """The integer values of ``keys`` in a ``kind v1 key=value ...`` header line."""
     parts = line.split()
@@ -761,35 +753,59 @@ def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[in
         raise ValueError(f"malformed header in {path}") from None
 
 
-def _read_id_file(cls, path, kind: str, names: tuple[str, str], universes):
-    """The two header values ``names``, and the ``cls`` store over the universes
-    ``universes(*values)`` of the nonblank lines, each exactly three int64 ids.
-    The first bad line raises, named by its number (header = 1): the rows above
-    a malformed line are checked before it is reported."""
+def _records(text: str, first_lineno: int, parse):
+    """(rows, name, bad): row i is ``parse(*tokens)`` of a nonblank line of ``text``
+    (lines end at LF, from number ``first_lineno``), named ``name(i)``.  ``bad`` is
+    (N, error) for the first line N that is not plain or that ``parse`` refuses;
+    the rows stop above it, so that a caller checks them before reporting it."""
+    rows, linenos, bad = [], [], None
+    for lineno, line in enumerate(text.split("\n"), start=first_lineno):
+        tokens = line.split()
+        try:
+            if not _plain(line):
+                raise ValueError(line)
+            if tokens:
+                rows.append(parse(*tokens))
+                linenos.append(lineno)
+        except (ValueError, OverflowError, TypeError) as error:  # TypeError: token count
+            bad = lineno, error
+            break
+    return rows, lambda i: f"line {linenos[i]}", bad
+
+
+def _read_id_file(cls, path, kind: str, names: tuple[str, ...]):
+    """The header values ``names``, and the ``cls`` store over the universes that the
+    first two name, read from nonblank lines of three int64 ids each.  The first bad
+    line raises, named by its number (header = 1), after the rows above it.  Lines are
+    scanned only if ``np.loadtxt`` refuses the body or a row needs its line number."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         body = fh.read()
     values = _parse_header(header, kind, names, path)
-    lines = lambda: [(lineno, line.split()) for lineno, line
-                     in enumerate(body.split("\n"), start=2) if line.strip()]
-    try:
-        with warnings.catch_warnings():  # an older numpy reads 2.7 or 1e30 as a
-            warnings.simplefilter("error", DeprecationWarning)  # float, warns, casts
-            ids = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-                   if body.strip() else np.empty((0, 3), dtype=np.int64))  # else it warns
-    except (ValueError, DeprecationWarning):
-        ids = None
-    malformed = None
+    scan = lambda: _records(body, 2, lambda i, j, k: (_int64(i), _int64(j), _int64(k)))
+    ids, bad = None, None
+    if body.strip() and _plain(body):  # else np.loadtxt warns, or splits at U+00A0 too
+        try:
+            with warnings.catch_warnings():  # an older numpy reads 2.7 or 1e30 as a
+                warnings.simplefilter("error", DeprecationWarning)  # float, warns, casts
+                ids = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            pass
     if ids is None or ids.shape[1] != 3:  # np.loadtxt's row numbers skip blank lines
-        rows = []
-        for lineno, tokens in lines():
-            if len(tokens) != 3 or not all(
-                    _ID.fullmatch(t) and _INT64.min <= int(t) <= _INT64.max for t in tokens):
-                malformed = lineno
-                break
-            rows.append([int(t) for t in tokens])
+        rows, name, bad = scan()
         ids = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    store = cls._from_ijk(*universes(*values), *ids.T, lambda row: f"line {lines()[row][0]}")
-    if malformed is not None:
-        raise ValueError(f"malformed triplet at line {malformed}: expected three int64 ids")
+    else:
+        name = lambda row: scan()[1](row)
+    store = cls._from_ijk(*values[:2], *ids.T, name)
+    if bad is not None:
+        raise ValueError(f"malformed triplet at line {bad[0]}: expected three int64 ids")
     return values, store
+
+
+def _write_lines(path, head, line: str, columns) -> None:
+    """The ``head`` lines, then ``line.format`` (ending in LF) of each row of ``columns``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(text + "\n" for text in head))
+        for start in range(0, len(columns[0]), 1 << 16):
+            block = (col[start:start + (1 << 16)].tolist() for col in columns)
+            fh.write("".join(map(line.format, *block)))

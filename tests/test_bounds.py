@@ -289,9 +289,12 @@ class TestEndToEnd:
         ((10, 3, 0.1, 30, 4, 40, 5), ("0x1.1999999999999p-3", "0x1.08654a2d4f6dap-6")),
         ((5, 5, 0.5, 5, 3, 10, 0), ("0x1.1111111111111p-4", "0x1.1111111111112p-5")),
         ((6, 3, 0.1, 8, 6, 30, 12), ("0x1.527d27d27d27dp-1", "0x1.a97960526d4f5p-5")),
+        ((12, 4, 0.08, 12, 4, 30, 21), ("0x1.0444444444444p-1", "0x1.19787e4ffebc2p-5")),
     ])
     def test_hex_snapshot(self, args, want):
         """Exact outputs recorded when each draw was scored by its own ``score``
-        call; (7, 2, 0.02, ...) mixes models without and with kept classifiers."""
+        call; (7, 2, 0.02, ...) mixes models without and with kept classifiers.
+        (12, 4, ...) was recorded while each round drew its pair with a fresh
+        other-class index, before the rounds shared one."""
         est, se = end_to_end_abstention(*args)
         assert (est.hex(), se.hex()) == want

@@ -31,7 +31,7 @@ from tripletboost import (
     split,
     subsample,
 )
-from tripletboost.boost import StrongModel
+from tripletboost.boost import StrongModel, load_model
 from tripletboost.triplets import _per_group_take, _unrank_pairs
 from tripletboost.weak import TripletClassifier
 
@@ -894,6 +894,50 @@ class TestRecordChecks:
         path.write_text("1 0 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match="malformed rating at line 1"):
             load_ratings(path)
+
+    # Per whitespace format: the lines above its rows, a valid row, a bad row, a
+    # line with "{}" where an id and where a real number go, its loader and what
+    # it calls a malformed line.
+    _FORMATS = {
+        "triplets": ("tripletset v1 n=20 m=3\n", "0 1 2\n", "0 2 1\n",
+                     {"id": "0 {} 2\n", "number": "0 {} 2\n"}, TripletStore.load,
+                     "malformed triplet"),
+        "model": ("tripletboost-model v1 L=2 n=20 C=3\na\tb\n", "0 1 0.5 1 2\n",
+                  "0 2 nan 1 2\n", {"id": "0 {} 0.5 1 2\n", "number": "0 1 {} 1 2\n"},
+                  load_model, "malformed classifier"),
+        "ratings": ("", "1 0 5\n", "1 0 4\n", {"id": "1 {} 4\n", "number": "1 1 {}\n"},
+                    load_ratings, "malformed rating"),
+    }
+
+    @pytest.mark.parametrize("kind", ["triplets", "model", "ratings"])
+    @pytest.mark.parametrize("slot, token", [
+        ("id", "1_0"), ("id", "\uff11"), ("id", "1\u00a0"), ("number", "1_0.5"),
+    ], ids=["underscore", "full-width-digit", "no-break-space", "underscore-real"])
+    def test_one_token_rule(self, tmp_path, kind, slot, token):
+        """Each format refuses a line with ``_`` or a non-ASCII character, which
+        ``int`` and ``float`` would read, and checks the rows above it first."""
+        head, good, bad, lines, load, malformed = self._FORMATS[kind]
+        line = lines[slot].format(token)
+        path = tmp_path / "bad.txt"
+        first = head.count("\n") + 2
+        path.write_text(head + good + line, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{malformed} at line {first}"):
+            load(path)
+        path.write_text(head + good + bad + line, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"at line {first}$"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["model", "ratings"])
+    @pytest.mark.parametrize("space", ["\x0c", "\x1c"], ids=["form-feed", "file-separator"])
+    def test_lines_end_only_at_lf(self, tmp_path, kind, space):
+        """A form feed or \\x1c inside a line is whitespace, not a line break, so the
+        bad line after it keeps its number."""
+        head, good, bad, _, load, _ = self._FORMATS[kind]
+        head = head or "\n\n"  # a ratings file has no header: its line 3 is the row
+        path = tmp_path / "bad.txt"
+        path.write_text(head + good.replace(" ", space, 1) + bad, encoding="utf-8")
+        with pytest.raises(ValueError, match="at line 4$"):
+            load(path)
 
 
 class TestMemoryBudget:
