@@ -748,7 +748,10 @@ def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[in
         raise ValueError(f"version mismatch: expected '{kind} v1' header in {path}")
     values = dict(token.partition("=")[::2] for token in parts[2:])
     try:
-        return tuple(int(values[key]) for key in keys)
+        tokens = [values[key] for key in keys]
+        if not all(map(_plain, tokens)):  # the token rule of the record lines
+            raise ValueError
+        return tuple(map(int, tokens))
     except (KeyError, ValueError):
         raise ValueError(f"malformed header in {path}") from None
 

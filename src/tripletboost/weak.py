@@ -9,27 +9,13 @@ files) it is an int bitmask, which caps the label space at 64 classes.
 ``_round`` is the one implementation of a boosting round; ``select_labels``,
 ``round_weights`` and ``boost.update_weights`` expose its steps one at a time.
 
-A round reads its fired rows of the weights once (``_gather``), j's side
-first, and writes them back with one scatter (``_update``), each row's factors
-and votes looked up by its code side*L + label.  Its sums keep the bits of a
-round that gathers and sums each side on its own, because each is added in
-the same order:
-
-- numpy adds a ``bincount``'s weights and a column sum (a reduction down the
-  rows of a C-ordered matrix) in row order, so one ``bincount`` over the codes
-  gives both sides' in-class masses, and one over each entry's side*L + column
-  both sides' column masses: each bin meets its side's rows in order;
-- it adds a whole-array reduction pairwise (in order below 8 entries, in 8
-  running sums up to 128, by halves above), so where such a sum starts and
-  ends sets its bits.  The four masses of W+ and W- (total, true, inside the
-  set, inside and true) are reduced side by side.  Their shortcuts are exact:
-  an empty set adds 0.0; a one-label set's inside mass reduces the strided
-  column, which numpy adds as it adds the one-column copy; a larger set's
-  ``side_w[:, set]`` is a Fortran-ordered copy that adds column after column,
-  as ``side_w.T[set]`` does; and a set of every label has inside-true mass
-  equal to the true mass;
-- a label joins a set when 2a - b > 0, which holds iff 2a > b: a difference
-  of finite doubles rounds to zero only when they are equal.
+A round gathers its fired rows of the weights once, j's side first; one
+``bincount`` adds each entry (row, label c) of side s into bin t*2L + s*L + c in
+row order, t = 0 iff c is the row's label: the side's in-class mass a and
+out-of-class mass o of c.  A label joins its side's set iff a > o, strictly.  A
+side's W+ adds a for its set's labels and o for the others, its W- the reverse,
+one float at a time, labels ascending; the round adds j's side to k's, so a swap
+of the sides keeps the bits.  These sums are fixed by the code, not by numpy.
 """
 
 from __future__ import annotations
@@ -137,71 +123,47 @@ def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndar
 
 
 @functools.cache
-def _side_codes(n_labels: int) -> np.ndarray:
-    """The (2, L) codes side*L + label."""
-    return np.arange(2 * n_labels).reshape(2, n_labels)
-
-
-@functools.lru_cache(maxsize=256)
-def _update_index(sets: bytes, n_labels: int) -> np.ndarray:
-    """Indices into (exp(alpha), exp(-alpha), -alpha, alpha) for the label sets
-    ``sets``, the bytes of a (2, L) bool matrix: row side*L + y holds the factors
-    of that side's examples of label y, then their votes."""
-    members = np.frombuffer(sets, dtype=bool).reshape(2, 1, n_labels)
-    right = members == np.eye(n_labels, dtype=bool)  # the entries that shrink
-    votes = np.broadcast_to(members + 2, right.shape)
-    index = np.concatenate((right, votes), axis=2, dtype=np.int8).reshape(2 * n_labels, -1)
-    index.flags.writeable = False
-    return index
+def _bin_table(n_labels: int) -> np.ndarray:
+    """Row side*L + y of this (2L, L) table holds the bins of the entries of a
+    side's row of label y: t*2L + side*L + c for column c, t = 0 iff c = y."""
+    code, col = np.arange(2 * n_labels, dtype=np.intp)[:, None], np.arange(n_labels)
+    table = code - code % n_labels + col + 2 * n_labels * (code % n_labels != col)
+    table.flags.writeable = False
+    return table
 
 
 def _gather(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray):
-    """Both buckets' rows, j side first: (rows, w[rows], cells, codes, true weights,
-    |fwd|).  A row's code is side*L + its label, the side 0 for j and 1 for k;
-    ``cells`` holds side*L + label for each entry of ``w[rows]``.
-    """
+    """Both buckets' rows, j side first: (rows, w[rows], the bins of w[rows])."""
     rows = np.concatenate((fwd, rev), dtype=np.intp)  # intp: numpy indexes by it as is
-    row_labels = labels.take(rows)
-    cells = _side_codes(w.shape[1]).repeat((fwd.size, rev.size), axis=0)
-    return (rows, w.take(rows, axis=0), cells, row_labels + cells[:, 0],
-            w[rows, row_labels], fwd.size)
+    codes = labels.take(rows)
+    codes[fwd.size:] += w.shape[1]  # side*L + label, the side 0 for j and 1 for k
+    return rows, w.take(rows, axis=0), _bin_table(w.shape[1]).take(codes, axis=0)
 
 
 def _sides(gathered, members: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    """Both sides' label sets, as a (2, L) bool matrix, and the round's (W+, W-).
-
-    Without ``members`` each side's set is chosen: the labels whose in-class
-    minus out-of-class mass on the side is strictly positive.  An entry (i, y)
-    counts as correct when membership of y in its side's set agrees with y
-    being i's true label; abstaining examples are not gathered.
-    """
-    _, w_rows, cells, codes, true_w, n_fwd = gathered
-    n_labels = w_rows.shape[1]
+    """Both sides' label sets, as a (2, L) bool matrix, and the round's (W+, W-):
+    the masses of the entries (i, y) whose membership of y in their side's set
+    agrees, and disagrees, with y being i's label.  Without ``members`` each side's
+    set is chosen: the labels whose in-class mass exceeds their out-of-class mass."""
+    _, w_rows, bins = gathered
+    n_labels, half = w_rows.shape[1], 2 * w_rows.shape[1]
+    masses = np.bincount(bins.ravel(), weights=w_rows.ravel(), minlength=2 * half)
     if members is None:
-        in_class = np.bincount(codes, weights=true_w, minlength=2 * n_labels)
-        column = np.bincount(cells.ravel(), weights=w_rows.ravel(), minlength=2 * n_labels)
-        members = (2.0 * in_class > column).reshape(2, n_labels)  # 2a - b > 0 iff 2a > b
-    sets = members.tolist()
-    in_set = members.ravel().take(codes)  # each row's label is in its side's set
-    w_plus = w_minus = 0.0
-    for side, part in enumerate((slice(None, n_fwd), slice(n_fwd, None))):
-        side_w, side_true, size = w_rows[part], true_w[part], sum(sets[side])
-        if side_true.size == 0:
-            continue
-        total = float(np.add.reduce(side_w, axis=None))
-        all_true = float(np.add.reduce(side_true))
-        inside = inside_true = 0.0
-        if size == 1:
-            inside = float(np.add.reduce(side_w[:, sets[side].index(True)]))
-        elif size:
-            inside = float(np.add.reduce(side_w.T[members[side]], axis=None))
-        if size == n_labels:
-            inside_true = all_true
-        elif size:
-            inside_true = float(np.add.reduce(side_true[in_set[part]]))
-        w_plus += total - all_true - inside + 2.0 * inside_true
-        w_minus += all_true + inside - 2.0 * inside_true
-    return members, w_plus, w_minus
+        members = (masses[:half] > masses[half:]).reshape(2, n_labels)
+    masses, sides = masses.tolist(), [[0.0, 0.0], [0.0, 0.0]]  # not sum(): it may compensate
+    for b, member in enumerate(members.ravel().tolist()):
+        a, o, side = masses[b], masses[half + b], sides[b // n_labels]
+        side[:] = (side[0] + a, side[1] + o) if member else (side[0] + o, side[1] + a)
+    return members, sides[0][0] + sides[1][0], sides[0][1] + sides[1][1]
+
+
+@functools.lru_cache(maxsize=64)
+def _bin_index(sets: bytes) -> np.ndarray:  # sets: a (2, L) bool matrix's bytes
+    """Each bin's factor and vote index into (e^alpha, e^-alpha, -alpha, alpha)."""
+    member = np.frombuffer(sets, dtype=bool)
+    index = np.array((np.concatenate((member, ~member)), np.tile(member, 2) + 2))
+    index.flags.writeable = False  # shared by every round with these sets
+    return index
 
 
 def _update(w: np.ndarray, gathered, members: np.ndarray, alpha: float,
@@ -212,14 +174,13 @@ def _update(w: np.ndarray, gathered, members: np.ndarray, alpha: float,
     by exp(alpha); ``scores``, when given, gains the signed vote.  Returns the
     pre-normalization total after renormalizing ``w`` in place.
     """
-    rows, w_rows, _, codes, _, _ = gathered
-    n_labels = w.shape[1]
+    rows, w_rows, bins = gathered
     values = np.array((math.exp(alpha), math.exp(-alpha), -alpha, alpha))
-    by_code = values.take(_update_index(members.tobytes(), n_labels))
-    row_values = by_code.take(codes, axis=0)  # each row's factors, then its votes
-    w[rows] = w_rows * row_values[:, :n_labels]
+    factors, votes = values.take(_bin_index(members.tobytes()))
+    row = f"V{w.strides[0]}"  # a row as one item: its put beats a fancy-index write
+    w.view(row).put(rows, (w_rows * factors.take(bins)).view(row))
     if scores is not None:
-        scores[rows] = scores.take(rows, axis=0) + row_values[:, n_labels:]
+        scores.view(row).put(rows, (scores.take(rows, axis=0) + votes.take(bins)).view(row))
     z = float(np.add.reduce(w, axis=None))
     if z <= 0.0:
         raise ValueError("weight update produced a nonpositive total")
@@ -252,16 +213,15 @@ def _round(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray,
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[int, int]:
     """Choose the predicted label sets for both sides of the pair (j, k)."""
-    fwd, rev = fired_buckets(ts, j, k)
-    return tuple(_pack_masks(_sides(_gather(w, ds.labels, fwd, rev))[0]).tolist())
+    gathered = _gather(w, ds.labels, *fired_buckets(ts, j, k))
+    return tuple(_pack_masks(_sides(gathered)[0]).tolist())
 
 
 def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[float, float]:
     """Weighted mass of correctly and incorrectly classified (example, label) pairs."""
-    fwd, rev = fired_buckets(ts, h.j, h.k)
-    members = _mask_bools((h.o_j, h.o_k), ds.n_labels)
-    return _sides(_gather(w, ds.labels, fwd, rev), members)[1:]
+    gathered = _gather(w, ds.labels, *fired_buckets(ts, h.j, h.k))
+    return _sides(gathered, _mask_bools((h.o_j, h.o_k), ds.n_labels))[1:]
 
 
 def classifier_alpha(w_plus: float, w_minus: float, n: int) -> float:

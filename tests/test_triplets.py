@@ -432,6 +432,27 @@ class TestStoreFiles:
         with pytest.raises(ValueError, match="malformed header"):
             TripletStore.load(path)
 
+    @pytest.mark.parametrize("text", [
+        "tripletset v1 n=1_0 m=0\n",
+        "tripletset v1 n=\uff11\uff10 m=0\n",  # full-width digits
+        "testtriplets v1 n_test=2 n_train=1_0\n",
+        "tripletboost-model v1 L=2 n=4 C=\uff11\na\tb\n",
+    ])
+    def test_header_values_follow_the_token_rule(self, tmp_path, text):
+        """A header value is read as a line's id is: ASCII, without ``_``."""
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        load = {"tripletset": TripletStore.load, "testtriplets": TestTripletSet.load,
+                "tripletboost-model": load_model}[text.split()[0]]
+        with pytest.raises(ValueError, match="malformed header"):
+            load(path)
+
+    def test_oversized_header_universe_named(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("tripletset v1 n=99999999999999999999999 m=0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"universe size must be in \[1, "):
+            TripletStore.load(path)
+
     def test_empty_store_round_trip(self, tmp_path):
         store = TripletStore.from_triplets(4, [])
         path = tmp_path / "e.txt"

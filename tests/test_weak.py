@@ -279,47 +279,98 @@ class TestClassifierType:
         assert mask_labels(mask, 3) == sorted(y for y in labels if y < 3)
 
 
-# -- the gather-once round against a per-side reference round --------------------
+# -- the bin round against a pure-Python reference round -------------------------
 
 
-def _oracle_side(w, labels, bucket):
-    """Reference side: its own gather of ``w[bucket]``, then its label set and W+/W-."""
-    n_labels = w.shape[1]
-    if bucket.size == 0:
-        return np.zeros(n_labels, dtype=bool), 0.0, 0.0
-    w_bucket = w[bucket]
-    bucket_labels = labels[bucket]
-    true_w = w[bucket, bucket_labels]
-    in_class = np.bincount(bucket_labels, weights=true_w, minlength=n_labels)
-    member = 2.0 * in_class - w_bucket.sum(axis=0) > 0.0
-    total = float(w_bucket.sum())
-    all_true = float(true_w.sum())
-    inside = float(w_bucket[:, member].sum())
-    inside_true = float(true_w[member[bucket_labels]].sum())
-    return (member, total - all_true - inside + 2.0 * inside_true,
-            all_true + inside - 2.0 * inside_true)
+def _oracle_masses(w, labels, fwd, rev):
+    """Each side's in-class and out-of-class mass of every label, as Python floats:
+    j's side first, each entry added into its bin in row order."""
+    n_labels, rows, labels = w.shape[1], w.tolist(), labels.tolist()
+    inside = [[0.0] * n_labels for _ in range(2)]
+    outside = [[0.0] * n_labels for _ in range(2)]
+    for side, bucket in enumerate((fwd, rev)):
+        for i in bucket.tolist():
+            for y in range(n_labels):
+                if y == labels[i]:
+                    inside[side][y] += rows[i][y]
+                else:
+                    outside[side][y] += rows[i][y]
+    return inside, outside
 
 
 def _oracle_round(w, labels, j, k, fwd, rev, scores):
-    """Reference round: per-side selection, then the update applied side by side."""
-    o_j, plus_j, minus_j = _oracle_side(w, labels, fwd)
-    o_k, plus_k, minus_k = _oracle_side(w, labels, rev)
-    w_plus, w_minus = plus_j + plus_k, minus_j + minus_k
+    """Reference round: a label joins its side's set iff its in-class mass exceeds
+    its out-of-class mass; each side adds its W+ and W- one label at a time, in
+    ascending order, then j's side is added to k's; the update runs entry by
+    entry.  ``z`` stays numpy's sum."""
+    n_labels = w.shape[1]
+    inside, outside = _oracle_masses(w, labels, fwd, rev)
+    members = [[a > o for a, o in zip(inside[side], outside[side])] for side in range(2)]
+    sides = [[0.0, 0.0], [0.0, 0.0]]
+    for side in range(2):
+        for y in range(n_labels):
+            a, o = inside[side][y], outside[side][y]
+            right, wrong = (a, o) if members[side][y] else (o, a)
+            sides[side][0] += right
+            sides[side][1] += wrong
+    w_plus, w_minus = sides[0][0] + sides[1][0], sides[0][1] + sides[1][1]
     alpha = classifier_alpha(w_plus, w_minus, w.shape[0])
     z = 1.0
     if alpha != 0.0:
-        col = np.arange(w.shape[1])
-        for bucket, member in ((fwd, o_j), (rev, o_k)):
-            if bucket.size == 0:
-                continue
-            agree = member[None, :] == (labels[bucket][:, None] == col[None, :])
-            w[bucket] *= np.where(agree, math.exp(-alpha), math.exp(alpha))
-            scores[bucket] += np.where(member, alpha, -alpha)
-        z = float(w.sum())
+        grow, shrink = math.exp(alpha), math.exp(-alpha)
+        rows, votes, labels = w.tolist(), scores.tolist(), labels.tolist()
+        for side, bucket in enumerate((fwd, rev)):
+            for i in bucket.tolist():
+                for y in range(n_labels):
+                    member = members[side][y]
+                    rows[i][y] *= shrink if member == (y == labels[i]) else grow
+                    votes[i][y] += alpha if member else -alpha
+        w[:], scores[:] = rows, votes
+        z = float(np.add.reduce(w, axis=None))
         w /= z
-    h = TripletClassifier(j, k, bitmask(np.flatnonzero(o_j)), bitmask(np.flatnonzero(o_k)),
-                          alpha)
+    h = TripletClassifier(j, k, bitmask(y for y in range(n_labels) if members[0][y]),
+                          bitmask(y for y in range(n_labels) if members[1][y]), alpha)
     return h, RoundStats(w_plus, w_minus, z, alpha)
+
+
+def _pairwise_weights(w, labels, fwd, rev, members):
+    """(W+, W-) of the (2, L) sets ``members`` as numpy's pairwise per-side sums
+    gave them before the bin sums: total, true, inside the set, inside and true."""
+    w_plus = w_minus = 0.0
+    for bucket, member in zip((fwd, rev), members):
+        if bucket.size == 0:
+            continue
+        true_w = w[bucket, labels[bucket]]
+        all_true, inside = float(true_w.sum()), float(w[bucket][:, member].sum())
+        inside_true = float(true_w[member[labels[bucket]]].sum())
+        w_plus += float(w[bucket].sum()) - all_true - inside + 2.0 * inside_true
+        w_minus += all_true + inside - 2.0 * inside_true
+    return w_plus, w_minus
+
+
+def _check_round(w, labels, fwd, rev, scores):
+    """``_round`` against the reference, bit for bit, and against itself with the
+    sides swapped; its W+ and W- also within 8 eps of their total of the pairwise
+    sums.  Returns the sets and the stats."""
+    from tripletboost.weak import _pack_masks, _round
+
+    want_w, want_scores = w.copy(), scores.copy()
+    want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev, want_scores)
+    before, swapped_w, swapped_scores = w.copy(), w.copy(), scores.copy()
+    members, stats = _round(w, labels, fwd, rev, scores)
+    swapped = _round(swapped_w, labels, rev, fwd, swapped_scores)  # k's side first
+    assert np.array_equal(swapped[0], members[::-1])
+    assert np.array(swapped[1]).tobytes() == np.array(stats).tobytes()
+    assert swapped_w.tobytes() == w.tobytes() and swapped_scores.tobytes() == scores.tobytes()
+    assert members.shape == (2, w.shape[1])
+    assert TripletClassifier(0, 1, *_pack_masks(members).tolist(), stats[3]) == want_h
+    assert np.array(stats).tobytes() == np.array(want_stats).tobytes()
+    assert w.tobytes() == want_w.tobytes()
+    assert scores.tobytes() == want_scores.tobytes()
+    old = _pairwise_weights(before, labels, fwd, rev, members)
+    slack = 8 * np.finfo(float).eps * (stats[0] + stats[1])
+    assert abs(stats[0] - old[0]) <= slack and abs(stats[1] - old[1]) <= slack
+    return members, stats
 
 
 def _round_case(rng, kind):
@@ -358,65 +409,54 @@ class TestRoundKernel:
                                       "one_row", "all_members", "no_members",
                                       "zero_alpha", "top_bit"])
     def test_round_equals_per_side_reference_bit_for_bit(self, kind):
-        from tripletboost.weak import _pack_masks, _round
-
+        """``_round`` against the pure-Python reference, which sums side by side."""
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(60):
             w, labels, fwd, rev, scores = _round_case(rng, kind)
-            want_w, want_scores = w.copy(), scores.copy()
-            want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev, want_scores)
-            members, stats = _round(w, labels, fwd, rev, scores)
-            assert members.shape == (2, w.shape[1])
-            h = TripletClassifier(0, 1, *_pack_masks(members).tolist(), stats[3])
-            assert h == want_h
-            assert np.array(stats).tobytes() == np.array(want_stats).tobytes()
-            assert w.tobytes() == want_w.tobytes()
-            assert scores.tobytes() == want_scores.tobytes()
+            members, stats = _check_round(w, labels, fwd, rev, scores)
+            o_j, o_k = (int(m) for m in members.sum(axis=1))
             if kind == "all_members":
-                assert h.o_j == h.o_k == (1 << w.shape[1]) - 1
+                assert o_j == o_k == w.shape[1]
             elif kind == "no_members":
-                assert h.o_j == h.o_k == 0
+                assert o_j == o_k == 0
             elif kind == "zero_alpha":
-                assert h.alpha == 0.0
+                assert stats[3] == 0.0
             elif kind == "top_bit" and fwd.size:
-                assert h.o_j >> 63 == 1
+                assert members[0, 63]
 
     def test_summation_block_edges_equal_per_side_reference(self):
         """Sides of 7, 8, 9, 16, 17, 128, 129 and 300 rows, where numpy's pairwise
-        sum changes shape (fewer than 8 entries in order, then 8 accumulators, then
+        sum changed shape (fewer than 8 entries in order, then 8 accumulators, then
         halves past 128), at L = 2, 3, 8 and 64; sets empty, of one, some and every
-        label, and a label whose in-class mass is exactly half its column mass when
-        both are added in row order (pairwise sums would often admit it)."""
-        from tripletboost.weak import _pack_masks, _round
-
+        label, and a label of j's side whose in-class and out-of-class masses tie
+        exactly when added in row order, which keeps it out of the set."""
         sizes = (7, 8, 9, 16, 17, 128, 129, 300)
         rng = np.random.default_rng(20)
-        seen = set()
+        seen, ties = set(), 0
         for n_labels in (2, 3, 8, 64):
             for n_fwd in sizes:
                 for n_rev in sizes:
                     for kind in ("none", "one", "some", "all", "tie"):
                         w, labels, fwd, rev, scores = _edge_case(rng, n_fwd, n_rev,
                                                                  n_labels, kind)
-                        want_w, want_scores = w.copy(), scores.copy()
-                        want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev,
-                                                           want_scores)
-                        members, stats = _round(w, labels, fwd, rev, scores)
-                        h = TripletClassifier(0, 1, *_pack_masks(members).tolist(),
-                                              stats[3])
-                        assert h == want_h
-                        assert np.array(stats).tobytes() == np.array(want_stats).tobytes()
-                        assert w.tobytes() == want_w.tobytes()
-                        assert scores.tobytes() == want_scores.tobytes()
+                        if kind == "tie":
+                            inside, outside = _oracle_masses(w, labels, fwd, rev)
+                            tied = [y for y in range(n_labels)
+                                    if 0.0 < inside[0][y] == outside[0][y]]
+                            ties += bool(tied)
+                        members, _ = _check_round(w, labels, fwd, rev, scores)
+                        if kind == "tie":
+                            assert not members[0, tied].any()
                         for size in members.sum(axis=1).tolist():
                             seen.add("all" if size == n_labels else min(size, 2))
         assert seen == {0, 1, 2, "all"}
+        assert ties > 4 * len(sizes) ** 2 // 2
 
 
 def _edge_case(rng, n_fwd, n_rev, n_labels, kind):
     """(w, labels, fwd, rev, scores) whose sides hold n_fwd and n_rev rows and whose
     label sets come out empty, one label, some labels or every label present; a
-    ``tie`` puts a label of j's side exactly on the boundary of its set."""
+    ``tie`` gives a label of j's side equal in-class and out-of-class masses."""
     n = n_fwd + n_rev + 3  # three examples fire nothing
     labels = np.arange(n) % n_labels
     if kind == "one":
@@ -429,14 +469,19 @@ def _edge_case(rng, n_fwd, n_rev, n_labels, kind):
     w /= w.sum()
     fired = rng.permutation(n)
     fwd, rev = np.sort(fired[:n_fwd]), np.sort(fired[n_fwd:n_fwd + n_rev])
-    if kind == "tie":  # the last row's entry puts 2a - b = 0 exactly, added in row order
+    if kind == "tie":  # the last row's entry makes o == a exactly, added in row order
         y = (labels[fwd[-1]] + 1) % n_labels
-        in_class = prefix = 0.0
+        inside = outside = 0.0
         for i in fwd[:-1]:
-            in_class += w[i, y] if labels[i] == y else 0.0
-            prefix += w[i, y]
-        if in_class > 0.0:  # y is on this side
-            w[fwd[-1], y] = 2.0 * in_class - prefix
+            if labels[i] == y:
+                inside += w[i, y]
+            else:
+                outside += w[i, y]
+        if inside > outside:  # y is on this side, and a positive entry can tie it
+            last = inside - outside
+            while outside + last != inside:  # step to the double that lands on a
+                last = np.nextafter(last, np.inf if outside + last < inside else 0.0)
+            w[fwd[-1], y] = last
     return w, labels, fwd, rev, rng.normal(size=(n, n_labels))
 
 
