@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, LabelDict
-from .triplets import TripletStore, _int64, _pair_keys, _parse_header, _records, _write_lines
+from .triplets import (TripletStore, _check_universe, _int64, _pair_keys, _parse_header,
+                       _records, _write_lines)
 from .weak import (
     MAX_LABELS,
     RoundStats,
@@ -408,6 +409,9 @@ def load_model(path) -> StrongModel:
         body = fh.read()
     n_labels, n_train, rounds_run = _parse_header(
         header, "tripletboost-model", ("L", "n", "C"), path)
+    if rounds_run < 0:
+        raise ValueError(f"malformed header in {path}")
+    _check_universe(n_train)  # the pairs index the examples of a training store
     if len(names) != n_labels:
         raise ValueError(f"label count disagrees with header in {path}")
     rows, name, bad = _records(body, 3, lambda j, k, alpha, o_j, o_k: (

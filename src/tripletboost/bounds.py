@@ -41,12 +41,17 @@ def _check_history(z_history) -> np.ndarray:
 
 
 def training_error_bound(n_labels: int, z_history) -> float:
-    """Bound on the strict training error: (L/2) times the normalizer product."""
+    """Bound on the strict training error: (L/2) times the normalizer product.
+
+    The logs are added one at a time in round order, as ``train`` adds them for
+    its checkpoints, so both give the same bits (``np.sum`` adds pairwise, and
+    ``sum`` of floats is compensated from Python 3.12 on)."""
     if n_labels < 2:
         raise ValueError("need at least two labels")
-    z = _check_history(z_history)
-    return 0.5 * n_labels * math.exp(float(np.log(z).sum())) if z.size \
-        else 0.5 * n_labels
+    log_z_sum = 0.0
+    for z in _check_history(z_history).tolist():
+        log_z_sum += math.log(z)
+    return 0.5 * n_labels * math.exp(log_z_sum)
 
 
 def empirical_margin_bound(n_labels: int, z_history, w_plus_history,

@@ -16,10 +16,8 @@ sampler limit); a larger total is rejected with a ValueError.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +51,14 @@ _ANCHOR_BLOCK = 256  # anchors per distance block during generation
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
 _INT64 = np.iinfo(np.int64)
+_PARSE_BLOCK = 1 << 20  # bytes of whole lines parsed at once from a writer's body
+_WRITER_SEPS = np.frombuffer(b"  \n", dtype=np.uint8)  # the byte after each id of a line
+
+
+def _check_universe(n: int) -> None:
+    """Refuse a reference universe of n examples outside [1, _MAX_UNIVERSE]."""
+    if not 1 <= n <= _MAX_UNIVERSE:
+        raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}], got {n}")
 
 
 class Relation(Enum):
@@ -113,8 +119,7 @@ class TripletStore:
     def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where) -> "TripletStore":
         """Hold the rows as int32 ids.  ``where=None`` trusts them to be canonical
         and takes them as they are, else they are checked in int64 and sorted."""
-        if not 1 <= n <= _MAX_UNIVERSE:
-            raise ValueError(f"universe size must be in [1, {_MAX_UNIVERSE}], got {n}")
+        _check_universe(n)
         # packed keys (a*n + lo)*n + hi fit int64, and anchor ids fit int32
         limit = min((2**63 - 1) // (int(n) * int(n)), np.iinfo(_ID_DTYPE).max)
         if not 1 <= n_anchors <= limit:
@@ -730,7 +735,8 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
 
 
 def _plain(text: str) -> bool:
-    """ASCII without ``_``, the one token rule: ``int`` reads what ``np.loadtxt`` reads."""
+    """ASCII without ``_``, the one token rule: ``int`` then reads only decimal digits
+    and a sign, never a digit of another script or a ``_`` between digits."""
     return text.isascii() and "_" not in text
 
 
@@ -742,14 +748,16 @@ def _int64(token: str) -> int:
 
 
 def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[int, ...]:
-    """The integer values of ``keys`` in a ``kind v1 key=value ...`` header line."""
+    """The integer values of ``keys`` in a ``kind v1 key=value ...`` header line,
+    in which no key repeats."""
     parts = line.split()
     if parts[:2] != [kind, "v1"]:
         raise ValueError(f"version mismatch: expected '{kind} v1' header in {path}")
     values = dict(token.partition("=")[::2] for token in parts[2:])
     try:
         tokens = [values[key] for key in keys]
-        if not all(map(_plain, tokens)):  # the token rule of the record lines
+        # a repeated key, or a value outside the token rule of the record lines
+        if len(values) < len(parts) - 2 or not all(map(_plain, tokens)):
             raise ValueError
         return tuple(map(int, tokens))
     except (KeyError, ValueError):
@@ -776,29 +784,52 @@ def _records(text: str, first_lineno: int, parse):
     return rows, lambda i: f"line {linenos[i]}", bad
 
 
+def _writer_ids(body: str) -> np.ndarray | None:
+    """The (m, 3) int64 ids of a body in the writer's grammar, else None.  Its lines
+    hold three ids of 1-18 ASCII digits, followed by SP, SP and LF (the last LF may
+    be missing); they are read from the bytes a block of whole lines at a time."""
+    if not body.isascii():
+        return None
+    data = (body if body.endswith("\n") else body + "\n").encode("ascii")
+    ids = np.zeros(3 * data.count(b"\n"), dtype=np.int64)
+    start = done = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _PARSE_BLOCK) + 1 or len(data)
+        block = np.frombuffer(data, np.uint8, stop - start, start)
+        ends = np.flatnonzero(block - 48 > 9)  # a byte below b"0" wraps past 9 in uint8
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        width = ends - starts
+        if (ends.size % 3 or width.min() < 1 or width.max() > 18
+                or not (block[ends].reshape(-1, 3) == _WRITER_SEPS).all()):
+            return None
+        value = ids[done:done + ends.size]
+        for shift in range(int(width.max()), 0, -1):  # Horner, from the widest id's lead
+            at = ends - shift
+            # the digits widen to int64 before they scale: uint8 would wrap
+            digit = block.take(at, mode="clip").astype(np.int64) - 48
+            value *= 10
+            value += np.where(at >= starts, digit, 0)
+        done += ends.size
+        start = stop
+    return ids.reshape(-1, 3)
+
+
 def _read_id_file(cls, path, kind: str, names: tuple[str, ...]):
     """The header values ``names``, and the ``cls`` store over the universes that the
     first two name, read from nonblank lines of three int64 ids each.  The first bad
-    line raises, named by its number (header = 1), after the rows above it.  Lines are
-    scanned only if ``np.loadtxt`` refuses the body or a row needs its line number."""
+    line raises, named by its number (header = 1), after the rows above it.  A body
+    in the writer's grammar is read from its bytes, any other body line by line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         body = fh.read()
     values = _parse_header(header, kind, names, path)
-    scan = lambda: _records(body, 2, lambda i, j, k: (_int64(i), _int64(j), _int64(k)))
-    ids, bad = None, None
-    if body.strip() and _plain(body):  # else np.loadtxt warns, or splits at U+00A0 too
-        try:
-            with warnings.catch_warnings():  # an older numpy reads 2.7 or 1e30 as a
-                warnings.simplefilter("error", DeprecationWarning)  # float, warns, casts
-                ids = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning):
-            pass
-    if ids is None or ids.shape[1] != 3:  # np.loadtxt's row numbers skip blank lines
-        rows, name, bad = scan()
+    ids, bad = _writer_ids(body), None
+    name = lambda row: f"line {row + 2}"  # a body in the writer's grammar has no blank line
+    if ids is None:
+        rows, name, bad = _records(body, 2, lambda i, j, k: (
+            _int64(i), _int64(j), _int64(k)))
         ids = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    else:
-        name = lambda row: scan()[1](row)
+    del body  # the rows are checked without the text
     store = cls._from_ijk(*values[:2], *ids.T, name)
     if bad is not None:
         raise ValueError(f"malformed triplet at line {bad[0]}: expected three int64 ids")

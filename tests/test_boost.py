@@ -413,6 +413,16 @@ class TestTrainSnapshots:
             checkpoints.tobytes()))
         assert got == want
 
+    def test_checkpoint_bounds_equal_the_bound_function(self, pinned_run):
+        """A checkpoint's bound is ``training_error_bound`` of the normalizers up to
+        its round, bit for bit: both add the logs one at a time in round order."""
+        ds, _, _, model, _ = pinned_run
+        z = model.z_history()
+        assert model.checkpoints
+        for checkpoint in model.checkpoints:
+            want = training_error_bound(ds.n_labels, z[:checkpoint.round])
+            assert checkpoint.error_bound.hex() == want.hex()
+
 
 def test_sparse_corpus_drops_about_half_the_rounds():
     """The sparse pinned corpus keeps the regime it pins: 30-60% of its rounds
@@ -511,6 +521,23 @@ class TestModelFiles:
     @pytest.mark.parametrize("header", ["tripletboost-model v1 L=2 n=3",
                                         "tripletboost-model v1 L=2 n=x C=1"])
     def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\na\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("n", ["99999999999999999999", "2000001", "0", "-3"])
+    def test_universe_outside_a_stores_named(self, tmp_path, n):
+        """A model's pairs index a training store, so its n has a store's range."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"tripletboost-model v1 L=2 n={n} C=1\na\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"universe size must be in [1, 2000000], got {n}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", ["tripletboost-model v1 L=2 n=3 C=-5",
+                                        "tripletboost-model v1 L=2 n=3 C=1 n=3"])
+    def test_negative_or_repeated_header_value_malformed(self, tmp_path, header):
         path = tmp_path / "bad.txt"
         path.write_text(f"{header}\na\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="malformed header"):

@@ -287,3 +287,14 @@ class TestInputErrors:
             assert code == 1
             assert err.startswith("error: ") and f"at line {line}" in err
             assert out == ""
+
+    def test_oversized_model_universe_fails_cleanly(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("tripletboost-model v1 L=2 n=99999999999999999999 C=1\n"
+                         "a\tb\n0 1 0.5 1 2\n", encoding="utf-8")
+        test = tmp_path / "t.txt"
+        test.write_text("testtriplets v1 n_test=1 n_train=3\n0 1 2\n", encoding="utf-8")
+        code, out, err = _run(capsys, "predict", "--model", model, "--test-triplets", test)
+        assert code == 1
+        assert err.startswith("error: universe size must be in [1, 2000000]")
+        assert out == ""

@@ -3,13 +3,15 @@
 import hashlib
 import math
 import tracemalloc
-import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+
+import tripletboost.triplets as tb_triplets
 
 from tripletboost import (
     Dataset,
@@ -444,6 +446,19 @@ class TestStoreFiles:
         path.write_text(text, encoding="utf-8")
         load = {"tripletset": TripletStore.load, "testtriplets": TestTripletSet.load,
                 "tripletboost-model": load_model}[text.split()[0]]
+        with pytest.raises(ValueError, match="malformed header"):
+            load(path)
+
+    @pytest.mark.parametrize("text", [
+        "tripletset v1 n=3 n=5 m=1\n0 1 2\n",
+        "tripletset v1 n=3 m=1 m=1\n0 1 2\n",
+        "testtriplets v1 n_test=1 n_train=3 n_test=2\n0 1 2\n",
+        "tripletset v1 n=3 m=1 note note\n0 1 2\n",
+    ])
+    def test_repeated_header_key_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        load = TestTripletSet.load if text.startswith("test") else TripletStore.load
         with pytest.raises(ValueError, match="malformed header"):
             load(path)
 
@@ -882,28 +897,6 @@ class TestRecordChecks:
                                              "expected three int64 ids"):
             load(path)
 
-    def test_parse_falls_back_to_the_line_scan(self, tmp_path, monkeypatch):
-        """A numpy whose loadtxt reads a fraction as a float, warns and casts it is still
-        refused at the line; a body loadtxt refuses but the scan accepts still loads."""
-        def casting(text, **kwargs):
-            warnings.warn("Parsing an integer via a float is deprecated",
-                          DeprecationWarning, stacklevel=2)
-            return np.array([[0, 1, 2], [1, 0, 2]], dtype=np.int64)
-
-        path = tmp_path / "t.txt"
-        path.write_text("tripletset v1 n=3 m=2\n0 1 2\n1 0 2.7\n", encoding="utf-8")
-        monkeypatch.setattr(np, "loadtxt", casting)
-        with pytest.raises(ValueError, match="malformed triplet at line 3"):
-            TripletStore.load(path)
-        store = TripletStore.from_triplets(3, [(0, 1, 2), (1, 0, 2)])
-        store.save(path)
-
-        def refusing(text, **kwargs):
-            raise ValueError("refused")
-
-        monkeypatch.setattr(np, "loadtxt", refusing)
-        assert TripletStore.load(path) == store
-
     def test_malformed_rating_waits_for_the_rows_above(self, tmp_path):
         path = tmp_path / "ratings.txt"
         path.write_text("1 0 5\n1 0 4\n1 1\n", encoding="utf-8")
@@ -959,6 +952,119 @@ class TestRecordChecks:
         path.write_text(head + good.replace(" ", space, 1) + bad, encoding="utf-8")
         with pytest.raises(ValueError, match="at line 4$"):
             load(path)
+
+
+def _line_reader_load(cls, path):
+    """What ``cls.load`` must give for a file: its header, then its body read by the
+    line reader alone (``_records``) and checked by the store's constructor."""
+    kind, names = (("testtriplets", ("n_test", "n_train")) if cls is TestTripletSet
+                   else ("tripletset", ("n", "n", "m")))
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    values = tb_triplets._parse_header(header, kind, names, path)
+    rows, name, bad = tb_triplets._records(body, 2, lambda i, j, k: (
+        tb_triplets._int64(i), tb_triplets._int64(j), tb_triplets._int64(k)))
+    ids = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    store = cls._from_ijk(*values[:2], *ids.T, name)
+    if bad is not None:
+        raise ValueError(f"malformed triplet at line {bad[0]}: expected three int64 ids")
+    if cls is TripletStore and store.m != values[2]:
+        raise ValueError(f"header claims m={values[2]} but file has {store.m} triplets")
+    return store
+
+
+def _outcome(load):
+    """A loader's store, or the text of its ValueError."""
+    try:
+        return load()
+    except ValueError as error:
+        return str(error)
+
+
+_TWEAKS = ("tab", "double-space", "blank-line", "sign", "bad-token", "no-final-lf")
+
+
+@st.composite
+def _id_files(draw, test_set):
+    """(header, body) of a triplet file: rows of ids with 1-20 digits, some with
+    leading zeros or past 255, and a few tweaks off the writer's grammar."""
+    n = draw(st.integers(1, 400))
+    n_anchors = draw(st.integers(1, 400)) if test_set else n
+    digits = draw(st.sampled_from([3, 18, 20]))  # the widest token a body may hold
+    anchor, ref = st.integers(0, n_anchors - 1), st.integers(0, n - 1)
+    if draw(st.booleans()):  # ids out of range too, up to the widest token
+        wide = st.integers(0, 10**digits - 1)
+        anchor, ref = st.one_of(anchor, anchor, anchor, wide), st.one_of(ref, ref, ref, wide)
+    rows = draw(st.lists(st.tuples(anchor, ref, ref), max_size=30))
+    lines = [" ".join(str(v).zfill(draw(st.integers(1, digits))) for v in row)
+             for row in rows]
+    tweaks = draw(st.lists(st.sampled_from(_TWEAKS), max_size=2))
+    for tweak in tweaks:
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if not lines or tweak == "no-final-lf":
+            continue
+        if tweak == "tab":
+            lines[at] = lines[at].replace(" ", "\t", 1)
+        elif tweak == "double-space":
+            lines[at] = lines[at].replace(" ", "  ", 1)
+        elif tweak == "blank-line":
+            lines.insert(at, "")
+        elif tweak == "sign":
+            lines[at] = draw(st.sampled_from("+-")) + lines[at]
+        else:
+            bad = draw(st.sampled_from(["x", "1.0", "1_0", "1e3", ""]))
+            lines[at] = lines[at].rpartition(" ")[0] + " " + bad
+    body = "".join(line + "\n" for line in lines)
+    if "no-final-lf" in tweaks:
+        body = body[:-1]
+    header = (f"testtriplets v1 n_test={n_anchors} n_train={n}" if test_set
+              else f"tripletset v1 n={n} m={len(rows)}")
+    return header, body
+
+
+class TestReaderRoutes:
+    """A body in the writer's grammar is read from its bytes, any other body by the
+    line reader; the two give the same stores and the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), test_set=st.booleans(), block=st.sampled_from([1, 20, 1 << 20]))
+    def test_routes_agree_with_the_line_reader(self, tmp_path_factory, data, test_set,
+                                               block):
+        header, body = data.draw(_id_files(test_set))
+        path = tmp_path_factory.mktemp("routes") / "triplets.txt"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        cls = TestTripletSet if test_set else TripletStore
+        with mock.patch.object(tb_triplets, "_PARSE_BLOCK", block):
+            got = _outcome(lambda: cls.load(path))
+        want = _outcome(lambda: _line_reader_load(cls, path))
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("body", [
+        "", "\n", "0 1 2", "0 1 2\n\n", "\n0 1 2\n", "0 1 2 \n", " 0 1 2\n", "0 1 \n",
+        " 1 2\n", "0 1 2\r\n", "0 1 2\n3 4\n", "0 1 2 3\n", "0\t1 2\n", "0 +1 2\n",
+        "0 1 000000000000000002\n", "0 1 0000000000000000002\n", "0 1 9999999999999999999\n",
+        "0 1 302\n0 2 1\n", "0 1 2\n0 1 2", "0 1 2\n٣ 1 2\n", "0 1\n2\n", "0\n1 2\n",
+    ])
+    def test_grammar_edges_agree_with_the_line_reader(self, tmp_path, body):
+        path = tmp_path / "triplets.txt"
+        path.write_text(f"testtriplets v1 n_test=1 n_train=400\n{body}", encoding="utf-8")
+        got = _outcome(lambda: TestTripletSet.load(path))
+        assert got == _outcome(lambda: _line_reader_load(TestTripletSet, path))
+
+    def test_writer_body_needs_no_line_reader(self, tmp_path, monkeypatch):
+        """A saved store loads, and its repeated last line is named, without a scan."""
+        store = generate_training_set(make_moons(30, 0.1, 0), "euclidean", 0.5, 0.0, 1)
+        path = tmp_path / "t.txt"
+        store.save(path)
+
+        def no_scan(*args):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(tb_triplets, "_records", no_scan)
+        assert TripletStore.load(path) == store
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + text.splitlines(keepends=True)[-1], encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^duplicate triplet at line {store.m + 2}$"):
+            TripletStore.load(path)
 
 
 class TestMemoryBudget:
