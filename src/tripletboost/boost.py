@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, LabelDict
-from .triplets import (TripletStore, _check_universe, _int64, _pair_keys, _parse_header,
-                       _records, _write_lines)
+from .triplets import (TestTripletSet, TripletStore, _check_universe, _int64, _pair_keys,
+                       _parse_header, _records, _write_lines)
 from .weak import (
     MAX_LABELS,
     RoundStats,
@@ -160,7 +160,10 @@ class StrongModel:
 
     @property
     def total_alpha(self) -> float:
-        return float(sum(self.alpha.tolist()))  # not np.sum: margins keep their bits
+        total = 0.0  # in classifier order: np.sum adds pairwise, sum() compensates from 3.12
+        for alpha in self.alpha.tolist():
+            total += alpha
+        return total
 
     def z_history(self) -> np.ndarray:
         return self.stats[:, 2].copy()
@@ -352,6 +355,8 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
         raise ValueError(f"at most {MAX_LABELS} labels are supported")
     if np.unique(ds.labels).size < 2:
         raise ValueError("training needs at least two classes present")
+    if isinstance(ts, TestTripletSet):
+        raise ValueError("train needs the training store, not a TestTripletSet")
     if ts.n != n:
         raise ValueError("triplet store universe does not match the dataset")
 

@@ -211,6 +211,10 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
         raise ValueError("need at least one draw per model")
     if n_labels < 2 or n_labels > n:
         raise ValueError("need 2 <= n_labels <= n")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if rounds < 0:
+        raise ValueError("rounds must be nonnegative")
     labels = np.arange(n, dtype=np.int64) % n_labels
     ds = Dataset(labels, LabelDict(tuple(str(y) for y in range(n_labels))))
     rates = np.empty(n_models)

@@ -1,19 +1,17 @@
 """Strong-classifier scoring, abstention reporting, and prediction output.
 
-Matching test pairs against model classifiers is the prediction bottleneck.
-A test set's canonical rows are grouped by example; ``predict_all`` and
-``score`` (a one-example test set) join them against the model's classifier
-keys in blocks of whole examples: each row's pair key is looked up by address
-in the model's hashed slot table (``StrongModel.key_slots``, built with the
-model), every classifier kept on a found pair fires, and the votes are ordered
-by (example, classifier).  The cost grows with the rows present, O(rows), not
-with C times the examples; ``signed_scores_on_training`` joins a training store.
-``score_naive`` performs the full cross-comparison and exists as the
-correctness oracle and benchmark foil.  All feed the identical accumulation
-step, which sums each example's votes in ascending classifier order, so their
-outputs agree bit for bit.  ``predict_all`` returns columns (``Predictions``),
-which ``resolve_all``, ``evaluate_predictions`` and the CSV writer read as
-they are.
+``predict_all`` and ``score`` (a one-example test set) join a test set's rows,
+grouped by example, against the model's classifier keys in blocks of whole
+examples: each row's pair key is looked up by address in the model's hashed
+slot table (``StrongModel.key_slots``), and every classifier kept on a found
+pair fires.  The cost grows with the rows present, not with C times the
+examples; ``signed_scores_on_training`` joins a training store the same way.
+``score_naive`` is the full cross-comparison, kept as the correctness oracle
+and benchmark foil.  Every scorer adds its votes with ``bincount``: a total is
+0.0 plus the fired classifiers' votes in ascending classifier order, the order
+in which ``train`` adds each round's votes, so all of them agree bit for bit.
+``predict_all`` returns columns (``Predictions``), which ``resolve_all``,
+``evaluate_predictions`` and the CSV writer read as they are.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
 
 ABSTAIN = -1
 
-_NAIVE_BLOCK = 128  # classifiers per cross-comparison block
 _JOIN_BLOCK = 1 << 16  # test-set rows per join block, rounded to whole examples
 
 
@@ -105,62 +102,51 @@ def _example(pairs, n_train: int) -> TestTripletSet:
                                     where)
 
 
-def _accumulate(model: StrongModel, matched: np.ndarray, votes: np.ndarray,
-                sets: np.ndarray) -> Predictions:
-    """Sum the votes of each example: ``votes`` holds, example by example
-    (``matched[e]`` of them) and in ascending classifier order, 2*c + s for a
-    fired classifier c and its side s (0: the near example is its j), which adds
-    alpha[c] * ``sets[c, s]``.  Every scorer ends here, so they agree bit for bit."""
+def _accumulate(model: StrongModel, n_examples: int, example: np.ndarray,
+                votes: np.ndarray, sets: np.ndarray) -> Predictions:
+    """Sum the votes of examples 0..``n_examples``-1: vote i, 2*c + s for a fired
+    classifier c and its side s (0: the near example is its j), adds alpha[c] *
+    ``sets[c, s]`` to the totals of ``example[i]``.  ``bincount`` adds each bin's
+    weights one at a time in input order, starting from 0.0, so with an example's
+    votes in ascending classifier order each total is 0.0 + v1 + v2 + ..., the
+    order of ``train``'s per-round bumps.  Every scorer ends here."""
     n_labels = model.n_labels
-    sets = sets.reshape(-1, n_labels)
-    scores = np.zeros((matched.size, n_labels))
-    fired_alpha = np.zeros(matched.size)
-    starts = np.cumsum(matched) - matched
-    if matched.size and matched.min() == matched.max():  # one count, as in ``score``
-        by_count, groups = np.arange(matched.size), [(int(matched[0]), 0, matched.size)]
-    else:
-        by_count = np.argsort(matched, kind="stable")
-        counts, bounds = np.unique(matched[by_count], return_index=True)
-        groups = zip(counts.tolist(), bounds.tolist(), bounds[1:].tolist() + [matched.size])
-    # The k examples with c votes each sum a (k, c) gather of alpha along its rows
-    # and a (k, c, L) gather of weighted sets along its middle axis: numpy sums
-    # each example's votes as it would sum them alone, whatever k is.
-    for count, lo, hi in groups:
-        if count == 0:
-            continue  # examples without votes keep zero scores
-        step = max(1, _JOIN_BLOCK // (count * n_labels))  # bounds each gather
-        for part in range(lo, hi, step):
-            ex = by_count[part:min(part + step, hi)]
-            cast = votes[starts[ex, None] + np.arange(count)]
-            alpha = model.alpha[cast >> 1]
-            scores[ex] = (alpha[..., None] * np.take(sets, cast, axis=0)).sum(axis=1)
-            fired_alpha[ex] = alpha.sum(axis=1)
-    label = np.where(matched > 0, np.argmax(scores, axis=1), ABSTAIN)
-    return Predictions(scores, label, matched, fired_alpha)
+    alpha = model.alpha.take(votes >> 1)
+    at, flat = votes * n_labels, sets.reshape(-1)  # sets[c, s, y] is flat[at + y]
+    scores = np.zeros((n_examples, n_labels))  # bincount of no votes is an int array
+    for y in range(n_labels):
+        scores[:, y] = np.bincount(example, alpha * flat.take(at + y), n_examples)
+    matched = np.bincount(example, minlength=n_examples)
+    fired_alpha = np.bincount(example, alpha, n_examples).astype(np.float64)
+    return Predictions(scores, np.where(matched > 0, np.argmax(scores, axis=1), ABSTAIN),
+                       matched, fired_alpha)
 
 
 def _join(model: StrongModel, tset: TripletStore, sets: np.ndarray) -> Predictions:
     """Sum the ``sets`` votes of every anchor of ``tset`` by one join of its row pair
-    keys against the model's hashed classifier keys, in blocks of whole anchors."""
+    keys against the model's hashed classifier keys, in blocks of whole anchors,
+    each block summed as soon as it is matched."""
     n_cls = model.sorted_keys.size
     anchors = tset.anchors  # needles of its dtype, else searchsorted converts it whole
     edges = anchors.searchsorted(np.arange(tset.n_anchors + 1, dtype=anchors.dtype))
-    matched, votes = [], []
+    blocks = []
     x = 0
     while x < tset.n_anchors:
         y = max(x + 1, int(np.searchsorted(edges, edges[x] + _JOIN_BLOCK, "right")) - 1)
         block = slice(edges[x], edges[y])
         hit, fired = model._match(tset._keys(block))
         row = edges[x] + hit
-        anchor = anchors[row]
-        # Sorted by value, the packed votes run in (example, classifier) order, and
-        # modulo 2C each is 2*classifier + side.  The key stays below
-        # 2 * _JOIN_BLOCK * C, since a block of several examples has no more rows.
-        packed = ((edges[anchor] - edges[x]) * n_cls + fired) * 2 + ~tset._near_lo[row]
-        votes.append(np.sort(packed) % (2 * n_cls))
-        matched.append(np.bincount(anchor - x, minlength=y - x))
+        # Sorted by value, the packed votes run in (example, classifier) order; over
+        # 2C each is its example's first row in the block, and modulo 2C it is
+        # 2*classifier + side.  The key stays below 2 * _JOIN_BLOCK * C, since a
+        # block of several examples has no more rows.
+        packed = ((edges[anchors[row]] - edges[x]) * n_cls + fired) * 2 + ~tset._near_lo[row]
+        first_row, votes = np.divmod(np.sort(packed), 2 * n_cls)
+        blocks.append(_accumulate(model, y - x, anchors[edges[x] + first_row] - x, votes,
+                                  sets))
         x = y
-    return _accumulate(model, np.concatenate(matched), np.concatenate(votes), sets)
+    return Predictions(*(np.concatenate([getattr(block, name) for block in blocks])
+                         for name in Predictions.__slots__))
 
 
 def score(model: StrongModel, pairs) -> Prediction:
@@ -175,22 +161,13 @@ def score(model: StrongModel, pairs) -> Prediction:
 def score_naive(model: StrongModel, pairs) -> Prediction:
     """Same contract as ``score`` via the O(|pairs| * C) cross-comparison."""
     example = _example(pairs, model.n_train)
-    if example.m == 0:
-        return _accumulate(model, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                           model.label_sets)[0]
-    keys = example._keys()
     cls_keys = _pair_keys(model.j, model.k, model.n_train)
-    count = cls_keys.size
-    matched = np.zeros(count, dtype=bool)
-    hit_at = np.zeros(count, dtype=np.int64)
-    for start in range(0, count, _NAIVE_BLOCK):
-        stop = min(start + _NAIVE_BLOCK, count)
-        eq = cls_keys[start:stop, None] == keys[None, :]
-        matched[start:stop] = eq.any(axis=1)
-        hit_at[start:stop] = eq.argmax(axis=1)
-    fired = np.flatnonzero(matched)
-    votes = 2 * fired + ~example._near_lo[hit_at[fired]]
-    return _accumulate(model, np.array([fired.size]), votes, model.label_sets)[0]
+    side = np.full(cls_keys.size, -1)  # a fired classifier's side, else -1
+    for key, near_lo in zip(example._keys().tolist(), example._near_lo.tolist()):
+        side[cls_keys == key] = not near_lo
+    fired = np.flatnonzero(side >= 0)
+    return _accumulate(model, 1, np.zeros(fired.size, dtype=np.intp), 2 * fired + side[fired],
+                       model.label_sets)[0]
 
 
 def _columns(predictions, n_labels: int) -> Predictions:

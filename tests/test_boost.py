@@ -18,6 +18,7 @@ from tripletboost import (
     TripletClassifier,
     TripletStore,
     classifier_alpha,
+    generate_test_set,
     generate_training_set,
     init_weights,
     load_model,
@@ -298,6 +299,16 @@ class TestTrain:
         store = TripletStore.from_triplets(5, [])
         with pytest.raises(ValueError, match="universe"):
             train(ds, store, BoostConfig(rounds=1))
+
+    def test_test_set_rejected(self):
+        """A test set whose example count equals the universe still has test
+        anchors, not training examples."""
+        ds = make_moons(60, 0.1, 0)
+        train_ds, test_ds = ds.take(np.arange(0, 60, 2)), ds.take(np.arange(1, 60, 2))
+        tset = generate_test_set(test_ds, train_ds, "euclidean", 0.5, 0.0, 1)
+        assert tset.n_test == tset.n_train == train_ds.n
+        with pytest.raises(ValueError, match="needs the training store, not a TestTripletSet"):
+            train(train_ds, tset, BoostConfig(rounds=5))
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -605,13 +616,17 @@ class TestStrongModel:
         assert model.classifiers == [TripletClassifier(2, 5, 0b10, 0b01, 0.5),
                                      TripletClassifier(0, 1, 0b11, 0, -0.25)]
 
-    def test_total_alpha_is_pythons_sum(self):
-        """Python's float sum, the definition margins were computed with; numpy's
-        pairwise sum gives other bits."""
+    def test_total_alpha_is_the_in_order_sum(self):
+        """The weights added one at a time in classifier order, on every Python:
+        numpy's pairwise sum, and Python's compensated ``sum`` from 3.12 on, give
+        other bits."""
         ds = make_moons(60, 0.1, 1)
         model = train(ds, generate_training_set(ds, "euclidean", 0.3, 0.0, 2),
                       BoostConfig(rounds=400, seed=3))
-        assert model.total_alpha.hex() == sum(h.alpha for h in model.classifiers).hex()
+        total = 0.0
+        for h in model.classifiers:
+            total += h.alpha
+        assert model.total_alpha.hex() == total.hex()
 
     def test_views_are_copies_and_columns_read_only(self, tmp_path):
         """Editing a returned list changes neither scores, weights nor files."""

@@ -277,6 +277,16 @@ class TestEndToEnd:
         assert end_to_end_abstention(6, 3, 0.2, 10, n_models=60, draws_per_model=4,
                                      seed=3) == (0.2, 0.02898957537160537)
 
+    @pytest.mark.parametrize("p, rounds, match", [
+        (1.5, 10, r"p must lie in \[0, 1\]"),
+        (-0.2, 10, r"p must lie in \[0, 1\]"),
+        (float("nan"), 10, r"p must lie in \[0, 1\]"),
+        (0.2, -1, "rounds must be nonnegative"),
+    ], ids=["p_above_1", "p_below_0", "p_nan", "negative_rounds"])
+    def test_out_of_range_inputs_rejected(self, p, rounds, match):
+        with pytest.raises(ValueError, match=match):
+            end_to_end_abstention(6, 3, p, rounds, n_models=2, draws_per_model=4)
+
     def test_no_draws_rejected(self):
         with pytest.raises(ValueError, match="at least one draw"):
             end_to_end_abstention(6, 3, 0.2, 10, n_models=2, draws_per_model=0)

@@ -452,19 +452,24 @@ def _random_test_set(rng, n_train, n_test, max_rows):
 
 
 def _per_example_sums(model, pairs):
-    """Scores and fired alpha of one example summed alone: the fired classifiers in
-    ascending order, each adding alpha times its near side's set (the bits of the
-    per-example accumulation every scorer once ran)."""
+    """Scores and fired alpha of one example, one label at a time: each total
+    starts at 0.0 and adds the fired classifiers in ascending order, alpha times
+    its near side's set for a score, alpha for the fired alpha."""
     near_far = {(int(a), int(b)) for a, b in pairs}
-    fired, side = [], []
+    fired = []
     for c, (j, k) in enumerate(zip(model.j.tolist(), model.k.tolist())):
         if (j, k) in near_far or (k, j) in near_far:
-            fired.append(c)
-            side.append(int((k, j) in near_far))
-    alpha = model.alpha[fired]
-    bits = model.label_sets[fired, side]
-    scores = (alpha[:, None] * bits).sum(axis=0) if fired else np.zeros(model.n_labels)
-    return scores, len(fired), float(alpha.sum())
+            fired.append((c, int((k, j) in near_far)))
+    scores = np.zeros(model.n_labels)
+    for y in range(model.n_labels):
+        total = 0.0
+        for c, side in fired:
+            total += float(model.alpha[c]) * float(model.label_sets[c, side, y])
+        scores[y] = total
+    fired_alpha = 0.0
+    for c, _ in fired:
+        fired_alpha += float(model.alpha[c])
+    return scores, len(fired), fired_alpha
 
 
 def _assert_columns_match_score_naive(model, tset):
@@ -487,7 +492,8 @@ class TestColumnarJoin:
     def test_columns_match_score_naive_on_random_models(self, seed, n_labels):
         """Repeated classifier pairs, weights of both signs across many orders of
         magnitude (so votes of 0 * -alpha are -0.0), and examples with no rows,
-        with enough votes per example to reach numpy's pairwise summation."""
+        with enough votes per example that a pairwise sum, as numpy's ``sum`` adds,
+        would give other bits than the in-order sum each scorer adds."""
         rng = np.random.default_rng(seed)
         n_train = int(rng.integers(3, 30))
         pool = rng.choice(n_train, size=(int(rng.integers(1, 40)), 2))
