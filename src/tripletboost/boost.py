@@ -22,9 +22,10 @@ from .weak import (
     _gather,
     _mask_bools,
     _pack_masks,
-    _round,
+    _pair_rows,
+    _play,
+    _Run,
     _update,
-    fired_buckets,
 )
 
 __all__ = [
@@ -160,10 +161,9 @@ class StrongModel:
 
     @property
     def total_alpha(self) -> float:
-        total = 0.0  # in classifier order: np.sum adds pairwise, sum() compensates from 3.12
-        for alpha in self.alpha.tolist():
-            total += alpha
-        return total
+        # in classifier order: an accumulate adds strictly in order, where np.sum
+        # adds pairwise and sum() compensates from Python 3.12
+        return float(np.add.accumulate(self.alpha)[-1]) if self.alpha.size else 0.0
 
     def z_history(self) -> np.ndarray:
         return self.stats[:, 2].copy()
@@ -248,9 +248,9 @@ def init_weights(n: int, n_labels: int) -> np.ndarray:
     return np.full((n, n_labels), 1.0 / (n * n_labels))
 
 
-def _draw_index(cum: np.ndarray, u: float) -> int:
-    """The index that a uniform u in [0, 1) draws from the cumulative masses ``cum``."""
-    idx = int(cum.searchsorted(u * float(cum[-1]), "right"))
+def _draw_index(cum: np.ndarray, total: float, u: float) -> int:
+    """The index a uniform u in [0, 1) draws from ``cum``, cumulative masses to ``total``."""
+    idx = int(cum.searchsorted(u * total, "right"))
     if idx >= cum.size:  # u rounded up to the total mass
         idx = cum.size - 1
         while idx > 0 and cum[idx] == cum[idx - 1]:
@@ -258,50 +258,60 @@ def _draw_index(cum: np.ndarray, u: float) -> int:
     return idx
 
 
-def _row_sums(w: np.ndarray) -> np.ndarray:
+def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``w.sum(axis=1)`` bit for bit: numpy adds fewer than 8 entries in order, so
     narrow rows are summed column by column, without its one inner loop per row."""
     if not 1 < w.shape[1] < 8:
-        return w.sum(axis=1)
+        return w.sum(axis=1, out=out)
     cols = w.T
-    out = cols[0] + cols[1]
+    out = np.add(cols[0], cols[1], out=out)
     for col in range(2, w.shape[1]):
         out += cols[col]
     return out
 
 
 class _PairDraw:
-    """Draws reference pairs from one distribution ``w``: j from the example
-    marginal, then k from the marginal of the examples of another class, whose
-    cumulative table is built the first time j has that class.  ``others`` holds
-    each class's examples of other classes, and may outlive the draw."""
+    """Draws reference pairs from the ``w`` a run updates in place: j from the example
+    marginal, k from that of the other classes' examples.  ``refresh`` refills its
+    buffers after ``w`` changed; a class's table follows when j next has that class."""
 
-    def __init__(self, labels: np.ndarray, w: np.ndarray, others: dict):
-        self.labels, self.others, self.tables = labels, others, {}
-        self.marg = _row_sums(w)
-        self.cum = np.add.accumulate(self.marg)
-        if self.cum[-1] <= 0.0:
-            raise ValueError("weight distribution has no mass")
+    def __init__(self, labels: np.ndarray, w: np.ndarray):
+        self.labels, self.w, self.others, self.tables = labels, w, {}, {}
+        self.marg, self.cum = np.empty(len(w)), np.empty(len(w))
+        self.refresh()
+
+    def refresh(self):
+        _row_sums(self.w, out=self.marg)
+        self.total = float(np.add.accumulate(self.marg, out=self.cum)[-1])
+        if not 0.0 < self.total < math.inf:
+            raise ValueError("weight distribution needs a positive finite total")
+        self.tables.clear()
 
     def __call__(self, uniform) -> tuple[int, int]:
         """A pair (j, k) from two calls of ``uniform``, each a double in [0, 1)."""
-        j = _draw_index(self.cum, uniform())
-        c = int(self.labels[j])
+        j = _draw_index(self.cum, self.total, uniform())
+        c = self.labels.item(j)
         if c not in self.tables:
             if c not in self.others:
                 self.others[c] = np.flatnonzero(self.labels != c)
+            if not self.others[c].size:
+                raise ValueError("need at least two classes to sample a reference pair")
             # These are the cumulative masses of the marginal with zeros for j's
             # class, which the draw skips: adding 0.0 changes no partial sum.
             cum = np.add.accumulate(self.marg.take(self.others[c]))
-            if not cum.size or cum[-1] <= 0.0:
-                raise ValueError("need at least two classes to sample a reference pair")
-            self.tables[c] = cum
-        return j, int(self.others[c][_draw_index(self.tables[c], uniform())])
+            total = float(cum[-1])
+            if not 0.0 < total < math.inf:
+                raise ValueError("the examples of classes other than j's carry no mass")
+            self.tables[c] = cum, total
+        cum, total = self.tables[c]
+        return j, int(self.others[c][_draw_index(cum, total, uniform())])
 
 
 def sample_reference_pair(ds: Dataset, w: np.ndarray, rng) -> tuple[int, int]:
     """Draw j from the example marginal, then k from the other-label marginal."""
-    return _PairDraw(ds.labels, w, {})(rng.random)
+    if not (0.0 <= w.min() and w.max() < math.inf):  # NaN fails both
+        raise ValueError("weights must be finite and nonnegative")
+    return _PairDraw(ds.labels, w)(rng.random)
 
 
 def _uniforms(rng, count: int, block: int = 1 << 13):
@@ -319,12 +329,11 @@ def update_weights(w: np.ndarray, h: TripletClassifier, ts: TripletStore,
     round's normalizer).  A zero-weight classifier leaves the distribution
     untouched and reports a total of exactly 1.
     """
-    fwd, rev = fired_buckets(ts, h.j, h.k)
-    out = w.copy()
-    if h.alpha == 0.0 or (fwd.size == 0 and rev.size == 0):
-        return out, 1.0
-    return out, _update(out, _gather(out, ds.labels, fwd, rev),
-                        _mask_bools((h.o_j, h.o_k), ds.n_labels), h.alpha)
+    run = _Run(w.copy(), ds.labels)
+    gathered = _gather(run, *_pair_rows(ts.pair_groups(), ts.n, h.j, h.k))
+    if h.alpha == 0.0 or gathered[0].size == 0:
+        return run.w, 1.0
+    return run.w, _update(run, gathered, _mask_bools((h.o_j, h.o_k), ds.n_labels), h.alpha)
 
 
 def _strict_error(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -366,16 +375,14 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
     pairs, sets, alphas, stats = [], [], [], []
     checkpoints: list[Checkpoint] = []
     log_z_sum = 0.0
-    draw, others = None, {}
+    run, draw, groups = _Run(w, ds.labels, scores), _PairDraw(ds.labels, w), ts.pair_groups()
 
     for rnd in range(1, cfg.rounds + 1):
-        if draw is None:  # a round with alpha = 0 leaves w, and so its tables, as they were
-            draw = _PairDraw(ds.labels, w, others)
         j, k = draw(uniform)
-        members, stat = _round(w, ds.labels, *fired_buckets(ts, j, k), scores)
+        members, stat = _play(run, *_pair_rows(groups, n, j, k))
         _, _, z, alpha = stat
-        if alpha != 0.0:
-            draw = None
+        if alpha != 0.0:  # a round with alpha = 0 leaves w, and so the draw's tables, alone
+            draw.refresh()
         if alpha != 0.0 or cfg.keep_zero_alpha:
             pairs.append((j, k))
             sets.append(members)

@@ -16,7 +16,7 @@ from .boost import StrongModel, _PairDraw, init_weights
 from .dataset import Dataset, LabelDict
 from .predict import ABSTAIN, predict_all
 from .triplets import TestTripletSet, _round_half_up
-from .weak import _round
+from .weak import _play, _Run
 
 __all__ = [
     "training_error_bound",
@@ -218,18 +218,19 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
     labels = np.arange(n, dtype=np.int64) % n_labels
     ds = Dataset(labels, LabelDict(tuple(str(y) for y in range(n_labels))))
     rates = np.empty(n_models)
-    others = {}  # each class's examples of other classes, as train keeps them
     for m_idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
         rng = np.random.default_rng(child)
         w = init_weights(n, n_labels)
+        run, sampler = _Run(w, labels), _PairDraw(labels, w)
         pairs, sets, alphas = [], [], []
         for _ in range(rounds):
-            j, k = _PairDraw(ds.labels, w, others)(rng.random)
+            j, k = sampler(rng.random)
             revealed = np.flatnonzero(rng.random(n) < p)
             says_j = rng.random(n) < 0.5
             fwd, rev = revealed[says_j[revealed]], revealed[~says_j[revealed]]
-            members, (_, _, _, alpha) = _round(w, labels, fwd, rev)
+            members, (_, _, _, alpha) = _play(run, np.concatenate((fwd, rev)), fwd.size, 0)
             if alpha != 0.0:
+                sampler.refresh()
                 pairs.append((j, k))
                 sets.append(members)
                 alphas.append(alpha)

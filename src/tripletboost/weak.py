@@ -6,22 +6,25 @@ closer to k, and abstains elsewhere.  Inside a round and in a model's columns
 a label set is a bool vector over the labels; at the API and file boundary
 (``TripletClassifier``, a view of a model's row, the step functions, model
 files) it is an int bitmask, which caps the label space at 64 classes.
-``_round`` is the one implementation of a boosting round; ``select_labels``,
-``round_weights`` and ``boost.update_weights`` expose its steps one at a time.
+``_play`` is the one implementation of a boosting round; ``_round`` and the step
+functions (``select_labels``, ``round_weights``, ``boost.update_weights``) run it
+or its steps on a state built for one call, where a training run builds its
+``_Run``, ``boost._PairDraw`` and the store's pair index once.
 
-A round gathers its fired rows of the weights once, j's side first; one
-``bincount`` adds each entry (row, label c) of side s into bin t*2L + s*L + c in
-row order, t = 0 iff c is the row's label: the side's in-class mass a and
-out-of-class mass o of c.  A label joins its side's set iff a > o, strictly.  A
-side's W+ adds a for its set's labels and o for the others, its W- the reverse,
-one float at a time, labels ascending; the round adds j's side to k's, so a swap
-of the sides keeps the bits.  These sums are fixed by the code, not by numpy.
+A round gathers its fired rows of the weights once, those closer to min(j, k)
+first; one ``bincount`` adds each entry (row, label c) of side s into bin
+t*2L + s*L + c in row order, t = 0 iff c is the row's label: the side's in-class
+mass a and out-of-class mass o of c.  A label joins its side's set iff a > o,
+strictly.  A side's W+ adds a for its set's labels and o for the others, its W-
+the reverse, one float at a time, labels ascending; the round adds j's side to
+k's, so a swap of the sides keeps the bits.  These sums are fixed by the code.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,40 +107,54 @@ def _mask_bools(masks, n_labels: int) -> np.ndarray:
     return (bits & np.uint64(1)).astype(bool)
 
 
-def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor ids with a triplet revealing their side: (closer to j, closer to k).
-
-    Both are read-only slices of the store's pair index."""
+def _pair_rows(groups, n: int, j: int, k: int):
+    """The rows of the pair {j, k} in the pair index ``groups`` of an n-example store:
+    (anchors, count, side), the first ``count`` closer to min(j, k), on ``side``."""
     if j == k:
         raise ValueError("reference examples j and k must differ")
-    lo, hi = min(j, k), max(j, k)
-    keys, bounds, split, anchors = ts.pair_groups()
-    key = lo * ts.n + hi if 0 <= lo and hi < ts.n else -1  # -1: a pair no row has
+    (lo, hi), side = ((j, k), 0) if j < k else ((k, j), 1)
+    keys, bounds, split, anchors = groups
+    key = lo * n + hi if 0 <= lo and hi < n else -1  # -1: a pair no row has
     g = int(keys.searchsorted(key))
-    start = mid = stop = 0
-    if g < keys.size and keys[g] == key:
-        start, stop = bounds[g:g + 2].tolist()
-        mid = int(split[g])
-    near_lo, near_hi = anchors[start:mid], anchors[mid:stop]
-    return (near_lo, near_hi) if j < k else (near_hi, near_lo)
+    if g < keys.size and keys.item(g) == key:
+        start = bounds.item(g)
+        return anchors[start:bounds.item(g + 1)], split.item(g) - start, side
+    return anchors[:0], 0, side
+
+
+def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors with a triplet on {j, k}, (closer to j, closer to k): read-only slices."""
+    rows, count, side = _pair_rows(ts.pair_groups(), ts.n, j, k)
+    return (rows[count:], rows[:count]) if side else (rows[:count], rows[count:])
 
 
 @functools.cache
 def _bin_table(n_labels: int) -> np.ndarray:
-    """Row side*L + y of this (2L, L) table holds the bins of the entries of a
-    side's row of label y: t*2L + side*L + c for column c, t = 0 iff c = y."""
-    code, col = np.arange(2 * n_labels, dtype=np.intp)[:, None], np.arange(n_labels)
-    table = code - code % n_labels + col + 2 * n_labels * (code % n_labels != col)
+    """Row y holds the bins t*2L + c of a row of label y on j's side, t = 0 iff c = y."""
+    col = np.arange(n_labels)
+    table = col + 2 * n_labels * (col[:, None] != col)
     table.flags.writeable = False
     return table
 
 
-def _gather(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray):
-    """Both buckets' rows, j side first: (rows, w[rows], the bins of w[rows])."""
-    rows = np.concatenate((fwd, rev), dtype=np.intp)  # intp: numpy indexes by it as is
-    codes = labels.take(rows)
-    codes[fwd.size:] += w.shape[1]  # side*L + label, the side 0 for j and 1 for k
-    return rows, w.take(rows, axis=0), _bin_table(w.shape[1]).take(codes, axis=0)
+class _Run:
+    """A run's round state: ``w`` and ``scores`` (or None), updated in place, their row
+    views, and ``bins[i]``, example i's bins on j's side (intp, the size of ``w``)."""
+
+    def __init__(self, w: np.ndarray, labels: np.ndarray, scores: np.ndarray | None = None):
+        self.row = f"V{w.strides[0]}"  # a row as one item: its put beats a fancy-index write
+        self.w, self.w_rows, self.scores = w, w.view(self.row), scores
+        self.score_rows = None if scores is None else scores.view(self.row)
+        self.bins = _bin_table(w.shape[1]).take(labels, axis=0)
+
+
+def _gather(run: _Run, rows: np.ndarray, count: int, side: int):
+    """(rows, their weights, their bins), the first ``count`` rows on side ``side``."""
+    rows = rows.astype(np.intp)  # numpy indexes by intp as is
+    bins = run.bins.take(rows, axis=0)
+    k_side = bins[:count] if side else bins[count:]
+    k_side += run.w.shape[1]  # side*L + label: one take and add beat a take a side
+    return rows, run.w.take(rows, axis=0), bins
 
 
 def _sides(gathered, members: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
@@ -147,44 +164,45 @@ def _sides(gathered, members: np.ndarray | None = None) -> tuple[np.ndarray, flo
     set is chosen: the labels whose in-class mass exceeds their out-of-class mass."""
     _, w_rows, bins = gathered
     n_labels, half = w_rows.shape[1], 2 * w_rows.shape[1]
-    masses = np.bincount(bins.ravel(), weights=w_rows.ravel(), minlength=2 * half)
-    if members is None:
-        members = (masses[:half] > masses[half:]).reshape(2, n_labels)
-    masses, sides = masses.tolist(), [[0.0, 0.0], [0.0, 0.0]]  # not sum(): it may compensate
-    for b, member in enumerate(members.ravel().tolist()):
+    masses = np.bincount(bins.ravel(), weights=w_rows.ravel(), minlength=2 * half).tolist()
+    sets = bytes(map(operator.gt, masses[:half], masses[half:])) if members is None \
+        else members.tobytes()  # the bytes of the (2, L) bool matrix
+    sides = [[0.0, 0.0], [0.0, 0.0]]  # not sum(): it may compensate
+    for b, member in enumerate(sets):
         a, o, side = masses[b], masses[half + b], sides[b // n_labels]
         side[:] = (side[0] + a, side[1] + o) if member else (side[0] + o, side[1] + a)
+    members = _bin_index(sets)[0] if members is None else members
     return members, sides[0][0] + sides[1][0], sides[0][1] + sides[1][1]
 
 
 @functools.lru_cache(maxsize=64)
-def _bin_index(sets: bytes) -> np.ndarray:  # sets: a (2, L) bool matrix's bytes
-    """Each bin's factor and vote index into (e^alpha, e^-alpha, -alpha, alpha)."""
-    member = np.frombuffer(sets, dtype=bool)
+def _bin_index(sets: bytes) -> tuple[np.ndarray, np.ndarray]:  # a (2, L) bool matrix's bytes
+    """The read-only (2, L) bool sets, and each bin's factor and vote index into
+    (e^alpha, e^-alpha, -alpha, alpha)."""
+    member = np.frombuffer(sets, dtype=bool)  # read-only, as bytes are
     index = np.array((np.concatenate((member, ~member)), np.tile(member, 2) + 2))
-    index.flags.writeable = False  # shared by every round with these sets
-    return index
+    index.flags.writeable = False
+    return member.reshape(2, -1), index
 
 
-def _update(w: np.ndarray, gathered, members: np.ndarray, alpha: float,
-            scores: np.ndarray | None = None) -> float:
-    """Multiplicative update on the gathered (disjoint) buckets, written back once.
+def _update(run: _Run, gathered, members: np.ndarray, alpha: float) -> float:
+    """Multiplicative update of the gathered (disjoint) rows, written back once.
 
     Entries a side's set gets right shrink by exp(-alpha), the others grow
-    by exp(alpha); ``scores``, when given, gains the signed vote.  Returns the
-    pre-normalization total after renormalizing ``w`` in place.
+    by exp(alpha); ``run.scores``, when held, gains the signed vote.  Returns the
+    pre-normalization total after renormalizing ``run.w`` in place.
     """
     rows, w_rows, bins = gathered
     values = np.array((math.exp(alpha), math.exp(-alpha), -alpha, alpha))
-    factors, votes = values.take(_bin_index(members.tobytes()))
-    row = f"V{w.strides[0]}"  # a row as one item: its put beats a fancy-index write
-    w.view(row).put(rows, (w_rows * factors.take(bins)).view(row))
-    if scores is not None:
-        scores.view(row).put(rows, (scores.take(rows, axis=0) + votes.take(bins)).view(row))
-    z = float(np.add.reduce(w, axis=None))
+    taken = values.take(_bin_index(members.tobytes())[1]).take(bins, axis=1)
+    w_rows *= taken[0]  # the factors, then the votes
+    run.w_rows.put(rows, w_rows.view(run.row))
+    if run.scores is not None:
+        run.score_rows.put(rows, (taken[1] + run.scores.take(rows, axis=0)).view(run.row))
+    z = float(np.add.reduce(run.w, axis=None))
     if z <= 0.0:
         raise ValueError("weight update produced a nonpositive total")
-    w /= z
+    run.w /= z
     return z
 
 
@@ -194,33 +212,36 @@ def _pack_masks(members: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(members.astype(np.uint64) << shifts, axis=-1)
 
 
+def _play(run: _Run, rows: np.ndarray, count: int, side: int) -> tuple[np.ndarray, tuple]:
+    """One boosting round on ``rows``, the first ``count`` on side ``side`` (0 is j's,
+    1 is k's), the rest on the other.  Chooses both label sets, weighs the classifier
+    and updates ``run.w`` (and ``run.scores``) in place, unless its weight is zero
+    (then z = 1).  Returns the (2, L) bool sets, j side first, and the round's stats
+    (w_plus, w_minus, z, alpha) in ``RoundStats`` order."""
+    gathered = _gather(run, rows, count, side)
+    members, w_plus, w_minus = _sides(gathered)
+    alpha = classifier_alpha(w_plus, w_minus, run.w.shape[0])
+    z = _update(run, gathered, members, alpha) if alpha != 0.0 else 1.0
+    return members, (w_plus, w_minus, z, alpha)
+
+
 def _round(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray,
            scores: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-    """One boosting round on the buckets (closer to j, closer to k) of a pair.
-
-    Chooses both label sets, weighs the classifier, and applies its update
-    to ``w`` (and ``scores``) in place; a zero-weight round leaves them
-    alone and reports z = 1.  Returns the (2, L) bool sets, j side first,
-    and the round's stats (w_plus, w_minus, z, alpha) in ``RoundStats`` order.
-    """
-    gathered = _gather(w, labels, fwd, rev)
-    members, w_plus, w_minus = _sides(gathered)
-    alpha = classifier_alpha(w_plus, w_minus, w.shape[0])
-    z = _update(w, gathered, members, alpha, scores) if alpha != 0.0 else 1.0
-    return members, (w_plus, w_minus, z, alpha)
+    """``_play`` on the buckets (closer to j, closer to k) of a pair, for one round."""
+    return _play(_Run(w, labels, scores), np.concatenate((fwd, rev)), len(fwd), 0)
 
 
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[int, int]:
     """Choose the predicted label sets for both sides of the pair (j, k)."""
-    gathered = _gather(w, ds.labels, *fired_buckets(ts, j, k))
+    gathered = _gather(_Run(w, ds.labels), *_pair_rows(ts.pair_groups(), ts.n, j, k))
     return tuple(_pack_masks(_sides(gathered)[0]).tolist())
 
 
 def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[float, float]:
     """Weighted mass of correctly and incorrectly classified (example, label) pairs."""
-    gathered = _gather(w, ds.labels, *fired_buckets(ts, h.j, h.k))
+    gathered = _gather(_Run(w, ds.labels), *_pair_rows(ts.pair_groups(), ts.n, h.j, h.k))
     return _sides(gathered, _mask_bools((h.o_j, h.o_k), ds.n_labels))[1:]
 
 

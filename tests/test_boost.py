@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletboost import (
     BoostConfig,
@@ -34,6 +36,7 @@ from tripletboost import (
     z_factor,
 )
 from tripletboost.boost import _row_sums, _strict_error
+from tripletboost.weak import _mask_bools, fired_buckets
 
 
 def _three_example_setup():
@@ -165,6 +168,29 @@ class TestSampleReferencePair:
         ds = Dataset(np.array([0, 0]), LabelDict(("a", "b")))
         with pytest.raises(ValueError, match="two classes"):
             sample_reference_pair(ds, init_weights(2, 2), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.01])
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        """A NaN or +inf entry once drew a pair, and a negative one failed as a
+        missing class."""
+        ds = make_moons(10, 0.1, 0)
+        w = init_weights(ds.n, 2)
+        w[3, 0] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_reference_pair(ds, w, np.random.default_rng(0))
+
+    def test_massless_distribution_rejected(self):
+        ds = Dataset(np.array([0, 1]), LabelDict(("a", "b")))
+        with pytest.raises(ValueError, match="positive finite total"):
+            sample_reference_pair(ds, np.zeros((2, 2)), np.random.default_rng(0))
+
+    def test_massless_other_classes_named_apart_from_a_missing_class(self):
+        """Two classes, but only j's class carries mass: no k can be drawn."""
+        ds = Dataset(np.array([0, 0, 1]), LabelDict(("a", "b")))
+        w = init_weights(3, 2)
+        w[2] = 0.0
+        with pytest.raises(ValueError, match="other than j's carry no mass"):
+            sample_reference_pair(ds, w, np.random.default_rng(0))
 
 
 class TestUpdateWeights:
@@ -433,6 +459,43 @@ class TestTrainSnapshots:
         for checkpoint in model.checkpoints:
             want = training_error_bound(ds.n_labels, z[:checkpoint.round])
             assert checkpoint.error_bound.hex() == want.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 40), n_labels=st.integers(2, 10),
+       proportion=st.sampled_from([0.002, 0.02, 0.1, 0.5, 1.0]), noise=st.sampled_from([0.0, 0.2]),
+       rounds=st.integers(1, 40), keep_zero_alpha=st.booleans(),
+       stats_every=st.integers(1, 12), seed=st.integers(0, 2**30))
+def test_train_equals_step_api_replay_on_random_corpora(n, n_labels, proportion, noise,
+                                                        rounds, keep_zero_alpha,
+                                                        stats_every, seed):
+    """``train`` against the step API, bit for bit, on stores from nearly empty
+    (absent pairs, empty buckets) to complete, at label counts on both sides of
+    the sampler's 8-label row-sum rule; its training scores and checkpoints
+    against the kept classifiers' votes added round by round."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.append(rng.integers(0, n_labels, n - 2), (0, 1)))
+    ds = Dataset(labels, LabelDict(tuple(f"c{y}" for y in range(n_labels))),
+                 rng.normal(size=(n, 2)))
+    store = generate_training_set(ds, "euclidean", proportion, noise, seed)
+    cfg = BoostConfig(rounds=rounds, seed=seed, keep_zero_alpha=keep_zero_alpha,
+                      stats_every=stats_every)
+    model = train(ds, store, cfg)
+    kept, stats = _step_api_replay(ds, store, cfg)
+    assert kept == model.classifiers
+    assert np.array(stats).tobytes() == model.stats.tobytes()
+    scores, votes, checkpoints = np.zeros((n, n_labels)), iter(kept), []
+    for rnd, stat in enumerate(stats, 1):
+        if stat.alpha != 0.0:
+            h = next(votes)
+            for bucket, mask in zip(fired_buckets(store, h.j, h.k), (h.o_j, h.o_k)):
+                scores[bucket] += np.where(_mask_bools(mask, n_labels), h.alpha, -h.alpha)
+        elif keep_zero_alpha:
+            next(votes)
+        if rnd % stats_every == 0 or rnd == rounds:
+            checkpoints.append((rnd, _strict_error(scores, labels)))
+    assert model.train_scores.tobytes() == scores.tobytes()
+    assert [c[:2] for c in model.checkpoints] == checkpoints
 
 
 def test_sparse_corpus_drops_about_half_the_rounds():
