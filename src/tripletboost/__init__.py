@@ -19,9 +19,7 @@ from .triplets import (
 from .weak import (
     RoundStats,
     TripletClassifier,
-    bitmask,
     classifier_alpha,
-    mask_labels,
     round_weights,
     select_labels,
     z_factor,

@@ -73,20 +73,16 @@ class StrongModel:
     there by hashing (see ``_slot_table``) and ``key_runs[p]`` counts the
     classifiers sharing the key at position p; ``stats`` has one ``RoundStats``
     row per round.  ``train_scores`` holds the signed per-(example, label) vote
-    totals
-    accumulated on the training set (positive entries back the label,
-    negative entries oppose it); it is not persisted by ``save_model``.
+    totals accumulated on the training set by ``train`` (positive entries back the
+    label, negative entries oppose it); it is not persisted by ``save_model``.
     """
 
-    def __init__(self, classifiers, label_dict: LabelDict, n_train: int,
-                 round_stats=None, rounds_run: int = 0, train_scores=None,
-                 checkpoints=None):
+    def __init__(self, classifiers, label_dict: LabelDict, n_train: int, *,
+                 rounds_run: int = 0):
         rows = [(h.j, h.k, h.o_j, h.o_k, h.alpha) for h in classifiers]
-        self._init(label_dict, n_train,
-                   *_columns(rows, int(n_train), label_dict.size,
-                             lambda idx: f"classifier {idx}"),
-                   [] if round_stats is None else list(round_stats), rounds_run,
-                   train_scores, checkpoints)
+        self._init(label_dict, n_train, *_columns(rows, int(n_train), label_dict.size,
+                                                  lambda idx: f"classifier {idx}"),
+                   rounds_run=rounds_run)
 
     def _init(self, label_dict, n_train, pairs, sets, alpha, stats=(), rounds_run=0,
               train_scores=None, checkpoints=None):

@@ -35,7 +35,7 @@ _Z_SLACK = 1e-9  # tolerated float excess over the provable z <= 1
 
 def _check_history(z_history) -> np.ndarray:
     z = np.asarray(z_history, dtype=np.float64)
-    if z.size and (z.min() <= 0.0 or z.max() > 1.0 + _Z_SLACK):
+    if z.size and not (z.min() > 0.0 and z.max() <= 1.0 + _Z_SLACK):  # NaN fails it
         raise ValueError("round normalizers must lie in (0, 1]")
     return z
 
@@ -57,7 +57,7 @@ def training_error_bound(n_labels: int, z_history) -> float:
 def empirical_margin_bound(n_labels: int, z_history, w_plus_history,
                            w_minus_history, n: int, theta: float) -> float:
     """Bound on the fraction of training examples with confidence margin <= theta."""
-    if theta <= 0.0:
+    if not theta > 0.0:  # NaN fails it too
         raise ValueError("theta must be positive")
     z = _check_history(z_history)
     w_plus = np.asarray(w_plus_history, dtype=np.float64)
@@ -82,7 +82,7 @@ def margin_values(signed_scores, labels, eta: float) -> np.ndarray:
     between the softened score of the true label and the best other label;
     it is positive exactly when the true label is the strict argmax.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:  # NaN fails it too
         raise ValueError("total classifier weight must be positive")
     votes = np.asarray(signed_scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -111,7 +111,7 @@ def abstention_bound(n: int, p: float, classifier_count: float) -> float:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if classifier_count < 0:
+    if not classifier_count >= 0:  # NaN fails it too
         raise ValueError("classifier count must be nonnegative")
     base = (1.0 - p) + p * (1.0 - p) ** n
     return float(base ** classifier_count)

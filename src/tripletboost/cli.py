@@ -172,64 +172,58 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tripletboost",
         description="Classification from passively obtained triplet comparisons.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags several commands share, each defined once
+    seed, header, scoring = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0)
+    header.add_argument("--has-header", action="store_true")
+    scoring.add_argument("--model", required=True)
+    scoring.add_argument("--test-triplets", required=True)
+    scoring.add_argument("--policy", choices=("random", "fixed_lowest"), default="random")
 
-    gen = sub.add_parser("gen-triplets",
+    gen = sub.add_parser("gen-triplets", parents=[seed, header],
                          help="generate triplets from feature vectors")
     gen.add_argument("--data", required=True)
     gen.add_argument("--metric", choices=triplets.METRICS, default="euclidean")
     gen.add_argument("--proportion", type=float, default=1.0)
     gen.add_argument("--noise", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--has-header", action="store_true")
     gen.add_argument("--test-data",
                      help="generate test-time triplets for these examples instead")
     gen.set_defaults(func=_cmd_gen_triplets)
 
-    genr = sub.add_parser("gen-triplets-ratings",
+    genr = sub.add_parser("gen-triplets-ratings", parents=[seed],
                           help="generate triplets from a user/item rating table")
     genr.add_argument("--ratings", required=True)
     genr.add_argument("--candidate-limit", type=int, default=None)
-    genr.add_argument("--seed", type=int, default=0)
     genr.add_argument("--out", required=True)
     genr.set_defaults(func=_cmd_gen_triplets_ratings)
 
-    noise = sub.add_parser("add-noise", help="swap the orientation of a random share")
+    noise = sub.add_parser("add-noise", parents=[seed],
+                           help="swap the orientation of a random share")
     noise.add_argument("--triplets", required=True)
     noise.add_argument("--rate", type=float, required=True)
-    noise.add_argument("--seed", type=int, default=0)
     noise.add_argument("--out", required=True)
     noise.set_defaults(func=_cmd_add_noise)
 
-    train = sub.add_parser("train", help="boost triplet classifiers into a model")
+    train = sub.add_parser("train", parents=[seed, header],
+                           help="boost triplet classifiers into a model")
     train.add_argument("--data", required=True)
     train.add_argument("--triplets", required=True)
     train.add_argument("--rounds", type=int, required=True)
-    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out-model", required=True)
     train.add_argument("--stats-every", type=int, default=0)
     train.add_argument("--keep-zero-alpha", action="store_true")
-    train.add_argument("--has-header", action="store_true")
     train.set_defaults(func=_cmd_train)
 
-    pred = sub.add_parser("predict", help="score test examples with a model")
-    pred.add_argument("--model", required=True)
-    pred.add_argument("--test-triplets", required=True)
-    pred.add_argument("--policy", choices=("random", "fixed_lowest"),
-                      default="random")
-    pred.add_argument("--seed", type=int, default=0)
+    pred = sub.add_parser("predict", parents=[scoring, seed],
+                          help="score test examples with a model")
     pred.add_argument("--out", default="-")
     pred.set_defaults(func=_cmd_predict)
 
-    ev = sub.add_parser("evaluate", help="score predictions against true labels")
-    ev.add_argument("--model", required=True)
-    ev.add_argument("--test-triplets", required=True)
+    ev = sub.add_parser("evaluate", parents=[scoring, seed, header],
+                        help="score predictions against true labels")
     ev.add_argument("--labels", required=True)
-    ev.add_argument("--policy", choices=("random", "fixed_lowest"),
-                    default="random")
-    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--k", type=int, default=5)
-    ev.add_argument("--has-header", action="store_true")
     ev.add_argument("--out-predictions")
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -245,13 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--beta", type=float)
     bnd.set_defaults(func=_cmd_bound)
 
-    sim = sub.add_parser("simulate-abstention",
+    sim = sub.add_parser("simulate-abstention", parents=[seed],
                          help="Monte Carlo check of the abstention bound")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--p", type=float, required=True)
     sim.add_argument("--classifiers", type=int, required=True)
     sim.add_argument("--trials", type=int, default=100_000)
-    sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=_cmd_simulate_abstention)
 
     surf = sub.add_parser("bound-surface",

@@ -165,6 +165,8 @@ def make_moons(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved half-circles with Gaussian feature noise, labels "0"/"1"."""
     if n < 2:
         raise ValueError("need at least two examples")
+    if not 0.0 <= noise < math.inf:  # NaN fails it too
+        raise ValueError("noise must be finite and nonnegative")
     n_top = n - n // 2
     n_bot = n // 2
     t_top = np.linspace(0.0, np.pi, n_top)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,45 +52,45 @@ class ExperimentSpec:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(f"has_header must be boolean-like, got {text!r}")
+    return text.lower() in ("true", "1", "yes")
+
+
+# spec key -> (ExperimentSpec field, parser of its value); the first eight are required
+_KEYS = {"data": ("data", str), "metric": ("metric", str),
+         "proportions": ("proportions", _floats), "noises": ("noise_levels", _floats),
+         "rounds": ("rounds", int), "repetitions": ("repetitions", int),
+         "seed": ("seed", int), "out": ("out_dir", str),
+         "test_fraction": ("test_fraction", float), "moons_n": ("moons_n", int),
+         "moons_noise": ("moons_noise", float), "has_header": ("has_header", _flag)}
 
 
 def parse_spec(path) -> ExperimentSpec:
-    """Parse the key=value spec file ('#' starts a comment)."""
+    """Parse the key=value spec file ('#' starts a comment); an unknown or a
+    repeated key is rejected, naming its line."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, val = line.partition("=")
+            key, sep, val = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ValueError(f"expected key=value at line {lineno}")
-            values[key.strip()] = val.strip()
-    try:
-        spec = ExperimentSpec(
-            data=values["data"],
-            metric=values["metric"],
-            proportions=tuple(float(v) for v in values["proportions"].split(",")),
-            noise_levels=tuple(float(v) for v in values["noises"].split(",")),
-            rounds=int(values["rounds"]),
-            repetitions=int(values["repetitions"]),
-            seed=int(values["seed"]),
-            out_dir=values["out"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing required spec key: {exc}") from None
-    optional = {key: cast(values[key]) for key, cast in (
-        ("test_fraction", float), ("moons_n", int), ("moons_noise", float))
-        if key in values}
-    if "has_header" in values:
-        flag = values["has_header"].lower()
-        if flag not in _BOOL:
-            raise ValueError(f"has_header must be boolean-like, got "
-                             f"{values['has_header']!r}")
-        optional["has_header"] = _BOOL[flag]
-    return replace(spec, **optional) if optional else spec
+            if key not in _KEYS or key in values:
+                problem = "repeated" if key in values else "unknown"
+                raise ValueError(f"{problem} spec key {key!r} at line {lineno}")
+            values[key] = val
+    missing = [key for key in list(_KEYS)[:8] if key not in values]
+    if missing:
+        raise ValueError(f"missing required spec key: {missing[0]!r}")
+    return ExperimentSpec(**{_KEYS[key][0]: _KEYS[key][1](val) for key, val in values.items()})
 
 
 def _derived_seed(*parts: int) -> int:

@@ -706,8 +706,8 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     among ``test_ids`` become test-time pairs over the relabelled references.
     Rows anchored on a held-out reference pair are dropped.
     """
-    train_ids = np.unique(np.asarray(train_ids, dtype=np.int64))
-    test_ids = np.unique(np.asarray(test_ids, dtype=np.int64))
+    train_ids = np.unique(_int64_ids(train_ids))
+    test_ids = np.unique(_int64_ids(test_ids))
     if train_ids.size < 2 or test_ids.size < 1:
         raise ValueError("need at least two training ids and one test id")
     if np.intersect1d(train_ids, test_ids).size:

@@ -6,10 +6,10 @@ closer to k, and abstains elsewhere.  Inside a round and in a model's columns
 a label set is a bool vector over the labels; at the API and file boundary
 (``TripletClassifier``, a view of a model's row, the step functions, model
 files) it is an int bitmask, which caps the label space at 64 classes.
-``_play`` is the one implementation of a boosting round; ``_round`` and the step
-functions (``select_labels``, ``round_weights``, ``boost.update_weights``) run it
-or its steps on a state built for one call, where a training run builds its
-``_Run``, ``boost._PairDraw`` and the store's pair index once.
+``_play`` is the one implementation of a boosting round; the step functions
+(``select_labels``, ``round_weights``, ``boost.update_weights``) run its steps on
+a state built for one call, where a training run builds its ``_Run``,
+``boost._PairDraw`` and the store's pair index once.
 
 A round gathers its fired rows of the weights once, those closer to min(j, k)
 first; one ``bincount`` adds each entry (row, label c) of side s into bin
@@ -37,8 +37,6 @@ __all__ = [
     "MAX_LABELS",
     "TripletClassifier",
     "RoundStats",
-    "bitmask",
-    "mask_labels",
     "select_labels",
     "round_weights",
     "classifier_alpha",
@@ -85,19 +83,6 @@ class RoundStats(NamedTuple):
     w_minus: float
     z: float
     alpha: float
-
-
-def bitmask(labels) -> int:
-    """Pack an iterable of label ids into a bitmask."""
-    mask = 0
-    for y in labels:
-        mask |= 1 << int(y)
-    return mask
-
-
-def mask_labels(mask: int, n_labels: int) -> list[int]:
-    """Unpack a bitmask into the sorted list of label ids it contains."""
-    return [y for y in range(n_labels) if (mask >> y) & 1]
 
 
 def _mask_bools(masks, n_labels: int) -> np.ndarray:
@@ -223,12 +208,6 @@ def _play(run: _Run, rows: np.ndarray, count: int, side: int) -> tuple[np.ndarra
     alpha = classifier_alpha(w_plus, w_minus, run.w.shape[0])
     z = _update(run, gathered, members, alpha) if alpha != 0.0 else 1.0
     return members, (w_plus, w_minus, z, alpha)
-
-
-def _round(w: np.ndarray, labels: np.ndarray, fwd: np.ndarray, rev: np.ndarray,
-           scores: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-    """``_play`` on the buckets (closer to j, closer to k) of a pair, for one round."""
-    return _play(_Run(w, labels, scores), np.concatenate((fwd, rev)), len(fwd), 0)
 
 
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,

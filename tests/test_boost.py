@@ -679,6 +679,13 @@ class TestStrongModel:
         assert model.classifiers == [TripletClassifier(2, 5, 0b10, 0b01, 0.5),
                                      TripletClassifier(0, 1, 0b11, 0, -0.25)]
 
+    def test_rounds_run_is_keyword_only(self):
+        """The constructor takes classifiers, labels, n_train and rounds_run by name."""
+        classifiers, labels = [TripletClassifier(0, 1, 0b01, 0b10, 0.5)], LabelDict(("a", "b"))
+        with pytest.raises(TypeError):
+            StrongModel(classifiers, labels, 4, 5)
+        assert StrongModel(classifiers, labels, 4, rounds_run=5).rounds_run == 5
+
     def test_total_alpha_is_the_in_order_sum(self):
         """The weights added one at a time in classifier order, on every Python:
         numpy's pairwise sum, and Python's compensated ``sum`` from 3.12 on, give

@@ -47,6 +47,8 @@ class TestTrainingErrorBound:
             training_error_bound(2, [0.0])
         with pytest.raises(ValueError):
             training_error_bound(2, [1.1])
+        with pytest.raises(ValueError, match=r"round normalizers must lie in \(0, 1\]"):
+            training_error_bound(2, [0.9, math.nan])
 
 
 class TestEmpiricalMarginBound:
@@ -77,6 +79,8 @@ class TestEmpiricalMarginBound:
             empirical_margin_bound(2, [0.9], [0.5], [0.1], 10, theta=0.0)
         with pytest.raises(ValueError):
             empirical_margin_bound(2, [0.9], [0.5], [0.1, 0.2], 10, theta=0.1)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            empirical_margin_bound(2, [0.9], [0.5], [0.1], 10, theta=math.nan)
 
 
 class TestMargin:
@@ -87,6 +91,10 @@ class TestMargin:
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         got = margin_values(signed, np.array([1]), eta=0.5)
         assert got[0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_nan_total_weight_rejected(self):
+        with pytest.raises(ValueError, match="total classifier weight must be positive"):
+            margin_values(np.array([[0.5, -0.5]]), np.array([0]), eta=math.nan)
 
     def test_all_abstained_is_zero(self):
         signed = np.zeros((3, 4))
@@ -181,6 +189,8 @@ class TestAbstentionBound:
             abstention_bound(5, 1.5, 1)
         with pytest.raises(ValueError):
             abstention_bound(5, 0.1, -1)
+        with pytest.raises(ValueError, match="classifier count must be nonnegative"):
+            abstention_bound(10, 0.1, math.nan)
 
 
 class TestSimulateAbstention:

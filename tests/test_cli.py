@@ -211,6 +211,14 @@ class TestBoundCommands:
         assert code == 0
         assert "bound=" in out
 
+    def test_nan_classifier_count_rejected(self, capsys):
+        """A NaN count, given or derived from --beta, is an error, not bound=nan."""
+        for argv in (("--p", 0.1, "--classifiers", "nan"), ("--k", 1, "--beta", "nan")):
+            code, out, err = _run(capsys, "bound", "--n", 10, *argv)
+            assert code == 1
+            assert err == "error: classifier count must be nonnegative\n"
+            assert out == ""
+
     def test_simulate_agrees(self, capsys):
         code, out, _ = _run(capsys, "simulate-abstention", "--n", 10,
                             "--p", 0.1, "--classifiers", 5,
@@ -264,6 +272,75 @@ class TestExperimentCommand:
         lines = (tmp_path / "res" / "results.csv").read_text(
             encoding="utf-8").splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
+
+
+# Every subcommand's flags as the parser defined them before the shared flags
+# moved to parent parsers: flag -> (default, required, type, choices, action).
+_REQUIRED = (None, True, None, None, "store")
+_OPTIONAL = (None, False, None, None, "store")
+_SEED = (0, False, int, None, "store")
+_SWITCH = (False, False, None, None, "store_true")
+_STDOUT = ("-", False, None, None, "store")
+_SCORING = {"--model": _REQUIRED, "--test-triplets": _REQUIRED,
+            "--policy": ("random", False, None, ("random", "fixed_lowest"), "store")}
+_FLAGS = {
+    "gen-triplets": {
+        "--data": _REQUIRED,
+        "--metric": ("euclidean", False, None, ("euclidean", "cityblock", "cosine"),
+                     "store"),
+        "--proportion": (1.0, False, float, None, "store"),
+        "--noise": (0.0, False, float, None, "store"),
+        "--seed": _SEED, "--out": _REQUIRED, "--has-header": _SWITCH,
+        "--test-data": _OPTIONAL},
+    "gen-triplets-ratings": {
+        "--ratings": _REQUIRED, "--candidate-limit": (None, False, int, None, "store"),
+        "--seed": _SEED, "--out": _REQUIRED},
+    "add-noise": {
+        "--triplets": _REQUIRED, "--rate": (None, True, float, None, "store"),
+        "--seed": _SEED, "--out": _REQUIRED},
+    "train": {
+        "--data": _REQUIRED, "--triplets": _REQUIRED,
+        "--rounds": (None, True, int, None, "store"), "--seed": _SEED,
+        "--out-model": _REQUIRED, "--stats-every": (0, False, int, None, "store"),
+        "--keep-zero-alpha": _SWITCH, "--has-header": _SWITCH},
+    "predict": {**_SCORING, "--seed": _SEED, "--out": _STDOUT},
+    "evaluate": {
+        **_SCORING, "--labels": _REQUIRED, "--seed": _SEED,
+        "--k": (5, False, int, None, "store"), "--has-header": _SWITCH,
+        "--out-predictions": _OPTIONAL},
+    "experiment": {"--spec": _REQUIRED},
+    "bound": {
+        "--n": (None, True, int, None, "store"),
+        **dict.fromkeys(("--p", "--classifiers", "--k", "--beta"),
+                        (None, False, float, None, "store"))},
+    "simulate-abstention": {
+        "--n": (None, True, int, None, "store"), "--p": (None, True, float, None, "store"),
+        "--classifiers": (None, True, int, None, "store"),
+        "--trials": (100000, False, int, None, "store"), "--seed": _SEED},
+    "bound-surface": {
+        "--n": (None, True, int, None, "store"), "--k-grid": _REQUIRED,
+        "--beta-grid": _REQUIRED, "--out": _STDOUT},
+    "bound-limit": dict.fromkeys(("--k", "--beta"), (None, True, float, None, "store")),
+}
+
+
+class TestParser:
+    def test_flags_equal_the_table(self):
+        """Each flag keeps its default, required, type, choices and action."""
+        import argparse
+
+        from tripletboost.cli import build_parser
+
+        actions = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        got = {name: {action.option_strings[0]: (action.default, action.required,
+                                                 action.type, action.choices,
+                                                 actions[type(action)])
+                      for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)}
+               for name, parser in sub.choices.items()}
+        assert got == _FLAGS
 
 
 class TestEntryPoint:

@@ -174,3 +174,9 @@ class TestMoons:
         bottom = ds.features[ds.labels == 1]
         assert top[:, 1].min() >= -1e-9
         assert bottom[:, 1].max() <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_noise_rejected(self, noise):
+        """Such a noise would give noise-free moons (or NaN features) without a word."""
+        with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
+            make_moons(20, noise, 0)

@@ -780,6 +780,19 @@ class TestEvaluationSplit:
         with pytest.raises(ValueError, match="one test id"):
             split_store_for_evaluation(full, [0, 1, 2], [])
 
+    @pytest.mark.parametrize("train_ids, test_ids, at", [
+        ([0.5, 1.7, 2.2, 3.9], [5], "row 0"),
+        ([0, 1, 2.0, 3], [4.0, 5.5], "row 1"),
+        ([0, 1, math.nan], [4], "row 2"),
+    ])
+    def test_fractional_or_nan_ids_rejected(self, train_ids, test_ids, at):
+        """An id is an integer: a fraction or a NaN is named, never truncated."""
+        from tripletboost import split_store_for_evaluation
+
+        full = generate_from_vectors(make_moons(10, 0.1, 0), "euclidean")
+        with pytest.raises(ValueError, match=f"^id not an int64 integer at {at}$"):
+            split_store_for_evaluation(full, train_ids, test_ids)
+
 
 class TestRecordChecks:
     """One check per record type: in memory it names the row, in a file the line."""

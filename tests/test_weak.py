@@ -15,10 +15,8 @@ from tripletboost import (
     TripletClassifier,
     TestTripletSet,
     TripletStore,
-    bitmask,
     classifier_alpha,
     init_weights,
-    mask_labels,
     round_weights,
     select_labels,
     update_weights,
@@ -28,7 +26,7 @@ from tripletboost import (
     generate_training_set,
     make_moons,
 )
-from tripletboost.weak import fired_buckets
+from tripletboost.weak import _mask_bools, _pack_masks, _play, _Run, fired_buckets
 
 # -- independent oracles: literal sums over the defining formulas ---------------
 
@@ -272,11 +270,13 @@ class TestClassifierType:
 
     @given(st.sets(st.integers(0, 63)))
     def test_bitmask_round_trip(self, labels):
-        """Packing then unpacking gives the sorted label ids, the 64th bit included."""
-        mask = bitmask(labels)
-        assert mask_labels(mask, 64) == sorted(labels)
-        assert bitmask(mask_labels(mask, 64)) == mask
-        assert mask_labels(mask, 3) == sorted(y for y in labels if y < 3)
+        """Packing then unpacking gives the label set back, the 64th bit included."""
+        members = np.isin(np.arange(64), sorted(labels))
+        mask = _pack_masks(members)
+        assert int(mask) == sum(1 << y for y in labels)
+        assert np.array_equal(_mask_bools(mask, 64), members)
+        assert np.array_equal(_pack_masks(_mask_bools(mask, 64)), mask)
+        assert np.array_equal(_mask_bools(mask, 3), members[:3])
 
 
 # -- the bin round against a pure-Python reference round -------------------------
@@ -328,8 +328,8 @@ def _oracle_round(w, labels, j, k, fwd, rev, scores):
         w[:], scores[:] = rows, votes
         z = float(np.add.reduce(w, axis=None))
         w /= z
-    h = TripletClassifier(j, k, bitmask(y for y in range(n_labels) if members[0][y]),
-                          bitmask(y for y in range(n_labels) if members[1][y]), alpha)
+    h = TripletClassifier(j, k, sum(1 << y for y in range(n_labels) if members[0][y]),
+                          sum(1 << y for y in range(n_labels) if members[1][y]), alpha)
     return h, RoundStats(w_plus, w_minus, z, alpha)
 
 
@@ -349,16 +349,16 @@ def _pairwise_weights(w, labels, fwd, rev, members):
 
 
 def _check_round(w, labels, fwd, rev, scores):
-    """``_round`` against the reference, bit for bit, and against itself with the
-    sides swapped; its W+ and W- also within 8 eps of their total of the pairwise
-    sums.  Returns the sets and the stats."""
-    from tripletboost.weak import _pack_masks, _round
-
+    """``_play`` on the buckets (closer to j, closer to k) against the reference,
+    bit for bit, and against itself with the sides swapped; its W+ and W- also
+    within 8 eps of their total of the pairwise sums.  Returns the sets and the
+    stats."""
     want_w, want_scores = w.copy(), scores.copy()
     want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev, want_scores)
     before, swapped_w, swapped_scores = w.copy(), w.copy(), scores.copy()
-    members, stats = _round(w, labels, fwd, rev, scores)
-    swapped = _round(swapped_w, labels, rev, fwd, swapped_scores)  # k's side first
+    members, stats = _play(_Run(w, labels, scores), np.concatenate((fwd, rev)), len(fwd), 0)
+    swapped = _play(_Run(swapped_w, labels, swapped_scores),  # k's side first
+                    np.concatenate((rev, fwd)), len(rev), 0)
     assert np.array_equal(swapped[0], members[::-1])
     assert np.array(swapped[1]).tobytes() == np.array(stats).tobytes()
     assert swapped_w.tobytes() == w.tobytes() and swapped_scores.tobytes() == scores.tobytes()
@@ -409,7 +409,7 @@ class TestRoundKernel:
                                       "one_row", "all_members", "no_members",
                                       "zero_alpha", "top_bit"])
     def test_round_equals_per_side_reference_bit_for_bit(self, kind):
-        """``_round`` against the pure-Python reference, which sums side by side."""
+        """``_play`` against the pure-Python reference, which sums side by side."""
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(60):
             w, labels, fwd, rev, scores = _round_case(rng, kind)
