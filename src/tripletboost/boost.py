@@ -244,70 +244,11 @@ def init_weights(n: int, n_labels: int) -> np.ndarray:
     return np.full((n, n_labels), 1.0 / (n * n_labels))
 
 
-def _draw_index(cum: np.ndarray, total: float, u: float) -> int:
-    """The index a uniform u in [0, 1) draws from ``cum``, cumulative masses to ``total``."""
-    idx = int(cum.searchsorted(u * total, "right"))
-    if idx >= cum.size:  # u rounded up to the total mass
-        idx = cum.size - 1
-        while idx > 0 and cum[idx] == cum[idx - 1]:
-            idx -= 1
-    return idx
-
-
-def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``w.sum(axis=1)`` bit for bit: numpy adds fewer than 8 entries in order, so
-    narrow rows are summed column by column, without its one inner loop per row."""
-    if not 1 < w.shape[1] < 8:
-        return w.sum(axis=1, out=out)
-    cols = w.T
-    out = np.add(cols[0], cols[1], out=out)
-    for col in range(2, w.shape[1]):
-        out += cols[col]
-    return out
-
-
-class _PairDraw:
-    """Draws reference pairs from the ``w`` a run updates in place: j from the example
-    marginal, k from that of the other classes' examples.  ``refresh`` refills its
-    buffers after ``w`` changed; a class's table follows when j next has that class."""
-
-    def __init__(self, labels: np.ndarray, w: np.ndarray):
-        self.labels, self.w, self.others, self.tables = labels, w, {}, {}
-        self.marg, self.cum = np.empty(len(w)), np.empty(len(w))
-        self.refresh()
-
-    def refresh(self):
-        _row_sums(self.w, out=self.marg)
-        self.total = float(np.add.accumulate(self.marg, out=self.cum)[-1])
-        if not 0.0 < self.total < math.inf:
-            raise ValueError("weight distribution needs a positive finite total")
-        self.tables.clear()
-
-    def __call__(self, uniform) -> tuple[int, int]:
-        """A pair (j, k) from two calls of ``uniform``, each a double in [0, 1)."""
-        j = _draw_index(self.cum, self.total, uniform())
-        c = self.labels.item(j)
-        if c not in self.tables:
-            if c not in self.others:
-                self.others[c] = np.flatnonzero(self.labels != c)
-            if not self.others[c].size:
-                raise ValueError("need at least two classes to sample a reference pair")
-            # These are the cumulative masses of the marginal with zeros for j's
-            # class, which the draw skips: adding 0.0 changes no partial sum.
-            cum = np.add.accumulate(self.marg.take(self.others[c]))
-            total = float(cum[-1])
-            if not 0.0 < total < math.inf:
-                raise ValueError("the examples of classes other than j's carry no mass")
-            self.tables[c] = cum, total
-        cum, total = self.tables[c]
-        return j, int(self.others[c][_draw_index(cum, total, uniform())])
-
-
 def sample_reference_pair(ds: Dataset, w: np.ndarray, rng) -> tuple[int, int]:
     """Draw j from the example marginal, then k from the other-label marginal."""
     if not (0.0 <= w.min() and w.max() < math.inf):  # NaN fails both
         raise ValueError("weights must be finite and nonnegative")
-    return _PairDraw(ds.labels, w)(rng.random)
+    return _Run(w, ds.labels).draw(rng.random)
 
 
 def _uniforms(rng, count: int, block: int = 1 << 13):
@@ -366,19 +307,16 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
         raise ValueError("triplet store universe does not match the dataset")
 
     uniform = _uniforms(np.random.default_rng(cfg.seed), 2 * cfg.rounds).__next__
-    w = init_weights(n, n_labels)
     scores = np.zeros((n, n_labels))
     pairs, sets, alphas, stats = [], [], [], []
     checkpoints: list[Checkpoint] = []
     log_z_sum = 0.0
-    run, draw, groups = _Run(w, ds.labels, scores), _PairDraw(ds.labels, w), ts.pair_groups()
+    run, groups = _Run(init_weights(n, n_labels), ds.labels, scores), ts.pair_groups()
 
     for rnd in range(1, cfg.rounds + 1):
-        j, k = draw(uniform)
+        j, k = run.draw(uniform)
         members, stat = _play(run, *_pair_rows(groups, n, j, k))
         _, _, z, alpha = stat
-        if alpha != 0.0:  # a round with alpha = 0 leaves w, and so the draw's tables, alone
-            draw.refresh()
         if alpha != 0.0 or cfg.keep_zero_alpha:
             pairs.append((j, k))
             sets.append(members)

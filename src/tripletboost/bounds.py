@@ -8,11 +8,12 @@ forms mechanically rather than re-deriving them.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .boost import StrongModel, _PairDraw, init_weights
+from .boost import StrongModel, init_weights
 from .dataset import Dataset, LabelDict
 from .predict import ABSTAIN, predict_all
 from .triplets import TestTripletSet, _round_half_up
@@ -59,11 +60,18 @@ def empirical_margin_bound(n_labels: int, z_history, w_plus_history,
     """Bound on the fraction of training examples with confidence margin <= theta."""
     if not theta > 0.0:  # NaN fails it too
         raise ValueError("theta must be positive")
+    if n_labels < 2:
+        raise ValueError("need at least two labels")
+    if not n >= 1:
+        raise ValueError("n must be at least 1")
     z = _check_history(z_history)
     w_plus = np.asarray(w_plus_history, dtype=np.float64)
     w_minus = np.asarray(w_minus_history, dtype=np.float64)
     if not (z.size == w_plus.size == w_minus.size):
         raise ValueError("round histories must have equal lengths")
+    masses = np.concatenate((w_plus, w_minus), axis=None)
+    if masses.size and not (masses.min() >= 0.0 and masses.max() < math.inf):  # NaN fails
+        raise ValueError("round masses W+ and W- must be finite and nonnegative")
     if z.size == 0:
         return 0.5 * n_labels
     smooth = 1.0 / n
@@ -117,6 +125,14 @@ def abstention_bound(n: int, p: float, classifier_count: float) -> float:
     return float(base ** classifier_count)
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int, if it is an integer (``operator.index``)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+
+
 def simulate_abstention(n: int, p: float, classifier_count: int, trials: int,
                         seed: int = 0) -> tuple[float, float]:
     """Monte Carlo oracle for ``abstention_bound``: (estimate, standard error).
@@ -125,6 +141,12 @@ def simulate_abstention(n: int, p: float, classifier_count: int, trials: int,
     fires on and whether it fires on the test point; the trial abstains when
     no classifier does both.
     """
+    n, trials = _count(n, "n"), _count(trials, "trials")
+    classifier_count = _count(classifier_count, "classifier count")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if classifier_count < 0:
@@ -220,17 +242,15 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
     rates = np.empty(n_models)
     for m_idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
         rng = np.random.default_rng(child)
-        w = init_weights(n, n_labels)
-        run, sampler = _Run(w, labels), _PairDraw(labels, w)
+        run = _Run(init_weights(n, n_labels), labels)
         pairs, sets, alphas = [], [], []
         for _ in range(rounds):
-            j, k = sampler(rng.random)
+            j, k = run.draw(rng.random)
             revealed = np.flatnonzero(rng.random(n) < p)
             says_j = rng.random(n) < 0.5
             fwd, rev = revealed[says_j[revealed]], revealed[~says_j[revealed]]
             members, (_, _, _, alpha) = _play(run, np.concatenate((fwd, rev)), fwd.size, 0)
             if alpha != 0.0:
-                sampler.refresh()
                 pairs.append((j, k))
                 sets.append(members)
                 alphas.append(alpha)

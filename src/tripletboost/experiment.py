@@ -50,6 +50,9 @@ class ExperimentSpec:
                 raise ValueError("proportions and noise levels must lie in [0, 1]")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
+        if self.metric not in triplets.METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; expected one of "
+                             f"{triplets.METRICS}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -73,8 +76,8 @@ _KEYS = {"data": ("data", str), "metric": ("metric", str),
 
 def parse_spec(path) -> ExperimentSpec:
     """Parse the key=value spec file ('#' starts a comment); an unknown or a
-    repeated key is rejected, naming its line."""
-    values: dict[str, str] = {}
+    repeated key, or a value that does not parse, is rejected, naming its line."""
+    values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -86,11 +89,15 @@ def parse_spec(path) -> ExperimentSpec:
             if key not in _KEYS or key in values:
                 problem = "repeated" if key in values else "unknown"
                 raise ValueError(f"{problem} spec key {key!r} at line {lineno}")
-            values[key] = val
+            try:
+                values[key] = _KEYS[key][1](val)
+            except ValueError as exc:
+                raise ValueError(f"bad value for spec key {key!r} at line {lineno}: "
+                                 f"{exc}") from None
     missing = [key for key in list(_KEYS)[:8] if key not in values]
     if missing:
         raise ValueError(f"missing required spec key: {missing[0]!r}")
-    return ExperimentSpec(**{_KEYS[key][0]: _KEYS[key][1](val) for key, val in values.items()})
+    return ExperimentSpec(**{_KEYS[key][0]: val for key, val in values.items()})
 
 
 def _derived_seed(*parts: int) -> int:

@@ -6,10 +6,10 @@ closer to k, and abstains elsewhere.  Inside a round and in a model's columns
 a label set is a bool vector over the labels; at the API and file boundary
 (``TripletClassifier``, a view of a model's row, the step functions, model
 files) it is an int bitmask, which caps the label space at 64 classes.
-``_play`` is the one implementation of a boosting round; the step functions
-(``select_labels``, ``round_weights``, ``boost.update_weights``) run its steps on
-a state built for one call, where a training run builds its ``_Run``,
-``boost._PairDraw`` and the store's pair index once.
+``_play`` is the one boosting round and ``_Run.draw`` the one draw of its pair;
+the step functions (``select_labels``, ``round_weights`` and boost's
+``sample_reference_pair`` and ``update_weights``) run on a ``_Run`` built for one
+call, where a training run builds its ``_Run`` and the store's pair index once.
 
 A round gathers its fired rows of the weights once, those closer to min(j, k)
 first; one ``bincount`` adds each entry (row, label c) of side s into bin
@@ -122,15 +122,69 @@ def _bin_table(n_labels: int) -> np.ndarray:
     return table
 
 
+def _draw_index(cum: np.ndarray, total: float, u: float) -> int:
+    """The index a uniform u in [0, 1) draws from ``cum``, cumulative masses to ``total``."""
+    idx = int(cum.searchsorted(u * total, "right"))
+    if idx >= cum.size:  # u rounded up to the total mass
+        idx = cum.size - 1
+        while idx > 0 and cum[idx] == cum[idx - 1]:
+            idx -= 1
+    return idx
+
+
+def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``w.sum(axis=1)`` bit for bit: numpy adds fewer than 8 entries in order, so
+    narrow rows are summed column by column, without its one inner loop per row."""
+    if not 1 < w.shape[1] < 8:
+        return w.sum(axis=1, out=out)
+    cols = w.T
+    out = np.add(cols[0], cols[1], out=out)
+    for col in range(2, w.shape[1]):
+        out += cols[col]
+    return out
+
+
 class _Run:
-    """A run's round state: ``w`` and ``scores`` (or None), updated in place, their row
-    views, and ``bins[i]``, example i's bins on j's side (intp, the size of ``w``)."""
+    """A run's state: ``w`` and ``scores`` (or None), updated in place, their row views,
+    ``bins[i]``, example i's bins on j's side (intp, the size of ``w``), and the draw's
+    tables, which ``_update``, the one writer of ``w``, marks stale for ``draw``."""
 
     def __init__(self, w: np.ndarray, labels: np.ndarray, scores: np.ndarray | None = None):
         self.row = f"V{w.strides[0]}"  # a row as one item: its put beats a fancy-index write
         self.w, self.w_rows, self.scores = w, w.view(self.row), scores
         self.score_rows = None if scores is None else scores.view(self.row)
-        self.bins = _bin_table(w.shape[1]).take(labels, axis=0)
+        self.labels, self.bins = labels, _bin_table(w.shape[1]).take(labels, axis=0)
+        self.marg = self.cum = None  # the draw's buffers, filled at its first rebuild
+        self.others, self.tables, self.stale = {}, {}, True
+
+    def draw(self, uniform) -> tuple[int, int]:
+        """A pair (j, k) from two calls of ``uniform``, each a double in [0, 1): j from
+        the example marginal, k from that of the other classes' examples.  A class's
+        table is built when j first has that class after ``w`` changed."""
+        if self.stale:
+            self.marg = _row_sums(self.w, out=self.marg)
+            self.cum = np.add.accumulate(self.marg, out=self.cum)
+            self.total = float(self.cum[-1])
+            if not 0.0 < self.total < math.inf:
+                raise ValueError("weight distribution needs a positive finite total")
+            self.tables.clear()
+            self.stale = False
+        j = _draw_index(self.cum, self.total, uniform())
+        c = self.labels.item(j)
+        if c not in self.tables:
+            if c not in self.others:
+                self.others[c] = np.flatnonzero(self.labels != c)
+            if not self.others[c].size:
+                raise ValueError("need at least two classes to sample a reference pair")
+            # These are the cumulative masses of the marginal with zeros for j's
+            # class, which the draw skips: adding 0.0 changes no partial sum.
+            cum = np.add.accumulate(self.marg.take(self.others[c]))
+            total = float(cum[-1])
+            if not 0.0 < total < math.inf:
+                raise ValueError("the examples of classes other than j's carry no mass")
+            self.tables[c] = cum, total
+        cum, total = self.tables[c]
+        return j, int(self.others[c][_draw_index(cum, total, uniform())])
 
 
 def _gather(run: _Run, rows: np.ndarray, count: int, side: int):
@@ -188,6 +242,7 @@ def _update(run: _Run, gathered, members: np.ndarray, alpha: float) -> float:
     if z <= 0.0:
         raise ValueError("weight update produced a nonpositive total")
     run.w /= z
+    run.stale = True
     return z
 
 

@@ -35,8 +35,8 @@ from tripletboost import (
     update_weights,
     z_factor,
 )
-from tripletboost.boost import _row_sums, _strict_error
-from tripletboost.weak import _mask_bools, fired_buckets
+from tripletboost.boost import _strict_error
+from tripletboost.weak import _mask_bools, _row_sums, fired_buckets
 
 
 def _three_example_setup():

@@ -21,6 +21,7 @@ from tripletboost import (
     training_error_bound,
     z_factor,
 )
+from tripletboost.cli import main
 
 
 class TestTrainingErrorBound:
@@ -81,6 +82,33 @@ class TestEmpiricalMarginBound:
             empirical_margin_bound(2, [0.9], [0.5], [0.1, 0.2], 10, theta=0.1)
         with pytest.raises(ValueError, match="theta must be positive"):
             empirical_margin_bound(2, [0.9], [0.5], [0.1], 10, theta=math.nan)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, message", [
+        ((2, [0.9], [0.5], [0.1], 0), "n must be at least 1"),  # was ZeroDivisionError
+        ((2, [0.9], [0.5], [0.1], -1), "n must be at least 1"),  # was nan
+        ((2, [0.9], [0.5], [0.1], math.nan), "n must be at least 1"),
+        ((2, [], [], [], 0), "n must be at least 1"),
+        ((1, [0.9], [0.5], [0.1], 10), "need at least two labels"),  # was 0.475
+        ((1, [], [], [], 10), "need at least two labels"),
+        ((2, [0.9], [0.5], [-0.1], 10), "finite and nonnegative"),  # was nan
+        ((2, [0.9], [-0.5], [0.1], 10), "finite and nonnegative"),
+        ((2, [0.9], [math.nan], [0.1], 10), "finite and nonnegative"),  # was nan
+        ((2, [0.9], [0.5], [math.nan], 10), "finite and nonnegative"),
+        ((2, [0.9], [0.5], [math.inf], 10), "finite and nonnegative"),
+    ])
+    def test_bad_inputs_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_margin_bound(*args, theta=0.1)
+
+    def test_valid_inputs_keep_their_bits(self):
+        """Values recorded before the input checks were added."""
+        assert empirical_margin_bound(2, [0.9], [0.5], [0.1], 10, theta=0.1).hex() == \
+            "0x1.e6d1f46b1fc71p-1"
+        assert empirical_margin_bound(3, [0.9, 0.95], [0.5, 0.4], [0.1, 0.2], 7,
+                                      theta=0.3).hex() == "0x1.970ccb16460cfp+0"
+        assert empirical_margin_bound(2, [0.9], [0.0], [0.0], 1, theta=0.1) == \
+            pytest.approx(0.9)
 
 
 class TestMargin:
@@ -209,6 +237,40 @@ class TestSimulateAbstention:
         a = simulate_abstention(6, 0.3, 4, 10_000, seed=5)
         b = simulate_abstention(6, 0.3, 4, 10_000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("args, message", [
+        ((5, 0.1, 2.5, 100), "classifier count must be an integer"),  # were TypeErrors
+        ((5, 0.1, math.nan, 100), "classifier count must be an integer"),
+        ((5, 0.1, 3, 2.5), "trials must be an integer"),
+        ((2.5, 0.1, 3, 100), "n must be an integer"),
+        ((5, 1.5, 3, 100), r"^p must lie in \[0, 1\]$"),  # was numpy's message
+        ((5, -0.1, 3, 100), r"^p must lie in \[0, 1\]$"),
+        ((5, math.nan, 3, 100), r"^p must lie in \[0, 1\]$"),
+        ((0, 0.1, 3, 100), "^n must be at least 1$"),  # was (1.0, 0.0)
+        ((5, 0.1, -1, 100), "classifier count must be nonnegative"),
+        ((5, 0.1, 3, 0), "trials must be at least 1"),
+    ])
+    def test_bad_inputs_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_abstention(*args)
+
+    def test_messages_match_the_closed_form(self):
+        for n, p in ((0, 0.1), (-3, 0.1), (5, 1.5), (5, math.nan)):
+            with pytest.raises(ValueError) as closed:
+                abstention_bound(n, p, 3)
+            with pytest.raises(ValueError) as simulated:
+                simulate_abstention(n, p, 3, 100)
+            assert str(simulated.value) == str(closed.value)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert simulate_abstention(np.int64(6), 0.3, np.int32(4), np.int64(10_000), 5) == \
+            simulate_abstention(6, 0.3, 4, 10_000, seed=5)
+
+    def test_cli_reports_p_out_of_range(self, capsys):
+        code = main(["simulate-abstention", "--n", "10", "--p", "1.5",
+                     "--classifiers", "5", "--trials", "100"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: p must lie in [0, 1]\n")
 
 
 class TestAbstentionLimit:

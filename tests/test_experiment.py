@@ -6,6 +6,7 @@ import math
 import pytest
 
 from tripletboost import ExperimentSpec, make_moons, parse_spec, run_experiment, save_csv
+from tripletboost.cli import main
 
 _REQUIRED = ("data=moons\nmetric=euclidean\nproportions=0.2,0.4\nnoises=0.0\n"
              "rounds=30\nrepetitions=1\nseed=4\nout=res\n")
@@ -58,6 +59,24 @@ class TestParseSpec:
         with pytest.raises(ValueError, match="^expected key=value at line 2$"):
             _spec(tmp_path, "data=moons\nmetric\n")
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("proportions=0.2,0.4", "proportions=0.2,,0.4", "'proportions' at line 3"),
+        ("noises=0.0", "noises=none", "'noises' at line 4"),
+        ("rounds=30", "rounds=ten", "'rounds' at line 5"),
+        ("rounds=30", "rounds=2.5", "'rounds' at line 5"),
+        ("out=res", "out=res\nmoons_n=", "'moons_n' at line 9"),
+    ])
+    def test_bad_value_named_with_its_key_and_line(self, tmp_path, old, new, where):
+        with pytest.raises(ValueError, match=f"^bad value for spec key {where}: "):
+            _spec(tmp_path, _REQUIRED.replace(old, new))
+
+    def test_bad_value_named_through_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "spec.txt"
+        path.write_text(_REQUIRED.replace("0.2,0.4", "0.2,,0.4"), encoding="utf-8")
+        assert main(["experiment", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: bad value for spec key 'proportions' "
+                                           "at line 3: could not convert string to float: ''\n")
+
     @pytest.mark.parametrize("key", ["data", "noises", "out"])
     def test_missing_required_key_named(self, tmp_path, key):
         text = "".join(line + "\n" for line in _REQUIRED.splitlines()
@@ -81,6 +100,7 @@ class TestSpecChecks:
         ({"noise_levels": (math.nan,)}, r"must lie in \[0, 1\]"),
         ({"test_fraction": 0.0}, "test_fraction must lie strictly between 0 and 1"),
         ({"test_fraction": 1.0}, "test_fraction must lie strictly between 0 and 1"),
+        ({"metric": "euclidian"}, "^unknown metric 'euclidian'; expected one of"),
     ])
     def test_bad_grid_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):

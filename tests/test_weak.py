@@ -453,6 +453,34 @@ class TestRoundKernel:
         assert ties > 4 * len(sizes) ** 2 // 2
 
 
+class TestRunDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_labels=st.integers(2, 10))
+    def test_draw_after_each_round_equals_a_fresh_run(self, data, n_labels):
+        """After rounds with alpha != 0 (``_update`` marks the tables stale) and with
+        alpha = 0 (no rows: ``w`` and the tables stay), ``draw`` returns what a new
+        ``_Run`` over a copy of ``w`` draws from the same uniforms: the lazy rebuild
+        is the eager one."""
+        n = data.draw(st.integers(2, 30), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        labels = rng.integers(0, n_labels, n)
+        labels[:2] = (0, 1)  # two classes carry mass whatever the class of j
+        w = rng.random((n, n_labels)) * (rng.random((n, 1)) < 0.6)  # zero-mass rows
+        w[:2] += 0.1
+        w /= w.sum()
+        run = _Run(w, labels)
+        unit = st.floats(0.0, 1.0)
+        for fired in data.draw(st.lists(st.integers(0, n), min_size=1, max_size=8),
+                               label="rows a round"):
+            rows = rng.permutation(n)[:fired]
+            _play(run, rows, int(rng.integers(0, fired + 1)), int(rng.integers(0, 2)))
+            pairs = data.draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=5),
+                              label="uniforms")
+            fresh = _Run(run.w.copy(), labels)
+            ours, theirs = (iter(np.ravel(pairs).tolist()).__next__ for _ in range(2))
+            assert [run.draw(ours) for _ in pairs] == [fresh.draw(theirs) for _ in pairs]
+
+
 def _edge_case(rng, n_fwd, n_rev, n_labels, kind):
     """(w, labels, fwd, rev, scores) whose sides hold n_fwd and n_rev rows and whose
     label sets come out empty, one label, some labels or every label present; a
