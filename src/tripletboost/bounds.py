@@ -115,8 +115,8 @@ def margin(model: StrongModel, signed_scores, labels) -> np.ndarray:
 
 def abstention_bound(n: int, p: float, classifier_count: float) -> float:
     """Probability that no combined classifier can vote on a fresh example."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n < math.inf:  # NaN fails it too
+        raise ValueError("n must be at least 1" if n < 1 else "n must be finite")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not classifier_count >= 0:  # NaN fails it too

@@ -127,7 +127,7 @@ def _join(model: StrongModel, tset: TripletStore, sets: np.ndarray) -> Predictio
     keys against the model's hashed classifier keys, in blocks of whole anchors,
     each block summed as soon as it is matched."""
     n_cls = model.sorted_keys.size
-    anchors = tset.anchors  # needles of its dtype, else searchsorted converts it whole
+    anchors = tset._anchor  # needles of its dtype, else searchsorted converts it whole
     edges = anchors.searchsorted(np.arange(tset.n_anchors + 1, dtype=anchors.dtype))
     blocks = []
     x = 0

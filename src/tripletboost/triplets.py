@@ -46,13 +46,18 @@ __all__ = [
 METRICS = ("euclidean", "cityblock", "cosine")
 
 _MAX_UNIVERSE = 2_000_000  # with n anchors, keeps (i*n + lo)*n + hi inside int64
-_ID_DTYPE = np.int32  # a store's id columns: both universes fit it
+_ID_DTYPE = np.int32  # ids as the accessors return them, and the widest id column
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
 _INT64 = np.iinfo(np.int64)
 _PARSE_BLOCK = 1 << 20  # bytes of whole lines parsed at once from a writer's body
 _WRITER_SEPS = np.frombuffer(b"  \n", dtype=np.uint8)  # the byte after each id of a line
+
+
+def _id_dtype(n_anchors: int, n: int) -> type:
+    """The narrowest type of a store's id columns that both universes fit."""
+    return np.int16 if max(n_anchors, n) <= np.iinfo(np.int16).max else _ID_DTYPE
 
 
 def _check_universe(n: int) -> None:
@@ -94,9 +99,9 @@ def _check_vectors(features: np.ndarray | None, metric: str, what: str) -> np.nd
     return features
 
 
-def _pair_keys(lo, hi, n: int) -> np.ndarray:
-    """The int64 pair keys lo*n + hi on which the scorer joins store rows and classifiers."""
-    keys = np.multiply(lo, n, dtype=np.int64)
+def _pair_keys(lo, hi, n: int, dtype=np.int64) -> np.ndarray:
+    """The pair keys lo*n + hi on which the scorer joins store rows and classifiers."""
+    keys = np.multiply(lo, n, dtype=dtype)
     return np.add(keys, hi, out=keys)
 
 
@@ -106,8 +111,9 @@ class TripletStore:
 
     A training store has one universe (``n_anchors == n``); a test set
     anchors test examples on pairs of training examples.  Rows are sorted by
-    (anchor, lo, hi), so one anchor's rows are contiguous.  A row takes 13
-    bytes: int32 anchor, lo and hi, and the bool ``near_lo``.
+    (anchor, lo, hi), so one anchor's rows are contiguous.  A row takes 7 bytes,
+    int16 anchor, lo and hi and the bool ``near_lo``, when both universes are at
+    most 32,767, else 13, with int32 ids.  The accessors return int32 ids.
     """
 
     __slots__ = ("n", "n_anchors", "_anchor", "_lo", "_hi", "_near_lo", "_pair_cache")
@@ -117,8 +123,8 @@ class TripletStore:
         self._init(n, n, anchor, lo, hi, near_lo, _row)
 
     def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where) -> "TripletStore":
-        """Hold the rows as int32 ids.  ``where=None`` trusts them to be canonical
-        and takes them as they are, else they are checked in int64 and sorted."""
+        """Hold the rows as ids of ``_id_dtype``.  ``where=None`` trusts them to be
+        canonical and takes them as they are, else they are checked in int64 and sorted."""
         _check_universe(n)
         # packed keys (a*n + lo)*n + hi fit int64, and anchor ids fit int32
         limit = min((2**63 - 1) // (int(n) * int(n)), np.iinfo(_ID_DTYPE).max)
@@ -131,14 +137,15 @@ class TripletStore:
             anchor, lo, hi, near_lo = self._canonicalize(
                 *(np.asarray(col, dtype=np.int64) for col in (anchor, lo, hi)),
                 np.asarray(near_lo, dtype=bool), where)
-        self._anchor, self._lo, self._hi = (np.ascontiguousarray(col, dtype=_ID_DTYPE)
+        dtype = _id_dtype(n_anchors, n)
+        self._anchor, self._lo, self._hi = (np.ascontiguousarray(col, dtype=dtype)
                                             for col in (anchor, lo, hi))
         self._near_lo = np.ascontiguousarray(near_lo, dtype=bool)
         self._pair_cache = None
         return self
 
     def _canonicalize(self, a, lo, hi, near_lo, where):
-        """The int64 rows checked, then as int32 columns in canonical order.  The
+        """The int64 rows checked, then as id columns in canonical order.  The
         first bad row raises, named by ``where(row)``; of a repeated triplet, the
         later row is the bad one.  (A row outside the universes may share a key,
         but it is bad and comes first.)"""
@@ -165,7 +172,8 @@ class TripletStore:
                 f"unordered pair at {at}: pair columns must satisfy lo < hi",
                 f"duplicate triplet at {at}",
                 f"contradictory triplet at {at}")[kind])
-        return (*(col.astype(_ID_DTYPE)[order] for col in (a, lo, hi)), near_lo[order])
+        dtype = _id_dtype(self.n_anchors, self.n)
+        return (*(col.astype(dtype)[order] for col in (a, lo, hi)), near_lo[order])
 
     @classmethod
     def _from_ijk(cls, n_anchors, n, i, j, k, where) -> "TripletStore":
@@ -192,15 +200,15 @@ class TripletStore:
 
     @property
     def anchors(self) -> np.ndarray:
-        return self._anchor
+        return self._anchor.astype(_ID_DTYPE, copy=False)
 
     @property
     def near(self) -> np.ndarray:
-        return np.where(self._near_lo, self._lo, self._hi)
+        return np.where(self._near_lo, self._lo, self._hi).astype(_ID_DTYPE, copy=False)
 
     @property
     def far(self) -> np.ndarray:
-        return np.where(self._near_lo, self._hi, self._lo)
+        return np.where(self._near_lo, self._hi, self._lo).astype(_ID_DTYPE, copy=False)
 
     def __len__(self) -> int:
         return self.m
@@ -220,8 +228,8 @@ class TripletStore:
     def _rows_of(self, i: int) -> slice:
         if not 0 <= i < self.n_anchors:
             return slice(0, 0)
-        # an int32 needle: any other dtype makes searchsorted convert all anchors
-        start, stop = self._anchor.searchsorted(np.array([i, i + 1], dtype=_ID_DTYPE))
+        # needles of the anchors' dtype: any other makes searchsorted convert them all
+        start, stop = self._anchor.searchsorted(np.array([i, i + 1], dtype=self._anchor.dtype))
         return slice(int(start), int(stop))
 
     def lookup(self, i: int, j: int, k: int) -> Relation:
@@ -229,6 +237,8 @@ class TripletStore:
         if j == k:
             raise ValueError("reference examples j and k must differ")
         lo, hi = (j, k) if j < k else (k, j)
+        if lo < 0 or hi >= self.n:  # its key could alias a stored pair's
+            return Relation.ABSENT
         key = lo * self.n + hi
         rows = self._rows_of(i)
         pkeys = self._keys(rows)
@@ -246,40 +256,45 @@ class TripletStore:
         """(count, 2) array of the (near, far) reference ids stored for anchor i."""
         rows = self._rows_of(i)
         lo, hi, near_lo = self._lo[rows], self._hi[rows], self._near_lo[rows]
-        return np.column_stack([np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)])
+        return np.column_stack([np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)]
+                               ).astype(_ID_DTYPE, copy=False)
 
     def pair_groups(self):
         """Rows regrouped by reference pair and side: (keys, bounds, split, anchors).
 
         ``keys`` holds the distinct pair keys lo*n + hi (int64), ascending; the rows
-        of pair ``keys[g]`` are ``bounds[g]:bounds[g + 1]`` of ``anchors`` (int32):
-        those closer to lo up to ``split[g]``, then those closer to hi, each run
-        ascending.  Cached and read-only.
+        of pair ``keys[g]`` are ``bounds[g]:bounds[g + 1]`` of ``anchors`` (of the id
+        columns' type): those closer to lo up to ``split[g]``, then those closer to
+        hi, each run ascending.  Cached and read-only.
         """
         if self._pair_cache is None:
             # One unique key per row, ((lo*n + hi)*2 + far_lo)*n_anchors + anchor,
-            # sorted in place: it fits uint64 because n_anchors*n*n fits int64.
-            keys = self._keys().view(np.uint64)
-            keys <<= np.uint64(1)
+            # sorted in place: uint32 when 2*n*n*n_anchors fits, else uint64, which
+            # n_anchors*n*n fitting int64 ensures.  The ids join it as unsigned views
+            # (they are nonnegative), since numpy makes uint64 + int16 a float64.
+            wide = np.uint32 if 2 * self.n**2 * self.n_anchors <= 1 << 32 else np.uint64
+            unsigned = self._anchor.dtype.str.replace("i", "u")
+            keys = _pair_keys(self._lo.view(unsigned), self._hi.view(unsigned), self.n, wide)
+            keys <<= wide(1)
             keys |= self._near_lo
-            keys ^= np.uint64(1)  # far_lo: the rows closer to lo come first
-            keys *= np.uint64(self.n_anchors)
-            keys += self._anchor.view(np.uint32)  # anchors are nonnegative
+            keys ^= wide(1)  # far_lo: the rows closer to lo come first
+            keys *= wide(self.n_anchors)
+            keys += self._anchor.view(unsigned)
             keys.sort()
-            anchors = np.empty(keys.size, dtype=_ID_DTYPE)
+            anchors = np.empty(keys.size, dtype=self._anchor.dtype)
             # now each row's pair key*2 + far_lo, and its anchor
-            np.divmod(keys, np.uint64(self.n_anchors), out=(keys, anchors), casting="unsafe")
+            np.divmod(keys, wide(self.n_anchors), out=(keys, anchors), casting="unsafe")
             starts = np.ones(keys.size + 1, dtype=bool)  # where a (pair, side) run starts
             np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
             runs = np.flatnonzero(starts)
             sides = keys[runs[:-1]]
-            pairs = sides >> np.uint64(1)
+            pairs = sides >> wide(1)
             first = np.flatnonzero(np.diff(pairs, prepend=~pairs[:1]))  # a pair's first run
             bounds = np.append(runs[first], runs[-1])
             # a pair whose first run is closer to hi splits at its start, else where
             # that run ends
-            split = np.where(sides[first] & np.uint64(1), runs[first], runs[first + 1])
-            self._pair_cache = (pairs[first].view(np.int64), bounds, split, anchors)
+            split = np.where(sides[first] & wide(1), runs[first], runs[first + 1])
+            self._pair_cache = (pairs[first].astype(np.int64), bounds, split, anchors)
             for col in self._pair_cache:
                 col.flags.writeable = False
         return self._pair_cache
@@ -422,8 +437,8 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     pairs' ranks and unranked into its pair.  That costs O(m log m) per
     anchor, plus the number of its tied pairs (zero for continuous data) and
     O(log m) per drawn pair, and O(m + drawn) memory per anchor beyond the
-    distance block.  Returns the canonical (anchor, lo, hi, near_lo) columns, ids
-    int32, each filled in place as its anchors' ranks are drawn.
+    distance block.  Returns the canonical (anchor, lo, hi, near_lo) columns, ids of
+    ``_id_dtype``, each filled in place as its anchors' ranks are drawn.
     """
     n_anchors = feats.shape[0]
     width = n_anchors - 1 if ref is None else ref.shape[0]
@@ -436,7 +451,8 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     keep = total if proportion >= 1.0 else _round_half_up(proportion * total)
     first = _pairs_before(np.arange(width, dtype=np.int64), width)
 
-    anchor, lo_ids, hi_ids = (np.empty(keep, dtype=_ID_DTYPE) for _ in range(3))
+    dtype = _id_dtype(n_anchors, n_anchors if ref is None else width)
+    anchor, lo_ids, hi_ids = (np.empty(keep, dtype=dtype) for _ in range(3))
     near_lo = np.empty(keep, dtype=bool)
     at, block = 0, -1
     for a, ranks in enumerate(_per_group_take(counts, keep, rng)):
@@ -715,9 +731,10 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     ids = np.concatenate([train_ids, test_ids])
     if ids.min() < 0 or ids.max() >= store.n:
         raise ValueError("ids out of range for the store universe")
-    to_train = np.full(store.n, -1, dtype=_ID_DTYPE)
+    dtype = _id_dtype(max(train_ids.size, test_ids.size), train_ids.size)
+    to_train = np.full(store.n, -1, dtype=dtype)
     to_train[train_ids] = np.arange(train_ids.size)
-    to_test = np.full(store.n, -1, dtype=_ID_DTYPE)
+    to_test = np.full(store.n, -1, dtype=dtype)
     to_test[test_ids] = np.arange(test_ids.size)
 
     # ascending relabelling preserves both lo < hi and the canonical order

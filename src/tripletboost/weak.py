@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .triplets import TripletStore
+from .triplets import TripletStore, _ID_DTYPE
 
 __all__ = [
     "MAX_LABELS",
@@ -108,8 +108,10 @@ def _pair_rows(groups, n: int, j: int, k: int):
 
 
 def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors with a triplet on {j, k}, (closer to j, closer to k): read-only slices."""
+    """Anchors with a triplet on {j, k}, (closer to j, closer to k), int32: read-only
+    slices of the pair index, or copies of them where the store holds narrower ids."""
     rows, count, side = _pair_rows(ts.pair_groups(), ts.n, j, k)
+    rows = rows.astype(_ID_DTYPE, copy=False)
     return (rows[count:], rows[:count]) if side else (rows[:count], rows[count:])
 
 

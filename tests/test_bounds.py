@@ -220,6 +220,12 @@ class TestAbstentionBound:
         with pytest.raises(ValueError, match="classifier count must be nonnegative"):
             abstention_bound(10, 0.1, math.nan)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n_rejected(self, n):
+        """A NaN n gave nan, and an infinite one (1 - p) ** count."""
+        with pytest.raises(ValueError, match="^n must be finite$"):
+            abstention_bound(n, 0.1, 3)
+
 
 class TestSimulateAbstention:
     def test_degenerate_cases(self):

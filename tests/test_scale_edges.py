@@ -99,8 +99,8 @@ def test_fired_buckets(kind):
 def test_predict_all_score_and_score_naive():
     """The test set's anchors are the six examples; its references lie near N - 1."""
     (_, _), (small_tset, _) = _stores()
-    large_tset = TestTripletSet(SMALL, N, small_tset.anchors, small_tset._lo + BASE,
-                                small_tset._hi + BASE, small_tset._near_lo)
+    lo, hi = (col.astype(np.int64) + BASE for col in (small_tset._lo, small_tset._hi))
+    large_tset = TestTripletSet(SMALL, N, small_tset.anchors, lo, hi, small_tset._near_lo)
     small_model, large_model = _models()
     want = predict_all(small_model, small_tset)
     assert want.matched.sum() > 0

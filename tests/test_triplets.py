@@ -28,14 +28,16 @@ from tripletboost import (
     load_csv,
     load_ratings,
     make_moons,
+    predict_all,
     score,
     score_naive,
     split,
+    split_store_for_evaluation,
     subsample,
 )
 from tripletboost.boost import StrongModel, load_model
 from tripletboost.triplets import _per_group_take, _unrank_pairs
-from tripletboost.weak import TripletClassifier
+from tripletboost.weak import TripletClassifier, fired_buckets
 
 
 def _vec_dataset(points, labels=None):
@@ -369,6 +371,13 @@ class TestLookup:
     def test_anchor_may_be_reference(self):
         store = TripletStore.from_triplets(3, [(1, 1, 2)])
         assert store.lookup(1, 1, 2) is Relation.FORWARD
+
+    @pytest.mark.parametrize("j, k", [(0, 15), (15, 0), (-1, 25), (25, -1), (-3, 10)])
+    def test_reference_outside_universe_is_absent(self, j, k):
+        """A reference id outside [0, n) is in no stored pair, even where the packed
+        key lo*n + hi aliases one: 0*10 + 15 and -1*10 + 25 are the key of (1, 5)."""
+        store = TripletStore.from_triplets(10, [(2, 1, 5)])
+        assert store.lookup(2, j, k) is Relation.ABSENT
 
 
 class TestStoreInvariants:
@@ -735,7 +744,7 @@ class TestTestTriplets:
             assert np.unique(pkeys).size < store.m  # several anchors share a pair
             assert keys.dtype == np.int64 and np.array_equal(keys, np.unique(pkeys))
             assert bounds[0] == 0 and bounds[-1] == store.m and (np.diff(bounds) > 0).all()
-            assert anchors.dtype == store.anchors.dtype
+            assert anchors.dtype == store._anchor.dtype
             assert np.array_equal(np.repeat(keys, np.diff(bounds)), pkeys[order])
             assert np.array_equal(anchors, store.anchors[order])
             # in the sort, each pair's rows closer to lo come first
@@ -1080,6 +1089,144 @@ class TestReaderRoutes:
             TripletStore.load(path)
 
 
+_SMALL = 6  # ids of the small universe that the narrow-id cases relabel
+
+
+def _small_rows():
+    """About half of all (anchor, lo, hi) over six ids, random orientation, shuffled.
+    The row (5, 4, 5) closer to 5 is always there: relabelled, it holds the largest
+    pair-index key of its universes."""
+    rng = np.random.default_rng(0)
+    rows = [(a, lo, hi) for a in range(_SMALL) for lo in range(_SMALL)
+            for hi in range(lo + 1, _SMALL) if rng.random() < 0.5 or (a, lo) == (5, 4)]
+    a, lo, hi = np.array(rows).T
+    order = rng.permutation(a.size)
+    near_lo = (rng.random(a.size) < 0.5) & ((a != 5) | (lo != 4))
+    return a[order], lo[order], hi[order], near_lo[order]
+
+
+def _relabelled(kind, n_anchors, n):
+    """(small, large) of ``kind``: the same rows over six ids, and with anchor a and
+    reference r relabelled n_anchors - 6 + a and n - 6 + r, the top of the large
+    universes (a store's two universes are one: n_anchors == n)."""
+    a, lo, hi, near_lo = _small_rows()
+
+    def make(n_a, n_r):
+        cols = (a + n_a - _SMALL, lo + n_r - _SMALL, hi + n_r - _SMALL, near_lo)
+        return TripletStore(n_r, *cols) if kind == "store" else TestTripletSet(n_a, n_r, *cols)
+
+    return make(_SMALL, _SMALL), make(n_anchors, n)
+
+
+class TestNarrowIds:
+    """A store's id columns are int16 when both universes are at most 32,767, else
+    int32; everything it returns, writes and scores is the same either way.  Each
+    case is checked against its rows relabelled into a six-example universe.  Over
+    1,024 references, the largest pair-index key is just below 2**32 with 2,048
+    anchors and just above it with 2,051."""
+
+    CASES = [("store", 32_767, 32_767, np.int16), ("store", 32_768, 32_768, np.int32),
+             ("test set", 32_767, 32_768, np.int32), ("test set", 32_768, 32_767, np.int32),
+             ("test set", 2_048, 1_024, np.int16), ("test set", 2_051, 1_024, np.int16)]
+
+    @pytest.fixture(params=CASES, ids=lambda case: f"{case[0]}-{case[1]}-{case[2]}")
+    def stores(self, request):
+        kind, n_anchors, n, dtype = request.param
+        small, large = _relabelled(kind, n_anchors, n)
+        assert large._anchor.dtype == large._lo.dtype == large._hi.dtype == dtype
+        return small, large
+
+    @staticmethod
+    def _shifts(small, large):
+        return large.n_anchors - small.n_anchors, large.n - small.n
+
+    def test_accessors_return_int32(self, stores):
+        small, large = stores
+        da, dr = self._shifts(small, large)
+        for got, want, shift in ((large.anchors, small.anchors, da),
+                                 (large.near, small.near, dr), (large.far, small.far, dr)):
+            assert got.dtype == np.int32 and np.array_equal(got, want + shift)
+        for x in range(_SMALL):
+            pairs = large.pairs_for(x + da)
+            assert pairs.dtype == np.int32
+            np.testing.assert_array_equal(pairs, small.pairs_for(x) + dr)
+
+    def test_file_round_trip(self, stores, tmp_path):
+        """The file holds the relabelled rows, and loads back to the same bytes."""
+        small, large = stores
+        da, dr = self._shifts(small, large)
+        header = (f"tripletset v1 n={large.n} m={large.m}" if type(large) is TripletStore
+                  else f"testtriplets v1 n_test={large.n_anchors} n_train={large.n}")
+        want = "".join([header + "\n"] + [f"{t.i + da} {t.j + dr} {t.k + dr}\n"
+                                          for t in small])
+        large.save(tmp_path / "a.txt")
+        assert (tmp_path / "a.txt").read_bytes() == want.encode("ascii")
+        loaded = type(large).load(tmp_path / "a.txt")
+        assert loaded == large and loaded._anchor.dtype == large._anchor.dtype
+        loaded.save(tmp_path / "b.txt")
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
+
+    def test_pair_groups_equal_lexsort(self, stores):
+        _, store = stores
+        pkeys = store._lo.astype(np.int64) * store.n + store._hi
+        order = np.lexsort((store._anchor, ~store._near_lo, pkeys))
+        keys, bounds, split, anchors = store.pair_groups()
+        assert keys.dtype == np.int64 and anchors.dtype == store._anchor.dtype
+        np.testing.assert_array_equal(np.repeat(keys, np.diff(bounds)), pkeys[order])
+        np.testing.assert_array_equal(anchors, store._anchor[order])
+        near_lo = store._near_lo[order].astype(np.int64)
+        np.testing.assert_array_equal(
+            split, bounds[:-1] + np.add.reduceat(near_lo, bounds[:-1]))
+
+    def test_lookup_and_fired_buckets(self, stores):
+        small, large = stores
+        da, dr = self._shifts(small, large)
+        for j in range(_SMALL):
+            for k in range(_SMALL):
+                if j == k:
+                    continue
+                for got, want in zip(fired_buckets(large, j + dr, k + dr),
+                                     fired_buckets(small, j, k)):
+                    assert got.dtype == np.int32
+                    np.testing.assert_array_equal(got, want + da)
+                for i in range(_SMALL):
+                    assert large.lookup(i + da, j + dr, k + dr) is small.lookup(i, j, k)
+
+    def test_predict_all_and_score_naive(self, stores):
+        small, large = _relabelled("test set", stores[1].n_anchors, stores[1].n)
+        da, dr = self._shifts(small, large)
+        rng = np.random.default_rng(2)
+        classifiers = []
+        for _ in range(25):
+            j, k = (int(v) for v in rng.choice(_SMALL, size=2, replace=False))
+            classifiers.append((j, k, *(int(v) for v in rng.integers(0, 4, size=2)),
+                                float(rng.normal())))
+        labels = LabelDict(("a", "b"))
+        small_model, large_model = (
+            StrongModel([TripletClassifier(j + shift, k + shift, o_j, o_k, alpha)
+                         for j, k, o_j, o_k, alpha in classifiers], labels, n)
+            for shift, n in ((0, _SMALL), (dr, large.n)))
+        want, got = predict_all(small_model, small), predict_all(large_model, large)
+        assert want.matched.sum() > 0 and not got.matched[:da].any()
+        for name in ("scores", "label", "matched", "fired_alpha"):
+            np.testing.assert_array_equal(getattr(got, name)[da:], getattr(want, name))
+        for x in range(_SMALL):
+            naive = score_naive(large_model, large.pairs_for(x + da))
+            np.testing.assert_array_equal(naive.scores, got.scores[x + da])
+            assert (naive.label, naive.matched, naive.fired_alpha) == (
+                got.label[x + da], got.matched[x + da], got.fired_alpha[x + da])
+
+    def test_split_of_int32_store_has_int16_parts(self):
+        small, large = _relabelled("store", 32_768, 32_768)
+        shift = large.n - _SMALL
+        parts = split_store_for_evaluation(large, np.arange(4) + shift, [4 + shift, 5 + shift])
+        want = split_store_for_evaluation(small, np.arange(4), [4, 5])
+        assert large._anchor.dtype == np.int32
+        for got, expected in zip(parts, want):
+            assert got._anchor.dtype == got._lo.dtype == got._hi.dtype == np.int16
+            assert got == expected and got.m > 0
+
+
 class TestMemoryBudget:
     def test_bytes_per_row(self):
         """A generated store holds 13 bytes a row (int32 anchor, lo, hi and the bool
@@ -1103,3 +1250,18 @@ class TestMemoryBudget:
         assert per_row[1] <= 16.0, f"generation peaks at {per_row[1]:.2f} B/row"
         assert per_row[2] <= 6.5, f"pair index holds {per_row[2]:.2f} B/row"
         assert per_row[3] <= 16.0, f"pair index build peaks at {per_row[3]:.2f} B/row"
+
+    def test_narrow_bytes_per_row(self):
+        """Below 32,768 examples a store's columns hold 7 bytes a row (int16 anchor,
+        lo and hi and the bool near_lo), and its pair index sorts a uint32 key a row,
+        so that building it peaks below 10 bytes a row (tracemalloc)."""
+        store = generate_training_set(make_moons(120, 0.1, 0), "euclidean", 0.5, 0.0, 1)
+        columns = (store._anchor, store._lo, store._hi, store._near_lo)
+        assert store.m > 400_000 and sum(col.nbytes for col in columns) == 7 * store.m
+        tracemalloc.start()
+        try:
+            store.pair_groups()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / store.m < 10.0, f"pair index build peaks at {peak / store.m:.2f} B/row"
