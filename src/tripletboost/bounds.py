@@ -11,7 +11,6 @@ import math
 import operator
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .boost import StrongModel, init_weights
 from .dataset import Dataset, LabelDict
@@ -82,6 +81,17 @@ def empirical_margin_bound(n_labels: int, z_history, w_plus_history,
     return 0.5 * n_labels * math.exp(log_total)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp as scipy >= 1.15 computes it: the m entries tied at
+    the row max leave the sum s of exp(a - max), log1p(s / m) + log(m) + max."""
+    top = a.max(axis=1, keepdims=True)
+    tied = a == top
+    m = tied.sum(axis=1, dtype=np.float64)
+    terms = np.exp(a - top)
+    terms[tied] = 0.0
+    return np.log1p(terms.sum(axis=1) / m) + np.log(m) + top[:, 0]
+
+
 def margin_values(signed_scores, labels, eta: float) -> np.ndarray:
     """Per-example confidence margin of the vote, in [-1, 1].
 
@@ -93,6 +103,8 @@ def margin_values(signed_scores, labels, eta: float) -> np.ndarray:
     if not eta > 0.0:  # NaN fails it too
         raise ValueError("total classifier weight must be positive")
     votes = np.asarray(signed_scores, dtype=np.float64)
+    if not np.isfinite(votes).all():
+        raise ValueError("signed scores must be finite")
     labels = np.asarray(labels, dtype=np.int64)
     n, n_labels = votes.shape
     if n_labels < 2:
@@ -101,7 +113,7 @@ def margin_values(signed_scores, labels, eta: float) -> np.ndarray:
     for y in range(n_labels):
         arg = votes.copy()
         arg[:, y] = -arg[:, y]
-        soft[:, y] = -(logsumexp(arg, axis=1) - math.log(n_labels)) / eta
+        soft[:, y] = -(_logsumexp(arg) - math.log(n_labels)) / eta
     rows = np.arange(n)
     true_soft = soft[rows, labels].copy()
     soft[rows, labels] = -np.inf

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset, _row
 
@@ -48,6 +47,7 @@ METRICS = ("euclidean", "cityblock", "cosine")
 _MAX_UNIVERSE = 2_000_000  # with n anchors, keeps (i*n + lo)*n + hi inside int64
 _ID_DTYPE = np.int32  # ids as the accessors return them, and the widest id column
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
+_DISTANCE_CHUNK = 32  # anchors per pass of the distance kernel over the references
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
 _INT64 = np.iinfo(np.int64)
@@ -373,6 +373,39 @@ def _unrank_pairs(ranks: np.ndarray, m: int,
     return a, ranks - first[a] + a + 1
 
 
+def _distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each row of ``a`` to each row of ``b`` (float64 rows).
+
+    Each sum over the coordinates starts at 0.0 and adds them in order, as
+    scipy's ``cdist`` does: euclidean and cityblock are its bits at any dimension,
+    cosine up to 3 coordinates (from 4, cdist's unrolled order is a few ulp away).
+    """
+    if metric == "cosine":  # a norm is the euclidean distance to the origin
+        origin = np.zeros((1, a.shape[1]))
+        norms_a, norms_b = (_distances(x, origin, "euclidean") for x in (a, b))
+    cols = b.T.copy()  # a row per coordinate
+    out = np.empty((a.shape[0], b.shape[0]))
+    scratch = np.empty((min(_DISTANCE_CHUNK, a.shape[0]), b.shape[0]))
+    op = np.multiply if metric == "cosine" else np.subtract
+    for start in range(0, a.shape[0], _DISTANCE_CHUNK):
+        rows = a[start:start + _DISTANCE_CHUNK]
+        block, term = out[start:start + rows.shape[0]], scratch[:rows.shape[0]]
+        for k in range(cols.shape[0]):  # the first term goes straight into block
+            into = term if k else block
+            op(rows[:, k, None], cols[k], out=into)
+            if metric == "euclidean":
+                np.multiply(into, into, out=into)
+            elif metric == "cityblock":
+                np.abs(into, out=into)
+            if k:
+                block += term
+        if metric == "cosine":
+            np.multiply(norms_a[start:start + rows.shape[0]], norms_b.T, out=term)
+            np.clip(np.divide(block, term, out=block), -1.0, 1.0, out=block)
+            np.subtract(1.0, block, out=block)
+    return np.sqrt(out, out=out) if metric == "euclidean" else out
+
+
 def _reference_rows(feats: np.ndarray, metric: str, start: int, stop: int,
                     ref: np.ndarray | None) -> np.ndarray:
     """Distances from anchors start..stop-1 to their reference examples.
@@ -381,8 +414,8 @@ def _reference_rows(feats: np.ndarray, metric: str, start: int, stop: int,
     anchor sees every example but itself, so its row has n - 1 entries.
     """
     if ref is not None:
-        return cdist(feats[start:stop], ref, metric=metric)
-    rows = cdist(feats[start:stop], feats, metric=metric)
+        return _distances(feats[start:stop], ref, metric)
+    rows = _distances(feats[start:stop], feats, metric)
     keep = np.ones(rows.shape, dtype=bool)
     local = np.arange(stop - start)
     keep[local, start + local] = False

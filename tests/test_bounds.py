@@ -1,5 +1,6 @@
 """Closed-form guarantees, their Monte Carlo oracles, and margin diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,36 @@ from tripletboost import (
     training_error_bound,
     z_factor,
 )
+from tripletboost.bounds import _logsumexp
 from tripletboost.cli import main
+
+
+def _vote_fixture(n_labels):
+    """Signed votes with ties in the top score, smooth values, and rows up to
+    |votes| ~ 1e5 whose first half of labels share the top score."""
+    rng = np.random.default_rng(100 + n_labels)
+    eta = float(rng.uniform(0.5, 40.0))
+    ties = rng.integers(-2, 3, size=(30, n_labels)) * (eta / 4)
+    smooth = rng.uniform(-eta, eta, size=(30, n_labels))
+    big = rng.uniform(-1.0, 1.0, size=(20, n_labels)) * 10.0 ** rng.integers(2, 6, size=(20, 1))
+    big[::4, : n_labels // 2] = big[::4, :1]
+    votes = np.concatenate([ties, smooth, big])
+    return votes, rng.integers(0, n_labels, size=votes.shape[0]), eta
+
+
+# sha256 of margin_values on _vote_fixture(L), recorded with scipy 1.17.1's
+# logsumexp before the margins got their own
+_PINNED_MARGINS = {
+    2: "231e0ef2b100f8020a3ad398b1b0d59d429c0693c49a1779d650b002f3a7eac0",
+    3: "276744cf5ce0167bd6b8ea88870336479afe525500a58548b3af2588c285d06a",
+    4: "08a49a64d28423434037a21ab5cfe7c089df53b1b20bcbcb89a755e63f364d06",
+    5: "b19b5f4fda0c98615a4c0a7c35eed59e846d78e41753a788e5b5c0c15c460195",
+    6: "837db2b369387acb04086af95413a37ce1058396a9a17b92d517fa44dc57aaf7",
+    7: "83135e25e6dfa1446715cee6888e5b01805a955e2116d9cc281c56101ddd4207",
+    8: "61e401b1b0211f44a00b9cf9c685f4219039740db389543459375d157cbc405f",
+    9: "efb87942cc692801fc24fb2db06b686bacac6c651122d416cfc01a0df8c83e9a",
+    10: "5a51961cd1464829df1c0c2eeb132e6d7fa0406a5f3f0f73ae5872ca0950e260",
+}
 
 
 class TestTrainingErrorBound:
@@ -112,6 +142,25 @@ class TestEmpiricalMarginBound:
 
 
 class TestMargin:
+    @pytest.mark.parametrize("n_labels", sorted(_PINNED_MARGINS))
+    def test_pinned_bits(self, n_labels):
+        votes, labels, eta = _vote_fixture(n_labels)
+        got = hashlib.sha256(margin_values(votes, labels, eta).tobytes()).hexdigest()
+        assert got == _PINNED_MARGINS[n_labels]
+
+    @pytest.mark.parametrize("n_labels", sorted(_PINNED_MARGINS))
+    def test_logsumexp_matches_scipy(self, n_labels):
+        """Bit for bit against scipy >= 1.15, which splits the terms tied at the
+        row max out of the sum; older scipy adds log(sum) to the max instead."""
+        special = pytest.importorskip("scipy.special")
+        scipy = pytest.importorskip("scipy")
+        if tuple(int(p) for p in scipy.__version__.split(".")[:2]) < (1, 15):
+            pytest.skip("scipy before 1.15 computes log(sum) + max")
+        votes = _vote_fixture(n_labels)[0]
+        for arg in (votes, -votes, np.zeros_like(votes), np.round(votes)):
+            np.testing.assert_array_equal(_logsumexp(arg).view(np.int64),
+                                          special.logsumexp(arg, axis=1).view(np.int64))
+
     def test_symmetric_two_label_case(self):
         """One fired classifier covering the true label yields full confidence."""
         signed = np.array([[0.5, -0.5]])
@@ -123,6 +172,12 @@ class TestMargin:
     def test_nan_total_weight_rejected(self):
         with pytest.raises(ValueError, match="total classifier weight must be positive"):
             margin_values(np.array([[0.5, -0.5]]), np.array([0]), eta=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scores_rejected(self, bad):
+        """An infinite vote gave an infinite margin (or NaN), outside [-1, 1]."""
+        with pytest.raises(ValueError, match="signed scores must be finite"):
+            margin_values(np.array([[bad, 0.0]]), np.array([0]), eta=1.0)
 
     def test_all_abstained_is_zero(self):
         signed = np.zeros((3, 4))

@@ -350,6 +350,27 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "gen-triplets" in proc.stdout
 
+    def test_no_scipy_at_run_time(self):
+        """Importing the package and the CLI, generating training and test sets
+        under each metric and computing margins load no scipy module."""
+        script = "\n".join((
+            "import sys",
+            "import tripletboost, tripletboost.cli",
+            "from tripletboost import BoostConfig, bounds, make_moons, train",
+            "from tripletboost import generate_test_set, generate_training_set",
+            "ds, test = make_moons(30, 0.1, 0), make_moons(10, 0.1, 1)",
+            "for metric in ('euclidean', 'cityblock', 'cosine'):",
+            "    store = generate_training_set(ds, metric, 0.2, 0.1, 1)",
+            "    generate_test_set(test, ds, metric, 0.2, 0.1, 2)",
+            "model = train(ds, store, BoostConfig(rounds=20, seed=3))",
+            "bounds.margin(model, model.train_scores, ds.labels)",
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestInputErrors:
     def test_oversized_ids_fail_cleanly(self, tmp_path, capsys):

@@ -36,7 +36,7 @@ from tripletboost import (
     subsample,
 )
 from tripletboost.boost import StrongModel, load_model
-from tripletboost.triplets import _per_group_take, _unrank_pairs
+from tripletboost.triplets import _distances, _per_group_take, _unrank_pairs
 from tripletboost.weak import TripletClassifier, fired_buckets
 
 
@@ -295,6 +295,52 @@ def _tied_features(draw, n, dim):
 
 
 _proportions = st.sampled_from([0.0, 0.03, 0.3, 0.77, 1.0])
+
+
+@st.composite
+def _kernel_inputs(draw, dims):
+    """Anchor and reference rows: small integers (ties), normal draws at one
+    scale from 1e-5 to 1e5, or rows at their own scales whose references
+    repeat anchor rows."""
+    dim = draw(dims)
+    n_a, n_b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("ties", "scale", "duplicates")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        return (rng.integers(1, 5, size=(n_a, dim)).astype(float),
+                rng.integers(1, 5, size=(n_b, dim)).astype(float))
+    if kind == "scale":
+        scale = 10.0 ** draw(st.integers(-5, 5))
+        return rng.normal(size=(n_a, dim)) * scale, rng.normal(size=(n_b, dim)) * scale
+    a = rng.normal(size=(n_a, dim)) * 10.0 ** rng.integers(-5, 6, size=(n_a, 1))
+    return a, np.concatenate([a[:n_b], rng.normal(size=(n_b, dim)), a[:1]])
+
+
+class TestDistanceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_kernel_inputs(st.integers(1, 64)),
+           metric=st.sampled_from(("euclidean", "cityblock")))
+    def test_cdist_bits(self, rows, metric):
+        a, b = rows
+        np.testing.assert_array_equal(_distances(a, b, metric).view(np.int64),
+                                      cdist(a, b, metric=metric).view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_kernel_inputs(st.integers(1, 3)))
+    def test_cosine_bits_up_to_three_coordinates(self, rows):
+        a, b = rows
+        np.testing.assert_array_equal(_distances(a, b, "cosine").view(np.int64),
+                                      cdist(a, b, metric="cosine").view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_kernel_inputs(st.integers(4, 64)))
+    def test_cosine_within_ulps_from_four_coordinates(self, rows):
+        """cdist adds the dot products in an unrolled order from 4 coordinates on.
+        A distance 1 - c is formed at the scale of 1, so the bound is in ulps of
+        1 + distance; near 0, a relative ulp count measures only the cancellation."""
+        a, b = rows
+        np.testing.assert_array_max_ulp(1.0 + _distances(a, b, "cosine"),
+                                        1.0 + cdist(a, b, metric="cosine"), maxulp=4)
 
 
 class TestGenerationOracle:
@@ -1229,10 +1275,12 @@ class TestNarrowIds:
 
 class TestMemoryBudget:
     def test_bytes_per_row(self):
-        """A generated store holds 13 bytes a row (int32 anchor, lo, hi and the bool
-        near_lo) and its pair index 5 (int32 anchor and bool near_lo, plus a key and
-        a bound per distinct pair); generation writes its rows into the store's own
-        columns, and the index sorts one 8-byte key a row in place.  Measured with
+        """The ceilings of the int32 layout: a store of 13 bytes a row (int32
+        anchor, lo, hi and the bool near_lo) and a pair index of 5 (int32 anchor
+        and bool near_lo, plus a key and a bound per distinct pair), generation
+        writing its rows into the store's own columns and the index sorting one
+        8-byte key a row in place.  At n=120 the store is the narrow int16 one
+        (test_narrow_bytes_per_row), which meets them.  Measured with
         tracemalloc, which counts numpy's buffers exactly on any machine."""
         ds = make_moons(120, 0.1, 0)
         tracemalloc.start()
@@ -1253,15 +1301,21 @@ class TestMemoryBudget:
 
     def test_narrow_bytes_per_row(self):
         """Below 32,768 examples a store's columns hold 7 bytes a row (int16 anchor,
-        lo and hi and the bool near_lo), and its pair index sorts a uint32 key a row,
-        so that building it peaks below 10 bytes a row (tracemalloc)."""
-        store = generate_training_set(make_moons(120, 0.1, 0), "euclidean", 0.5, 0.0, 1)
-        columns = (store._anchor, store._lo, store._hi, store._near_lo)
-        assert store.m > 400_000 and sum(col.nbytes for col in columns) == 7 * store.m
+        lo and hi and the bool near_lo), generation peaks below 8.5 bytes a row
+        (the columns, plus the distance kernel's blocks and one anchor's draw), and
+        the pair index sorts a uint32 key a row, so that building it peaks below 10
+        bytes a row (tracemalloc)."""
+        ds = make_moons(120, 0.1, 0)
         tracemalloc.start()
         try:
+            store = generate_training_set(ds, "euclidean", 0.5, 0.0, 1)
+            held, gen_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             store.pair_groups()
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
+        columns = (store._anchor, store._lo, store._hi, store._near_lo)
+        assert store.m > 400_000 and sum(col.nbytes for col in columns) == 7 * store.m
+        assert gen_peak / store.m <= 8.5, f"generation peaks at {gen_peak / store.m:.2f} B/row"
         assert peak / store.m < 10.0, f"pair index build peaks at {peak / store.m:.2f} B/row"
