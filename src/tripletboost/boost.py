@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import formats
 from .dataset import Dataset, LabelDict
-from .triplets import (TestTripletSet, TripletStore, _check_universe, _int64, _pair_keys,
-                       _parse_header, _records, _write_lines)
+from .triplets import TestTripletSet, TripletStore, _check_universe, _pair_keys
 from .weak import (
     MAX_LABELS,
     RoundStats,
@@ -337,33 +337,12 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
 
 def save_model(model: StrongModel, path) -> None:
     """Canonical text format; classifiers keep their training order."""
-    names = model.label_dict.names
-    for name in names:  # the reader splits the names line at tabs, and reads \r as \n
-        if "\t" in name or "\n" in name or "\r" in name:
-            raise ValueError(f"label name {name!r} cannot be serialized: "
-                             "it holds a tab or line break")
-    _write_lines(path, [f"tripletboost-model v1 L={model.n_labels} n={model.n_train} "
-                        f"C={model.rounds_run}", "\t".join(names)], "{} {} {!r} {:x} {:x}\n",
-                 (model.j, model.k, model.alpha, *_pack_masks(model.label_sets).T))
+    formats.save_model(path, model.label_dict.names, model.n_train, model.rounds_run,
+                       (model.j, model.k, model.alpha, *_pack_masks(model.label_sets).T))
 
 
 def load_model(path) -> StrongModel:
     """Read a ``save_model`` file; each classifier error names its line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        names = tuple(fh.readline().rstrip("\n").split("\t"))
-        body = fh.read()
-    n_labels, n_train, rounds_run = _parse_header(
-        header, "tripletboost-model", ("L", "n", "C"), path)
-    if rounds_run < 0:
-        raise ValueError(f"malformed header in {path}")
-    _check_universe(n_train)  # the pairs index the examples of a training store
-    if len(names) != n_labels:
-        raise ValueError(f"label count disagrees with header in {path}")
-    rows, name, bad = _records(body, 3, lambda j, k, alpha, o_j, o_k: (
-        _int64(j), _int64(k), int(o_j, 16), int(o_k, 16), float(alpha)))
-    columns = _columns(rows, n_train, n_labels, name)  # the rows above a bad line first
-    if bad is not None:
-        raise ValueError(f"malformed classifier at line {bad[0]}")
+    names, n_train, rounds_run, columns = formats.load_model(path, _check_universe, _columns)
     return StrongModel._from_columns(LabelDict(names), n_train, *columns,
                                      rounds_run=rounds_run)

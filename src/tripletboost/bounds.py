@@ -125,10 +125,15 @@ def margin(model: StrongModel, signed_scores, labels) -> np.ndarray:
     return margin_values(signed_scores, labels, model.total_alpha)
 
 
-def abstention_bound(n: int, p: float, classifier_count: float) -> float:
-    """Probability that no combined classifier can vote on a fresh example."""
+def _check_n(n) -> None:
+    """Refuse a training-set size n below 1, or not finite."""
     if not 1 <= n < math.inf:  # NaN fails it too
         raise ValueError("n must be at least 1" if n < 1 else "n must be finite")
+
+
+def abstention_bound(n: int, p: float, classifier_count: float) -> float:
+    """Probability that no combined classifier can vote on a fresh example."""
+    _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not classifier_count >= 0:  # NaN fails it too
@@ -155,8 +160,7 @@ def simulate_abstention(n: int, p: float, classifier_count: int, trials: int,
     """
     n, trials = _count(n, "n"), _count(trials, "trials")
     classifier_count = _count(classifier_count, "classifier count")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if trials < 1:
@@ -212,6 +216,7 @@ def bound_surface_rows(n: int, k_grid, beta_grid):
     beta_grid = list(beta_grid)
     if not k_grid or not beta_grid:
         raise ValueError("grids must be nonempty")
+    _check_n(n)  # before n is raised to a power
     rows = []
     skipped = []
     for k in k_grid:

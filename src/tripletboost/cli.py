@@ -15,12 +15,16 @@ import numpy as np
 from . import bounds, boost, dataset, experiment, metrics, predict, triplets
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, flag: str) -> list[float]:
     """Either a comma list of floats or an inclusive 'lo:hi:count' range."""
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
-    return [float(v) for v in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi, count = text.split(":")
+            return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes a comma list of numbers or a lo:hi:count range, "
+                         f"got {text!r}") from None
 
 
 def _output(path):
@@ -125,6 +129,7 @@ def _bound_params(args) -> tuple[float, float]:
     if args.k is not None or args.beta is not None:
         if args.k is None or args.beta is None:
             raise ValueError("--k and --beta must be given together")
+        bounds._check_n(args.n)  # before n is raised to a power
         p = 2.0 * float(args.n) ** (args.k - 3.0)
         count = float(args.n) ** args.beta / 2.0
         return p, count
@@ -149,8 +154,8 @@ def _cmd_simulate_abstention(args) -> int:
 
 
 def _cmd_bound_surface(args) -> int:
-    rows, skipped = bounds.bound_surface_rows(args.n, _parse_grid(args.k_grid),
-                                              _parse_grid(args.beta_grid))
+    rows, skipped = bounds.bound_surface_rows(args.n, _parse_grid(args.k_grid, "--k-grid"),
+                                              _parse_grid(args.beta_grid, "--beta-grid"))
     with _output(args.out) as out:
         out.write("k,beta,bound\n")
         for k, beta, value in rows:

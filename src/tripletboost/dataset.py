@@ -140,7 +140,7 @@ def save_csv(ds: Dataset, path) -> None:
                 name.strip() or ds.features is not None):
             raise ValueError(f"label name {name!r} cannot be written to CSV: it holds "
                              "a comma or line break, or is blank in a feature-free row")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for idx in range(ds.n):
             name = ds.label_dict.names[ds.labels[idx]]
             if ds.features is None:

@@ -147,7 +147,7 @@ def run_experiment(spec: ExperimentSpec, log=None) -> list[tuple]:
     os.makedirs(spec.out_dir, exist_ok=True)
     out_path = os.path.join(spec.out_dir, "results.csv")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
     return rows

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import formats
 from .dataset import Dataset, _row
 
 __all__ = [
@@ -51,8 +52,6 @@ _DISTANCE_CHUNK = 32  # anchors per pass of the distance kernel over the referen
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
 _INT64 = np.iinfo(np.int64)
-_PARSE_BLOCK = 1 << 20  # bytes of whole lines parsed at once from a writer's body
-_WRITER_SEPS = np.frombuffer(b"  \n", dtype=np.uint8)  # the byte after each id of a line
 
 
 def _id_dtype(n_anchors: int, n: int) -> type:
@@ -307,16 +306,12 @@ class TripletStore:
 
     def save(self, path) -> None:
         """Write the canonical text format; equal stores produce identical bytes."""
-        _write_lines(path, [f"tripletset v1 n={self.n} m={self.m}"], "{} {} {}\n",
-                     (self._anchor, self.near, self.far))
+        formats.save_store(path, "tripletset", (self.n_anchors, self.n, self.m),
+                           (self._anchor, self.near, self.far))
 
     @classmethod
     def load(cls, path) -> "TripletStore":
-        # a training store's anchors and references are both its n examples
-        (_, _, m), store = _read_id_file(cls, path, "tripletset", ("n", "n", "m"))
-        if store.m != m:
-            raise ValueError(f"header claims m={m} but file has {store.m} triplets")
-        return store
+        return formats.load_store(path, "tripletset", cls._from_ijk)
 
 
 class TestTripletSet(TripletStore):
@@ -342,12 +337,12 @@ class TestTripletSet(TripletStore):
         return self.n
 
     def save(self, path) -> None:
-        _write_lines(path, [f"testtriplets v1 n_test={self.n_test} n_train={self.n_train}"],
-                     "{} {} {}\n", (self._anchor, self.near, self.far))
+        formats.save_store(path, "testtriplets", (self.n_anchors, self.n, self.m),
+                           (self._anchor, self.near, self.far))
 
     @classmethod
     def load(cls, path) -> "TestTripletSet":
-        return _read_id_file(cls, path, "testtriplets", ("n_test", "n_train"))[1]
+        return formats.load_store(path, "testtriplets", cls._from_ijk)
 
 
 # -- generation from feature vectors -----------------------------------------
@@ -620,10 +615,22 @@ class RatingsTable:
         if len(set(sizes)) > 1:
             raise ValueError("user, item and rating lengths differ: "
                              + ", ".join(map(str, sizes)))
+        if sizes[0] == 0:
+            raise ValueError("empty ratings table")
         for name in ("user", "item"):  # an id int64 cannot hold is rejected first
             object.__setattr__(self, name, _int64_ids(getattr(self, name)))
         object.__setattr__(self, "rating", np.asarray(self.rating, dtype=np.float64))
         _check_ratings(self.user, self.item, self.rating, self.n_items, _row)
+
+    @classmethod
+    def _checked(cls, user, item, rating, where) -> "RatingsTable":
+        """The table of int64/int64/float64 columns over items 0..max, its rows
+        checked once, the first bad one named by ``where``; it may be empty."""
+        n_items = int(item.max()) + 1 if item.size else 0
+        _check_ratings(user, item, rating, n_items, where)
+        table = object.__new__(cls)
+        table.__dict__.update(user=user, item=item, rating=rating, n_items=n_items)
+        return table
 
 
 def _int64_ids(ids, where=_row) -> np.ndarray:
@@ -645,8 +652,6 @@ def _check_ratings(user, item, rating, n_items: int, where) -> None:
     """Reject the first bad row of the int64/int64/float64 columns, named by
     ``where(index)``: its item id is checked, then its rating, then whether a row
     above rated its (user, item)."""
-    if user.size == 0:
-        raise ValueError("empty ratings table")
     order = np.lexsort((item, user))  # stable, so a repeat follows its first row
     u, it = user[order], item[order]
     repeat = order[1:][(u[1:] == u[:-1]) & (it[1:] == it[:-1])]
@@ -665,18 +670,10 @@ def _check_ratings(user, item, rating, n_items: int, where) -> None:
 
 def load_ratings(path) -> RatingsTable:
     """Read whitespace-separated ``user item rating`` lines; errors name a line."""
-    with open(path, encoding="utf-8") as fh:
-        rows, name, bad = _records(fh.read(), 1, lambda user, item, rating: (
-            _int64(user), _int64(item), float(rating)))
-    ids = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
-    cols = (*ids.T, np.array([row[2] for row in rows], dtype=np.float64))
-    n_items = int(cols[1].max()) + 1 if rows else 0
-    if rows or bad is None:  # the rows above a malformed line are checked first
-        _check_ratings(*cols, n_items, name)
-    if bad is not None:
-        raise ValueError(("id not an int64 integer" if isinstance(bad[1], OverflowError)
-                          else "malformed rating") + f" at line {bad[0]}")
-    return RatingsTable(*cols, n_items)
+    table = formats.load_ratings(path, RatingsTable._checked)
+    if table.n_items == 0:  # no rating, and no bad line
+        raise ValueError("empty ratings table")
+    return table
 
 
 def generate_from_ratings(ratings: RatingsTable, candidate_limit: int | None = None,
@@ -779,117 +776,3 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
                                     to_train[store._anchor[tr]], lo[tr], hi[tr], near_lo[tr]),
             TestTripletSet._canonical(test_ids.size, train_ids.size,
                                       to_test[store._anchor[te]], lo[te], hi[te], near_lo[te]))
-
-
-# -- shared text I/O -----------------------------------------------------------
-
-
-def _plain(text: str) -> bool:
-    """ASCII without ``_``, the one token rule: ``int`` then reads only decimal digits
-    and a sign, never a digit of another script or a ``_`` between digits."""
-    return text.isascii() and "_" not in text
-
-
-def _int64(token: str) -> int:
-    """A plain token's id: a ValueError unless decimal, an OverflowError outside int64."""
-    if not -(1 << 63) <= (value := int(token)) < 1 << 63:
-        raise OverflowError(token)
-    return value
-
-
-def _parse_header(line: str, kind: str, keys: tuple[str, ...], path) -> tuple[int, ...]:
-    """The integer values of ``keys`` in a ``kind v1 key=value ...`` header line,
-    in which no key repeats."""
-    parts = line.split()
-    if parts[:2] != [kind, "v1"]:
-        raise ValueError(f"version mismatch: expected '{kind} v1' header in {path}")
-    values = dict(token.partition("=")[::2] for token in parts[2:])
-    try:
-        tokens = [values[key] for key in keys]
-        # a repeated key, or a value outside the token rule of the record lines
-        if len(values) < len(parts) - 2 or not all(map(_plain, tokens)):
-            raise ValueError
-        return tuple(map(int, tokens))
-    except (KeyError, ValueError):
-        raise ValueError(f"malformed header in {path}") from None
-
-
-def _records(text: str, first_lineno: int, parse):
-    """(rows, name, bad): row i is ``parse(*tokens)`` of a nonblank line of ``text``
-    (lines end at LF, from number ``first_lineno``), named ``name(i)``.  ``bad`` is
-    (N, error) for the first line N that is not plain or that ``parse`` refuses;
-    the rows stop above it, so that a caller checks them before reporting it."""
-    rows, linenos, bad = [], [], None
-    for lineno, line in enumerate(text.split("\n"), start=first_lineno):
-        tokens = line.split()
-        try:
-            if not _plain(line):
-                raise ValueError(line)
-            if tokens:
-                rows.append(parse(*tokens))
-                linenos.append(lineno)
-        except (ValueError, OverflowError, TypeError) as error:  # TypeError: token count
-            bad = lineno, error
-            break
-    return rows, lambda i: f"line {linenos[i]}", bad
-
-
-def _writer_ids(body: str) -> np.ndarray | None:
-    """The (m, 3) int64 ids of a body in the writer's grammar, else None.  Its lines
-    hold three ids of 1-18 ASCII digits, followed by SP, SP and LF (the last LF may
-    be missing); they are read from the bytes a block of whole lines at a time."""
-    if not body.isascii():
-        return None
-    data = (body if body.endswith("\n") else body + "\n").encode("ascii")
-    ids = np.zeros(3 * data.count(b"\n"), dtype=np.int64)
-    start = done = 0
-    while start < len(data):
-        stop = data.find(b"\n", start + _PARSE_BLOCK) + 1 or len(data)
-        block = np.frombuffer(data, np.uint8, stop - start, start)
-        ends = np.flatnonzero(block - 48 > 9)  # a byte below b"0" wraps past 9 in uint8
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        width = ends - starts
-        if (ends.size % 3 or width.min() < 1 or width.max() > 18
-                or not (block[ends].reshape(-1, 3) == _WRITER_SEPS).all()):
-            return None
-        value = ids[done:done + ends.size]
-        for shift in range(int(width.max()), 0, -1):  # Horner, from the widest id's lead
-            at = ends - shift
-            # the digits widen to int64 before they scale: uint8 would wrap
-            digit = block.take(at, mode="clip").astype(np.int64) - 48
-            value *= 10
-            value += np.where(at >= starts, digit, 0)
-        done += ends.size
-        start = stop
-    return ids.reshape(-1, 3)
-
-
-def _read_id_file(cls, path, kind: str, names: tuple[str, ...]):
-    """The header values ``names``, and the ``cls`` store over the universes that the
-    first two name, read from nonblank lines of three int64 ids each.  The first bad
-    line raises, named by its number (header = 1), after the rows above it.  A body
-    in the writer's grammar is read from its bytes, any other body line by line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        body = fh.read()
-    values = _parse_header(header, kind, names, path)
-    ids, bad = _writer_ids(body), None
-    name = lambda row: f"line {row + 2}"  # a body in the writer's grammar has no blank line
-    if ids is None:
-        rows, name, bad = _records(body, 2, lambda i, j, k: (
-            _int64(i), _int64(j), _int64(k)))
-        ids = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    del body  # the rows are checked without the text
-    store = cls._from_ijk(*values[:2], *ids.T, name)
-    if bad is not None:
-        raise ValueError(f"malformed triplet at line {bad[0]}: expected three int64 ids")
-    return values, store
-
-
-def _write_lines(path, head, line: str, columns) -> None:
-    """The ``head`` lines, then ``line.format`` (ending in LF) of each row of ``columns``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(text + "\n" for text in head))
-        for start in range(0, len(columns[0]), 1 << 16):
-            block = (col[start:start + (1 << 16)].tolist() for col in columns)
-            fh.write("".join(map(line.format, *block)))

@@ -393,6 +393,13 @@ class TestBoundSurface:
         with pytest.raises(ValueError):
             bound_surface_rows(10, [], [1.0])
 
+    @pytest.mark.parametrize("n, k", [(0, 1.0), (-5, 1.5), (math.nan, 1.0)])
+    def test_n_below_one_rejected(self, n, k):
+        """n is checked before it is raised to a power: 0.0 ** -2 raised
+        ZeroDivisionError, and (-5.0) ** -1.5 is a complex p."""
+        with pytest.raises(ValueError, match="^n must be (at least 1|finite)$"):
+            bound_surface_rows(n, [k], [1.0])
+
 
 class TestEndToEnd:
     def test_smoke_within_range_and_deterministic(self):

@@ -1,9 +1,11 @@
 """End-to-end command-line flows and their determinism/error contracts."""
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from tripletboost import make_moons, save_csv
 from tripletboost.cli import main
@@ -219,6 +221,21 @@ class TestBoundCommands:
             assert err == "error: classifier count must be nonnegative\n"
             assert out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", "--n", 0, "--k", 1, "--beta", 1), "n must be at least 1"),
+        (("bound-surface", "--n", 0, "--k-grid", 1, "--beta-grid", 1), "n must be at least 1"),
+        (("bound-surface", "--n", -5, "--k-grid", 1.5, "--beta-grid", 1),
+         "n must be at least 1"),
+        (("bound-surface", "--n", 10, "--k-grid", "1:2", "--beta-grid", 1),
+         "--k-grid takes a comma list of numbers or a lo:hi:count range, got '1:2'"),
+        (("bound-surface", "--n", 10, "--k-grid", 1, "--beta-grid", "0,x"),
+         "--beta-grid takes a comma list of numbers or a lo:hi:count range, got '0,x'"),
+    ])
+    def test_bad_input_is_an_error_line(self, capsys, argv, message):
+        """A bad n or grid prints ``error: ...`` and exits 1, not a traceback."""
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_simulate_agrees(self, capsys):
         code, out, _ = _run(capsys, "simulate-abstention", "--n", 10,
                             "--p", 0.1, "--classifiers", 5,
@@ -396,3 +413,112 @@ class TestInputErrors:
         assert code == 1
         assert err.startswith("error: universe size must be in [1, 2000000]")
         assert out == ""
+
+
+def _ratings_fixture(path):
+    """Acceptance criterion 9's ratings table (50 items, 60 users, 20 ratings
+    each, seed 0), written as ``user item rating`` lines."""
+    n_items, n_genres = 50, 6
+    rng = np.random.default_rng(0)
+    genre_sets = [rng.choice(n_genres, size=int(rng.integers(1, 3)), replace=False)
+                  for _ in range(n_items)]
+    lines = []
+    for user in range(60):
+        pref = rng.uniform(1.0, 5.0, size=n_genres)
+        for item in rng.choice(n_items, size=20, replace=False).tolist():
+            base = float(np.mean([pref[g] for g in genre_sets[item].tolist()]))
+            lines.append(f"{user} {item} {base + float(rng.normal(0.0, 0.3))!r}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+# sha256 of every artefact and printed output of one seeded pass through the CLI.
+_ARTEFACT_DIGESTS = {
+    "gen-triplets stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "store": "61ea69a89472c9d15cd2fa9ca8b3cdd830ce87d01ecdf553c1ccb1785e859cb1",
+    "gen-triplets --test-data stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "test set": "e2aaae97caf074f816818240d695a1704cf54ab4c8ac92089344c9d4222b405b",
+    "train stdout": "ee414379255fe1969cea6128081ea08816d42fd097d306182086a0ef8ca33c35",
+    "model": "4e8f5077aeb3689f33453dea1002614d261ccb2934c4d03652e62596ed7afd43",
+    "predict stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "predict csv": "a4ca951a0638f5f2f102e1b8dbc7f872ad1b6d427990ae73e4c0f5660bec6776",
+    "evaluate stdout": "d6368a8f699f6ee74b57acfb48e07644420a2bdecc643914e431b30f31bdde24",
+    "evaluate csv": "a4ca951a0638f5f2f102e1b8dbc7f872ad1b6d427990ae73e4c0f5660bec6776",
+    "add-noise stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "add-noise store": "ef525707ff60c8cb1a8f04590c69193a5ac00aabcad0e2d81a04adf136e29d5c",
+    "gen-triplets-ratings stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ratings store": "0a85d9e2616d6b318c07e9e5257eac79bf2a11125270f6cba3e53f2bfee1d513",
+    "experiment stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "results.csv": "168b27daa95d900cba368f3bc493a35f7122982d1a152fe771e900a16e5c925c",
+    "bound": "3c017259f488a49799e409e6c1fbb191c48b80d499f7ba741a323e0218da9adf",
+    "bound --k --beta": "0802e9a544fd5855422c4d7dc8480cc6e4a1f160bcf8f4696fb820ea66460c78",
+    "simulate-abstention": "8f73fe864ecf65e02ea3020268e9b6163c24781058225ffdad7d4ecc640bad8d",
+    "bound-surface": "6d60789c5d302784f09d9c2d42e697af143be879fc044e2367accb7a6c0bdd8a",
+    "bound-limit": "d397a28a658df6ef3650f462461f120e43304baadfc9df60fddabc6c34dbe4fe",
+}
+
+
+class TestArtefactDigests:
+    def test_every_artefact_keeps_its_bytes(self, tmp_path, capsys):
+        """The pipeline on seeded moons (n=120, 2k rounds), criterion 9's ratings,
+        a 2x2 experiment grid and each bound command, digest by digest."""
+        from tripletboost import split
+
+        def sha(data):
+            data = data if isinstance(data, bytes) else data.encode()
+            return hashlib.sha256(data).hexdigest()
+
+        got = {}
+
+        def run(name, *argv, files=()):
+            code, out, _ = _run(capsys, *argv)
+            assert code == 0, name
+            got[name] = sha(out)
+            for key, path in files:
+                got[key] = sha(path.read_bytes())
+
+        train_ds, test_ds = split(make_moons(120, 0.1, 11), 0.3, 12)
+        data, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(train_ds, data)
+        save_csv(test_ds, test_csv)
+        path = {name: tmp_path / name for name in (
+            "train.trp", "test.trp", "model.txt", "predict.csv", "evaluate.csv",
+            "noisy.trp", "ratings.txt", "ratings.trp")}
+        run("gen-triplets stdout", "gen-triplets", "--data", data, "--proportion", 0.3,
+            "--noise", 0.1, "--seed", 1, "--out", path["train.trp"],
+            files=[("store", path["train.trp"])])
+        run("gen-triplets --test-data stdout", "gen-triplets", "--data", data,
+            "--test-data", test_csv, "--proportion", 0.3, "--noise", 0.1, "--seed", 2,
+            "--out", path["test.trp"], files=[("test set", path["test.trp"])])
+        run("train stdout", "train", "--data", data, "--triplets", path["train.trp"],
+            "--rounds", 2000, "--seed", 3, "--out-model", path["model.txt"],
+            files=[("model", path["model.txt"])])
+        scoring = ("--model", path["model.txt"], "--test-triplets", path["test.trp"],
+                   "--seed", 4)
+        run("predict stdout", "predict", *scoring, "--out", path["predict.csv"],
+            files=[("predict csv", path["predict.csv"])])
+        run("evaluate stdout", "evaluate", *scoring, "--labels", test_csv,
+            "--out-predictions", path["evaluate.csv"],
+            files=[("evaluate csv", path["evaluate.csv"])])
+        run("add-noise stdout", "add-noise", "--triplets", path["train.trp"],
+            "--rate", 0.25, "--seed", 5, "--out", path["noisy.trp"],
+            files=[("add-noise store", path["noisy.trp"])])
+        _ratings_fixture(path["ratings.txt"])
+        run("gen-triplets-ratings stdout", "gen-triplets-ratings", "--ratings",
+            path["ratings.txt"], "--seed", 6, "--out", path["ratings.trp"],
+            files=[("ratings store", path["ratings.trp"])])
+        spec = tmp_path / "spec.txt"
+        spec.write_text("data=moons\nmoons_n=40\nmetric=euclidean\nproportions=0.2,0.5\n"
+                        "noises=0.0,0.1\nrounds=200\nrepetitions=1\nseed=7\n"
+                        f"out={tmp_path / 'grid'}\n", encoding="utf-8")
+        run("experiment stdout", "experiment", "--spec", spec,
+            files=[("results.csv", tmp_path / "grid" / "results.csv")])
+        run("bound", "bound", "--n", 100, "--p", 0.1, "--classifiers", 50)
+        run("bound --k --beta", "bound", "--n", 100, "--k", 1.5, "--beta", 1.2)
+        run("simulate-abstention", "simulate-abstention", "--n", 10, "--p", 0.1,
+            "--classifiers", 5, "--trials", 5000, "--seed", 8)
+        run("bound-surface", "bound-surface", "--n", 100, "--k-grid", "0:2.5:6",
+            "--beta-grid", "0,1,2")
+        run("bound-limit", "bound-limit", "--k", 1.5, "--beta", 2.0)
+        assert got == _ARTEFACT_DIGESTS

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-import tripletboost.triplets as tb_triplets
+import tripletboost.formats as tb_triplets
 
 from tripletboost import (
     Dataset,
@@ -577,6 +577,32 @@ class TestRatings:
         with pytest.raises(ValueError, match="empty ratings"):
             RatingsTable(np.empty(0, np.int64), np.empty(0, np.int64),
                          np.empty(0), 0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "^empty ratings table$"), ("\n\n", "^empty ratings table$"),
+        ("1 x 5\n", "^malformed rating at line 1$")])
+    def test_empty_file_rejected_after_its_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "ratings.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_ratings(path)
+
+    def test_loaded_rows_are_checked_once(self, tmp_path, monkeypatch):
+        """The loader checks the rows, naming lines, and builds the table without
+        the constructor's second pass of the same check."""
+        from tripletboost import triplets
+
+        path = tmp_path / "ratings.txt"
+        path.write_text("1 0 5\n1 1 3\n2 0 4\n", encoding="utf-8")
+        calls, check = [], triplets._check_ratings
+        monkeypatch.setattr(triplets, "_check_ratings",
+                            lambda *args: calls.append(args[-1](0)) or check(*args))
+        table = load_ratings(path)
+        assert calls == ["line 1"]
+        assert table.n_items == 2
+        for got, want in zip((table.user, table.item, table.rating),
+                             ([1, 1, 2], [0, 1, 0], [5.0, 3.0, 4.0])):
+            assert np.asarray(want).dtype == got.dtype and np.array_equal(got, want)
 
     def test_duplicate_user_item_rejected(self, tmp_path):
         path = tmp_path / "ratings.txt"
