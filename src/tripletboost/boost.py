@@ -14,7 +14,7 @@ import numpy as np
 
 from . import formats
 from .dataset import Dataset, LabelDict
-from .triplets import TestTripletSet, TripletStore, _check_universe, _pair_keys
+from .triplets import TestTripletSet, TripletStore, _check_universe, _pair_keys, _pair_rows
 from .weak import (
     MAX_LABELS,
     RoundStats,
@@ -22,7 +22,6 @@ from .weak import (
     _gather,
     _mask_bools,
     _pack_masks,
-    _pair_rows,
     _play,
     _Run,
     _update,
@@ -86,18 +85,15 @@ class StrongModel:
 
     def _init(self, label_dict, n_train, pairs, sets, alpha, stats=(), rounds_run=0,
               train_scores=None, checkpoints=None):
-        """Hold trusted columns: (j, k) pairs in either order, their (2, L) label
-        sets (j side first) and weights, and one stats row per round."""
+        """Hold trusted columns: (j, k) pairs with j < k, their (2, L) label sets
+        (j side first) and weights, and one stats row per round."""
         self.label_dict = label_dict
         self.n_train = int(n_train)
         self.rounds_run = int(rounds_run)
         self.train_scores = train_scores
         self.checkpoints = list(checkpoints) if checkpoints is not None else []
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        sets = np.array(sets, dtype=bool, order="C").reshape(-1, 2, label_dict.size)
-        swap = pairs[:, 0] > pairs[:, 1]  # a sampled pair may come as (k, j)
-        sets[swap] = sets[swap, ::-1]
-        self.j, self.k, self.label_sets = pairs.min(axis=1), pairs.max(axis=1), sets
+        self.j, self.k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        self.label_sets = np.array(sets, dtype=bool).reshape(-1, 2, label_dict.size)
         self.alpha = np.array(alpha, dtype=np.float64)
         self.stats = np.array(stats, dtype=np.float64).reshape(-1, 4)
         keys = _pair_keys(self.j, self.k, self.n_train)
@@ -318,7 +314,7 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
         members, stat = _play(run, *_pair_rows(groups, n, j, k))
         _, _, z, alpha = stat
         if alpha != 0.0 or cfg.keep_zero_alpha:
-            pairs.append((j, k))
+            pairs.append((j, k) if j < k else (k, j))  # as played, lo side first
             sets.append(members)
             alphas.append(alpha)
         stats.append(stat)

@@ -13,9 +13,9 @@ import operator
 import numpy as np
 
 from .boost import StrongModel, init_weights
-from .dataset import Dataset, LabelDict
+from .dataset import Dataset, LabelDict, _check_n, _check_unit, _round_half_up
 from .predict import ABSTAIN, predict_all
-from .triplets import TestTripletSet, _round_half_up
+from .triplets import TestTripletSet
 from .weak import _play, _Run
 
 __all__ = [
@@ -125,17 +125,10 @@ def margin(model: StrongModel, signed_scores, labels) -> np.ndarray:
     return margin_values(signed_scores, labels, model.total_alpha)
 
 
-def _check_n(n) -> None:
-    """Refuse a training-set size n below 1, or not finite."""
-    if not 1 <= n < math.inf:  # NaN fails it too
-        raise ValueError("n must be at least 1" if n < 1 else "n must be finite")
-
-
 def abstention_bound(n: int, p: float, classifier_count: float) -> float:
     """Probability that no combined classifier can vote on a fresh example."""
     _check_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_unit(p, "p")
     if not classifier_count >= 0:  # NaN fails it too
         raise ValueError("classifier count must be nonnegative")
     base = (1.0 - p) + p * (1.0 - p) ** n
@@ -161,8 +154,7 @@ def simulate_abstention(n: int, p: float, classifier_count: int, trials: int,
     n, trials = _count(n, "n"), _count(trials, "trials")
     classifier_count = _count(classifier_count, "classifier count")
     _check_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_unit(p, "p")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if classifier_count < 0:
@@ -205,6 +197,15 @@ def abstention_limit(k: float, beta: float) -> float:
     return 0.0
 
 
+def _regime(n, k: float, beta: float) -> tuple[float, float]:
+    """The unrounded (p, C) = (2n^(k-3), n^beta / 2) of ``abstention_limit``'s regime."""
+    _check_n(n)  # before n is raised to a power
+    try:
+        return 2.0 * float(n) ** (k - 3.0), float(n) ** beta / 2.0
+    except OverflowError:
+        raise ValueError(f"a power of n={n} overflows at k={k!r}, beta={beta!r}") from None
+
+
 def bound_surface_rows(n: int, k_grid, beta_grid):
     """Abstention bound over an exponent grid: rows (k, beta, bound).
 
@@ -216,17 +217,15 @@ def bound_surface_rows(n: int, k_grid, beta_grid):
     beta_grid = list(beta_grid)
     if not k_grid or not beta_grid:
         raise ValueError("grids must be nonempty")
-    _check_n(n)  # before n is raised to a power
     rows = []
     skipped = []
     for k in k_grid:
         for beta in beta_grid:
-            p = 2.0 * float(n) ** (k - 3.0)
+            p, count = _regime(n, k, beta)
             if p > 1.0:
                 skipped.append((k, beta))
                 continue
-            count = _round_half_up(float(n) ** beta / 2.0)
-            rows.append((k, beta, abstention_bound(n, p, count)))
+            rows.append((k, beta, abstention_bound(n, p, _round_half_up(count))))
     return rows, skipped
 
 
@@ -250,8 +249,7 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
         raise ValueError("need at least one draw per model")
     if n_labels < 2 or n_labels > n:
         raise ValueError("need 2 <= n_labels <= n")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_unit(p, "p")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     labels = np.arange(n, dtype=np.int64) % n_labels
@@ -264,11 +262,11 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
         for _ in range(rounds):
             j, k = run.draw(rng.random)
             revealed = np.flatnonzero(rng.random(n) < p)
-            says_j = rng.random(n) < 0.5
-            fwd, rev = revealed[says_j[revealed]], revealed[~says_j[revealed]]
-            members, (_, _, _, alpha) = _play(run, np.concatenate((fwd, rev)), fwd.size, 0)
+            near_lo = (rng.random(n) < 0.5)[revealed] ^ (j > k)  # closer to j, unless j > k
+            rows = np.concatenate((revealed[near_lo], revealed[~near_lo]))
+            members, (_, _, _, alpha) = _play(run, rows, np.count_nonzero(near_lo))
             if alpha != 0.0:
-                pairs.append((j, k))
+                pairs.append((j, k) if j < k else (k, j))
                 sets.append(members)
                 alphas.append(alpha)
         model = StrongModel._from_columns(ds.label_dict, n, pairs, sets, alphas)

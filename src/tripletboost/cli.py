@@ -39,16 +39,14 @@ def _cmd_gen_triplets(args) -> int:
     if args.test_data is None:
         store = triplets.generate_training_set(ds, args.metric, args.proportion,
                                                args.noise, args.seed)
-        store.save(args.out)
-        print(f"wrote {store.m} triplets over n={store.n} to {args.out}",
-              file=sys.stderr)
+        what = f"{store.m} triplets over n={store.n}"
     else:
         test_ds = dataset.load_csv(args.test_data, has_header=args.has_header)
-        tset = triplets.generate_test_set(test_ds, ds, args.metric,
-                                          args.proportion, args.noise, args.seed)
-        tset.save(args.out)
-        print(f"wrote {tset.m} test triplets for {tset.n_test} examples to "
-              f"{args.out}", file=sys.stderr)
+        store = triplets.generate_test_set(test_ds, ds, args.metric,
+                                           args.proportion, args.noise, args.seed)
+        what = f"{store.m} test triplets for {store.n_test} examples"
+    store.save(args.out)
+    print(f"wrote {what} to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -88,12 +86,16 @@ def _load_model_and_pairs(args):
     return boost.load_model(args.model), triplets.TestTripletSet.load(args.test_triplets)
 
 
+def _write_predictions(path, predictions, args) -> None:
+    """The predictions CSV, labels resolved under --policy and --seed, at ``path``."""
+    resolved = predict.resolve_all(predictions, args.policy, args.seed)
+    with _output(path) as fh:
+        predict.write_predictions_csv(fh, predictions, resolved)
+
+
 def _cmd_predict(args) -> int:
     model, tset = _load_model_and_pairs(args)
-    predictions = predict.predict_all(model, tset)
-    resolved = predict.resolve_all(predictions, args.policy, args.seed)
-    with _output(args.out) as fh:
-        predict.write_predictions_csv(fh, predictions, resolved)
+    _write_predictions(args.out, predict.predict_all(model, tset), args)
     return 0
 
 
@@ -109,9 +111,7 @@ def _cmd_evaluate(args) -> int:
                                           policy=args.policy, seed=args.seed,
                                           k=args.k)
     if args.out_predictions:
-        resolved = predict.resolve_all(predictions, args.policy, args.seed)
-        with _output(args.out_predictions) as fh:
-            predict.write_predictions_csv(fh, predictions, resolved)
+        _write_predictions(args.out_predictions, predictions, args)
     for line in report.lines():
         print(line)
     print(report.to_json())
@@ -129,10 +129,7 @@ def _bound_params(args) -> tuple[float, float]:
     if args.k is not None or args.beta is not None:
         if args.k is None or args.beta is None:
             raise ValueError("--k and --beta must be given together")
-        bounds._check_n(args.n)  # before n is raised to a power
-        p = 2.0 * float(args.n) ** (args.k - 3.0)
-        count = float(args.n) ** args.beta / 2.0
-        return p, count
+        return bounds._regime(args.n, args.k, args.beta)
     if args.p is None or args.classifiers is None:
         raise ValueError("give either --p and --classifiers, or --k and --beta")
     return args.p, float(args.classifiers)

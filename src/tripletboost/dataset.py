@@ -56,15 +56,16 @@ class Dataset:
         if labels.ndim != 1:
             raise ValueError("labels must be one-dimensional")
         bad = np.flatnonzero((labels < 0) | (labels >= self.label_dict.size))
-        if bad.size:
-            raise ValueError(f"label id out of range at {_row(bad[0])}")
-        object.__setattr__(self, "labels", labels)
         if self.features is not None:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)
             if feats.ndim != 2 or feats.shape[0] != labels.size or feats.shape[1] < 1:
                 raise ValueError("features must be an (n, D) array with D >= 1")
-            _check_finite(feats, _row)
+            # the first bad row wins, and a row's label is checked before its features
+            _check_finite(feats[:bad[0] if bad.size else None], _row)
             object.__setattr__(self, "features", feats)
+        if bad.size:
+            raise ValueError(f"label id out of range at {_row(bad[0])}")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -92,6 +93,21 @@ def _check_finite(features: np.ndarray, where) -> None:
         raise ValueError(f"malformed row at {where(bad[0])}: non-finite feature")
 
 
+def _check_unit(value: float, what: str) -> None:
+    if not 0.0 <= value <= 1.0:  # NaN fails it too
+        raise ValueError(f"{what} must lie in [0, 1]")
+
+
+def _check_n(n) -> None:
+    """Refuse a training-set size n below 1, or not finite."""
+    if not 1 <= n < math.inf:  # NaN fails it too
+        raise ValueError("n must be at least 1" if n < 1 else "n must be finite")
+
+
+def _round_half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
 def load_csv(path, has_header: bool = False) -> Dataset:
     """Read ``label,f1,...,fD`` rows (label-only rows give a feature-free dataset).
 
@@ -105,30 +121,34 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     labels: list[int] = []
     rows: list[list[float]] = []
     dim: int | None = None
+    malformed = None  # the first malformed line's error; the rows stop above it
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             if all(not rest.strip() for rest in lines[lineno:]):
                 break  # trailing blank lines are tolerated
-            raise ValueError(f"malformed row at row {lineno}: blank line")
+            malformed = f"malformed row at row {lineno}: blank line"
+            break
         parts = line.split(",")
-        name = parts[0]
         try:
             feats = [float(p) for p in parts[1:]]
         except ValueError:
-            raise ValueError(f"malformed row at row {lineno}: non-numeric feature") from None
+            malformed = f"malformed row at row {lineno}: non-numeric feature"
+            break
         if dim is None:
             dim = len(feats)
         elif len(feats) != dim:
-            raise ValueError(f"inconsistent dimension at row {lineno}")
-        labels.append(label_ids.setdefault(name, len(label_ids)))
+            malformed = f"inconsistent dimension at row {lineno}"
+            break
+        labels.append(label_ids.setdefault(parts[0], len(label_ids)))
         rows.append(feats)
+    features = np.array(rows, dtype=np.float64) if dim else None
+    if features is not None:  # the rows above the first malformed line win over it
+        _check_finite(features, lambda idx: f"row {start + 1 + idx}")
+    if malformed is not None:
+        raise ValueError(malformed)
     if not labels:
         raise ValueError("empty dataset")
-    label_dict = LabelDict(tuple(label_ids))
-    features = np.array(rows, dtype=np.float64) if dim else None
-    if features is not None:  # no blank line precedes a data row
-        _check_finite(features, lambda idx: f"row {start + 1 + idx}")
-    return Dataset(np.array(labels, dtype=np.int64), label_dict, features)
+    return Dataset(np.array(labels, dtype=np.int64), LabelDict(tuple(label_ids)), features)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -152,8 +172,7 @@ def save_csv(ds: Dataset, path) -> None:
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic disjoint (train, test) partition; |test| = ceil(n * fraction)."""
-    if not 0.0 <= test_fraction <= 1.0:
-        raise ValueError("test_fraction must lie in [0, 1]")
+    _check_unit(test_fraction, "test_fraction")
     n_test = int(math.ceil(ds.n * test_fraction - 1e-12))
     perm = np.random.default_rng(seed).permutation(ds.n)
     test_idx = np.sort(perm[:n_test])

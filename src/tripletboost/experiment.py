@@ -46,8 +46,7 @@ class ExperimentSpec:
         if not self.proportions or not self.noise_levels:
             raise ValueError("need at least one proportion and one noise level")
         for value in self.proportions + self.noise_levels:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("proportions and noise levels must lie in [0, 1]")
+            dataset._check_unit(value, "proportions and noise levels")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
         if self.metric not in triplets.METRICS:

@@ -29,6 +29,14 @@ def _int64(token: str) -> int:
     return value
 
 
+def _mask(token: str) -> int:
+    """A label set: bare lowercase hex, as written; a negative one (``-``, hex) is -1."""
+    digits = token.removeprefix("-")
+    if not digits or digits.strip("0123456789abcdef"):
+        raise ValueError(token)
+    return int(digits, 16) if digits == token else -1
+
+
 def _header(kind: str, keys: tuple[str, ...], values) -> str:
     """The ``kind v1 key=value ...`` header line; a repeated key is written once."""
     return " ".join([kind, "v1", *(f"{key}={value}" for key, value
@@ -172,7 +180,7 @@ def load_model(path, check_universe, columns):
         raise ValueError(f"label count disagrees with header in {path}")
     return names, n_train, rounds_run, _read(
         _records(body, 3, lambda j, k, alpha, o_j, o_k: (
-            _int64(j), _int64(k), int(o_j, 16), int(o_k, 16), float(alpha))),
+            _int64(j), _int64(k), _mask(o_j), _mask(o_k), float(alpha))),
         lambda rows, where: columns(rows, n_train, n_labels, where),
         lambda line, _: f"malformed classifier at line {line}")
 

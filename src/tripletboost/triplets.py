@@ -17,14 +17,13 @@ sampler limit); a larger total is rejected with a ValueError.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import formats
-from .dataset import Dataset, _row
+from .dataset import Dataset, _check_unit, _round_half_up, _row
 
 __all__ = [
     "Relation",
@@ -78,15 +77,6 @@ class Triplet:
     i: int
     j: int
     k: int
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def _check_unit(value: float, what: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1]")
 
 
 def _check_vectors(features: np.ndarray | None, metric: str, what: str) -> np.ndarray:
@@ -312,6 +302,21 @@ class TripletStore:
     @classmethod
     def load(cls, path) -> "TripletStore":
         return formats.load_store(path, "tripletset", cls._from_ijk)
+
+
+def _pair_rows(groups, n: int, j: int, k: int) -> tuple[np.ndarray, int]:
+    """The rows of the pair {j, k} in ``groups``, the pair index of an n-example store,
+    as stored: (anchors, count), the first ``count`` closer to lo = min(j, k)."""
+    if j == k:
+        raise ValueError("reference examples j and k must differ")
+    lo, hi = (j, k) if j < k else (k, j)
+    keys, bounds, split, anchors = groups
+    key = lo * n + hi if 0 <= lo and hi < n else -1  # -1: a pair no row has
+    g = int(keys.searchsorted(key))
+    if g < keys.size and keys.item(g) == key:
+        start = bounds.item(g)
+        return anchors[start:bounds.item(g + 1)], split.item(g) - start
+    return anchors[:0], 0
 
 
 class TestTripletSet(TripletStore):

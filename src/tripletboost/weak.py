@@ -11,13 +11,14 @@ the step functions (``select_labels``, ``round_weights`` and boost's
 ``sample_reference_pair`` and ``update_weights``) run on a ``_Run`` built for one
 call, where a training run builds its ``_Run`` and the store's pair index once.
 
-A round gathers its fired rows of the weights once, those closer to min(j, k)
-first; one ``bincount`` adds each entry (row, label c) of side s into bin
-t*2L + s*L + c in row order, t = 0 iff c is the row's label: the side's in-class
-mass a and out-of-class mass o of c.  A label joins its side's set iff a > o,
-strictly.  A side's W+ adds a for its set's labels and o for the others, its W-
-the reverse, one float at a time, labels ascending; the round adds j's side to
-k's, so a swap of the sides keeps the bits.  These sums are fixed by the code.
+A round gathers its fired rows of the weights once, as the store keeps them: those
+closer to lo = min(j, k) first.  One ``bincount`` adds each entry (row, label c) of
+side s (0 is lo's) into bin t*2L + s*L + c in row order, t = 0 iff c is the row's
+label: the side's in-class mass a and out-of-class mass o of c.  A label joins its
+side's set iff a > o, strictly.  A side's W+ adds a for its set's labels and o for
+the others, its W- the reverse, one float at a time, labels ascending; the round
+adds the lo side to the hi side's, so a swap of the sides keeps the bits.  These
+sums are fixed by the code.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
-from .triplets import TripletStore, _ID_DTYPE
+from .dataset import Dataset, _check_n
+from .triplets import TripletStore, _ID_DTYPE, _pair_rows
 
 __all__ = [
     "MAX_LABELS",
@@ -92,32 +93,17 @@ def _mask_bools(masks, n_labels: int) -> np.ndarray:
     return (bits & np.uint64(1)).astype(bool)
 
 
-def _pair_rows(groups, n: int, j: int, k: int):
-    """The rows of the pair {j, k} in the pair index ``groups`` of an n-example store:
-    (anchors, count, side), the first ``count`` closer to min(j, k), on ``side``."""
-    if j == k:
-        raise ValueError("reference examples j and k must differ")
-    (lo, hi), side = ((j, k), 0) if j < k else ((k, j), 1)
-    keys, bounds, split, anchors = groups
-    key = lo * n + hi if 0 <= lo and hi < n else -1  # -1: a pair no row has
-    g = int(keys.searchsorted(key))
-    if g < keys.size and keys.item(g) == key:
-        start = bounds.item(g)
-        return anchors[start:bounds.item(g + 1)], split.item(g) - start, side
-    return anchors[:0], 0, side
-
-
 def fired_buckets(ts: TripletStore, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Anchors with a triplet on {j, k}, (closer to j, closer to k), int32: read-only
     slices of the pair index, or copies of them where the store holds narrower ids."""
-    rows, count, side = _pair_rows(ts.pair_groups(), ts.n, j, k)
+    rows, count = _pair_rows(ts.pair_groups(), ts.n, j, k)
     rows = rows.astype(_ID_DTYPE, copy=False)
-    return (rows[count:], rows[:count]) if side else (rows[:count], rows[count:])
+    return (rows[:count], rows[count:]) if j < k else (rows[count:], rows[:count])
 
 
 @functools.cache
 def _bin_table(n_labels: int) -> np.ndarray:
-    """Row y holds the bins t*2L + c of a row of label y on j's side, t = 0 iff c = y."""
+    """Row y holds the bins t*2L + c of a row of label y on the lo side, t = 0 iff c = y."""
     col = np.arange(n_labels)
     table = col + 2 * n_labels * (col[:, None] != col)
     table.flags.writeable = False
@@ -148,8 +134,8 @@ def _row_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 class _Run:
     """A run's state: ``w`` and ``scores`` (or None), updated in place, their row views,
-    ``bins[i]``, example i's bins on j's side (intp, the size of ``w``), and the draw's
-    tables, which ``_update``, the one writer of ``w``, marks stale for ``draw``."""
+    ``bins[i]``, example i's bins on the lo side (intp, the size of ``w``), and the
+    draw's tables, which ``_update``, the one writer of ``w``, marks stale for ``draw``."""
 
     def __init__(self, w: np.ndarray, labels: np.ndarray, scores: np.ndarray | None = None):
         self.row = f"V{w.strides[0]}"  # a row as one item: its put beats a fancy-index write
@@ -189,12 +175,11 @@ class _Run:
         return j, int(self.others[c][_draw_index(cum, total, uniform())])
 
 
-def _gather(run: _Run, rows: np.ndarray, count: int, side: int):
-    """(rows, their weights, their bins), the first ``count`` rows on side ``side``."""
+def _gather(run: _Run, rows: np.ndarray, count: int):
+    """(rows, their weights, their bins), the first ``count`` rows on the lo side."""
     rows = rows.astype(np.intp)  # numpy indexes by intp as is
     bins = run.bins.take(rows, axis=0)
-    k_side = bins[:count] if side else bins[count:]
-    k_side += run.w.shape[1]  # side*L + label: one take and add beat a take a side
+    bins[count:] += run.w.shape[1]  # side*L + label: one take and add beat a take a side
     return rows, run.w.take(rows, axis=0), bins
 
 
@@ -254,13 +239,13 @@ def _pack_masks(members: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(members.astype(np.uint64) << shifts, axis=-1)
 
 
-def _play(run: _Run, rows: np.ndarray, count: int, side: int) -> tuple[np.ndarray, tuple]:
-    """One boosting round on ``rows``, the first ``count`` on side ``side`` (0 is j's,
-    1 is k's), the rest on the other.  Chooses both label sets, weighs the classifier
-    and updates ``run.w`` (and ``run.scores``) in place, unless its weight is zero
-    (then z = 1).  Returns the (2, L) bool sets, j side first, and the round's stats
+def _play(run: _Run, rows: np.ndarray, count: int) -> tuple[np.ndarray, tuple]:
+    """One boosting round on a pair's ``rows``, the first ``count`` closer to its lo,
+    the rest to its hi.  Chooses both label sets, weighs the classifier and updates
+    ``run.w`` (and ``run.scores``) in place, unless its weight is zero (then z = 1).
+    Returns the (2, L) bool sets, lo side first, and the round's stats
     (w_plus, w_minus, z, alpha) in ``RoundStats`` order."""
-    gathered = _gather(run, rows, count, side)
+    gathered = _gather(run, rows, count)
     members, w_plus, w_minus = _sides(gathered)
     alpha = classifier_alpha(w_plus, w_minus, run.w.shape[0])
     z = _update(run, gathered, members, alpha) if alpha != 0.0 else 1.0
@@ -269,9 +254,10 @@ def _play(run: _Run, rows: np.ndarray, count: int, side: int) -> tuple[np.ndarra
 
 def select_labels(j: int, k: int, ts: TripletStore, ds: Dataset,
                   w: np.ndarray) -> tuple[int, int]:
-    """Choose the predicted label sets for both sides of the pair (j, k)."""
+    """Choose the predicted label sets for both sides of the pair (j, k): (o_j, o_k)."""
     gathered = _gather(_Run(w, ds.labels), *_pair_rows(ts.pair_groups(), ts.n, j, k))
-    return tuple(_pack_masks(_sides(gathered)[0]).tolist())
+    masks = _pack_masks(_sides(gathered)[0]).tolist()  # lo side first
+    return tuple(masks if j < k else masks[::-1])
 
 
 def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,
@@ -283,15 +269,13 @@ def round_weights(h: TripletClassifier, ts: TripletStore, ds: Dataset,
 
 def classifier_alpha(w_plus: float, w_minus: float, n: int) -> float:
     """Smoothed log-odds vote weight; the 1/n terms keep it finite."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)
     return 0.5 * math.log((w_plus + 1.0 / n) / (w_minus + 1.0 / n))
 
 
 def z_factor(w_plus: float, w_minus: float, n: int) -> float:
     """Weight-update normalizer; at most 1, with equality iff the vote is useless."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)
     ratio = (w_minus + 1.0 / n) / (w_plus + 1.0 / n)
     root = math.sqrt(ratio)
     return (1.0 - w_plus - w_minus) + (w_plus * root + w_minus / root)

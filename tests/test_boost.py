@@ -592,6 +592,24 @@ class TestModelFiles:
         with pytest.raises(ValueError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0 2 0.5 0x1 2", "malformed classifier at line 4"),
+        ("0 2 0.5 1 +2", "malformed classifier at line 4"),
+        ("0 2 0.5 A 2", "malformed classifier at line 4"),
+        ("0 2 0.5 1 0X2", "malformed classifier at line 4"),
+        ("0 2 0.5 1 -", "malformed classifier at line 4"),
+        ("0 2 0.5 -0 2", "label set out of range at line 4"),  # negative, as -1 is
+    ])
+    def test_label_set_is_bare_lowercase_hex(self, tmp_path, row, message):
+        """A label set is read as the writer writes it, digits 0-9a-f only:
+        ``int(token, 16)`` loaded 0x1, +2, upper case and -0, and saving wrote them
+        back as bare hex."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"tripletboost-model v1 L=2 n=3 C=2\na\tb\n0 1 0.5 1 2\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_model(path)
+
     @pytest.mark.parametrize("header", ["tripletboost-model v1 L=2 n=3",
                                         "tripletboost-model v1 L=2 n=x C=1"])
     def test_malformed_header(self, tmp_path, header):

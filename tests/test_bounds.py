@@ -400,6 +400,13 @@ class TestBoundSurface:
         with pytest.raises(ValueError, match="^n must be (at least 1|finite)$"):
             bound_surface_rows(n, [k], [1.0])
 
+    @pytest.mark.parametrize("k, beta", [(1.0, 400.0), (1000.0, 1.0)])
+    def test_overflowing_power_is_a_value_error(self, k, beta):
+        """10.0 ** 400 raised OverflowError: (34, 'Numerical result out of range')."""
+        with pytest.raises(ValueError, match=f"^a power of n=10 overflows at k={k!r}, "
+                                             f"beta={beta!r}$"):
+            bound_surface_rows(10, [k], [beta])
+
 
 class TestEndToEnd:
     def test_smoke_within_range_and_deterministic(self):

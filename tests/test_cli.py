@@ -230,6 +230,10 @@ class TestBoundCommands:
          "--k-grid takes a comma list of numbers or a lo:hi:count range, got '1:2'"),
         (("bound-surface", "--n", 10, "--k-grid", 1, "--beta-grid", "0,x"),
          "--beta-grid takes a comma list of numbers or a lo:hi:count range, got '0,x'"),
+        (("bound", "--n", 10, "--k", 1, "--beta", 1000),
+         "a power of n=10 overflows at k=1.0, beta=1000.0"),
+        (("bound-surface", "--n", 10, "--k-grid", 1, "--beta-grid", 400),
+         "a power of n=10 overflows at k=1.0, beta=400.0"),
     ])
     def test_bad_input_is_an_error_line(self, capsys, argv, message):
         """A bad n or grid prints ``error: ...`` and exits 1, not a traceback."""

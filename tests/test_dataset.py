@@ -1,5 +1,6 @@
 """Dataset ingestion, label dictionaries, and split contracts."""
 
+import math
 import re
 
 import numpy as np
@@ -54,6 +55,18 @@ class TestLoadCsv:
             load_csv(_write(tmp_path, "label,f1,f2\na,1.0,2.0\nb,3.0,-inf\n"),
                      has_header=True)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,1.0\n0,inf\n0,x\n", "malformed row at row 2: non-finite feature"),
+        ("0,1.0\n0,nan\n\n0,2.0\n", "malformed row at row 2: non-finite feature"),
+        ("0,1.0\n0,-inf\n0,1.0,2.0\n", "malformed row at row 2: non-finite feature"),
+        ("0,1.0\n0,x\n0,inf\n", "malformed row at row 2: non-numeric feature"),
+    ])
+    def test_first_bad_row_wins(self, tmp_path, text, message):
+        """The reader stops at the first malformed line and checks the rows above
+        it first, so a non-finite feature above it wins; one below it is never read."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_csv(_write(tmp_path, text))
+
     def test_interior_blank_line_rejected_trailing_tolerated(self, tmp_path):
         with pytest.raises(ValueError, match="malformed row at row 2"):
             load_csv(_write(tmp_path, "a,1.0\n\nb,2.0\n"))
@@ -103,6 +116,16 @@ class TestDatasetFeatures:
         feats = np.array([[0.0, 1.0], [2.0, bad], [1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([0, 1, 0]), LabelDict(("a", "b")), feats)
+
+    @pytest.mark.parametrize("labels, feats, message", [
+        ([0, 5], [[math.inf], [1.0]], "malformed row at row 0: non-finite feature"),
+        ([5, 0], [[1.0], [math.nan]], "label id out of range at row 0"),
+        ([5, 0], [[math.inf], [1.0]], "label id out of range at row 0"),  # label first
+    ])
+    def test_first_bad_row_wins(self, labels, feats, message):
+        """Across the label check and the feature check the first bad row is named."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(np.array(labels), LabelDict(("a", "b")), np.array(feats))
 
     def test_label_out_of_range_names_the_row(self):
         with pytest.raises(ValueError, match="label id out of range at row 2"):

@@ -1301,29 +1301,29 @@ class TestNarrowIds:
 
 class TestMemoryBudget:
     def test_bytes_per_row(self):
-        """The ceilings of the int32 layout: a store of 13 bytes a row (int32
-        anchor, lo, hi and the bool near_lo) and a pair index of 5 (int32 anchor
-        and bool near_lo, plus a key and a bound per distinct pair), generation
-        writing its rows into the store's own columns and the index sorting one
-        8-byte key a row in place.  At n=120 the store is the narrow int16 one
-        (test_narrow_bytes_per_row), which meets them.  Measured with
-        tracemalloc, which counts numpy's buffers exactly on any machine."""
-        ds = make_moons(120, 0.1, 0)
+        """The int32 layout, which a store takes when a universe passes 32,767: 13
+        bytes a row (int32 anchor, lo and hi and the bool near_lo), generation
+        writing its rows into the store's own columns, and a pair index of 4 bytes
+        a row (its int32 anchors; a key and a bound per distinct pair) whose build
+        sorts a uint32 key a row in place.  A test set of 32,768 anchors over 12
+        training examples has about 1.08M rows.  Measured with tracemalloc, which
+        counts numpy's buffers exactly on any machine."""
+        train, test = make_moons(12, 0.1, 0), make_moons(32_768, 0.1, 1)
         tracemalloc.start()
         try:
-            store = generate_training_set(ds, "euclidean", 0.5, 0.0, 1)
+            tset = generate_test_set(test, train, "euclidean", 0.5, 0.0, 1)
             held, gen_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            store.pair_groups()
+            tset.pair_groups()
             index_held, index_peak = (v - held for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        per_row = np.array([held, gen_peak, index_held, index_peak]) / store.m
-        assert store.m > 400_000
+        per_row = np.array([held, gen_peak, index_held, index_peak]) / tset.m
+        assert tset.m > 1_000_000 and tset._anchor.dtype == np.int32
         assert per_row[0] <= 13.5, f"store holds {per_row[0]:.2f} B/row"
-        assert per_row[1] <= 16.0, f"generation peaks at {per_row[1]:.2f} B/row"
-        assert per_row[2] <= 6.5, f"pair index holds {per_row[2]:.2f} B/row"
-        assert per_row[3] <= 16.0, f"pair index build peaks at {per_row[3]:.2f} B/row"
+        assert per_row[1] <= 15.0, f"generation peaks at {per_row[1]:.2f} B/row"
+        assert per_row[2] <= 4.5, f"pair index holds {per_row[2]:.2f} B/row"
+        assert per_row[3] <= 10.5, f"pair index build peaks at {per_row[3]:.2f} B/row"
 
     def test_narrow_bytes_per_row(self):
         """Below 32,768 examples a store's columns hold 7 bytes a row (int16 anchor,

@@ -193,6 +193,16 @@ class TestClassifierAlpha:
             assert (alpha != 0.0) == (w_plus > w_minus)
 
 
+class TestNonFiniteN:
+    @pytest.mark.parametrize("fn", [classifier_alpha, z_factor])
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n_rejected(self, fn, n):
+        """A bare ``n < 1`` let both through: classifier_alpha(0.1, 0.0, inf) divided
+        by zero, and a NaN n gave nan."""
+        with pytest.raises(ValueError, match="^n must be finite$"):
+            fn(0.1, 0.0, n)
+
+
 class TestZFactor:
     def test_symmetric_mass_gives_one(self):
         assert z_factor(0.5, 0.5, 3) == 1.0
@@ -356,9 +366,9 @@ def _check_round(w, labels, fwd, rev, scores):
     want_w, want_scores = w.copy(), scores.copy()
     want_h, want_stats = _oracle_round(want_w, labels, 0, 1, fwd, rev, want_scores)
     before, swapped_w, swapped_scores = w.copy(), w.copy(), scores.copy()
-    members, stats = _play(_Run(w, labels, scores), np.concatenate((fwd, rev)), len(fwd), 0)
+    members, stats = _play(_Run(w, labels, scores), np.concatenate((fwd, rev)), len(fwd))
     swapped = _play(_Run(swapped_w, labels, swapped_scores),  # k's side first
-                    np.concatenate((rev, fwd)), len(rev), 0)
+                    np.concatenate((rev, fwd)), len(rev))
     assert np.array_equal(swapped[0], members[::-1])
     assert np.array(swapped[1]).tobytes() == np.array(stats).tobytes()
     assert swapped_w.tobytes() == w.tobytes() and swapped_scores.tobytes() == scores.tobytes()
@@ -473,7 +483,7 @@ class TestRunDraw:
         for fired in data.draw(st.lists(st.integers(0, n), min_size=1, max_size=8),
                                label="rows a round"):
             rows = rng.permutation(n)[:fired]
-            _play(run, rows, int(rng.integers(0, fired + 1)), int(rng.integers(0, 2)))
+            _play(run, rows, int(rng.integers(0, fired + 1)))
             pairs = data.draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=5),
                               label="uniforms")
             fresh = _Run(run.w.copy(), labels)
