@@ -63,6 +63,8 @@ def empirical_margin_bound(n_labels: int, z_history, w_plus_history,
         raise ValueError("need at least two labels")
     if not n >= 1:
         raise ValueError("n must be at least 1")
+    if not n < math.inf:
+        raise ValueError("n must be finite")
     z = _check_history(z_history)
     w_plus = np.asarray(w_plus_history, dtype=np.float64)
     w_minus = np.asarray(w_minus_history, dtype=np.float64)
@@ -200,6 +202,8 @@ def abstention_limit(k: float, beta: float) -> float:
 def _regime(n, k: float, beta: float) -> tuple[float, float]:
     """The unrounded (p, C) = (2n^(k-3), n^beta / 2) of ``abstention_limit``'s regime."""
     _check_n(n)  # before n is raised to a power
+    if math.inf in (abs(k), abs(beta)):  # a NaN goes on, to a NaN p or count
+        raise ValueError(f"an exponent is infinite at k={k!r}, beta={beta!r}")
     try:
         return 2.0 * float(n) ** (k - 3.0), float(n) ** beta / 2.0
     except OverflowError:

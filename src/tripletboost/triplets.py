@@ -47,6 +47,7 @@ METRICS = ("euclidean", "cityblock", "cosine")
 _MAX_UNIVERSE = 2_000_000  # with n anchors, keeps (i*n + lo)*n + hi inside int64
 _ID_DTYPE = np.int32  # ids as the accessors return them, and the widest id column
 _ANCHOR_BLOCK = 256  # anchors per distance block during generation
+_RANK_CHUNK = 1 << 14  # an anchor's drawn ranks unranked and written per pass
 _DISTANCE_CHUNK = 32  # anchors per pass of the distance kernel over the references
 _VOTE_BLOCK = 1 << 16  # ratings candidates per block, so exhaustive runs stay small
 _SAMPLER_LIMIT = 1_000_000_000  # numpy's multivariate_hypergeometric("marginals") bound
@@ -254,7 +255,8 @@ class TripletStore:
         ``keys`` holds the distinct pair keys lo*n + hi (int64), ascending; the rows
         of pair ``keys[g]`` are ``bounds[g]:bounds[g + 1]`` of ``anchors`` (of the id
         columns' type): those closer to lo up to ``split[g]``, then those closer to
-        hi, each run ascending.  Cached and read-only.
+        hi, each run ascending.  ``bounds`` and ``split`` are int32 when the rows
+        fit it, else int64.  Cached and read-only.
         """
         if self._pair_cache is None:
             # One unique key per row, ((lo*n + hi)*2 + far_lo)*n_anchors + anchor,
@@ -271,19 +273,31 @@ class TripletStore:
             keys += self._anchor.view(unsigned)
             keys.sort()
             anchors = np.empty(keys.size, dtype=self._anchor.dtype)
-            # now each row's pair key*2 + far_lo, and its anchor
+            # now each row's pair key*2 + far_lo, and its anchor; then its pair key
             np.divmod(keys, wide(self.n_anchors), out=(keys, anchors), casting="unsafe")
-            starts = np.ones(keys.size + 1, dtype=bool)  # where a (pair, side) run starts
-            np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-            runs = np.flatnonzero(starts)
-            sides = keys[runs[:-1]]
-            pairs = sides >> wide(1)
-            first = np.flatnonzero(np.diff(pairs, prepend=~pairs[:1]))  # a pair's first run
-            bounds = np.append(runs[first], runs[-1])
-            # a pair whose first run is closer to hi splits at its start, else where
-            # that run ends
-            split = np.where(sides[first] & wide(1), runs[first], runs[first + 1])
-            self._pair_cache = (pairs[first].astype(np.int64), bounds, split, anchors)
+            far = np.bitwise_and(keys, wide(1), out=np.empty(keys.size, dtype=np.uint8),
+                                 casting="unsafe")
+            keys >>= wide(1)
+            # In the sparse regime, about one row a pair, a column a pair costs as
+            # much as a column a row, so each temporary goes before the next is made.
+            starts = np.empty(keys.size, dtype=bool)  # where a pair's rows start
+            starts[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+            first = np.flatnonzero(starts)
+            del starts
+            # a pair key fits int64, so a uint64 one is viewed as one, not copied
+            pairs = (keys.view(np.int64) if wide is np.uint64 else keys)[first]
+            del keys
+            index = np.int32 if anchors.size <= np.iinfo(np.int32).max else np.int64
+            # rows closer to hi, a pair's last rows; none when there are no pairs
+            far_count = (np.add.reduceat(far, first, dtype=index) if first.size
+                         else np.empty(0, dtype=index))
+            del far
+            bounds = np.empty(first.size + 1, dtype=index)
+            bounds[:-1], bounds[-1] = first, anchors.size
+            del first
+            split = np.subtract(bounds[1:], far_count, out=far_count)
+            self._pair_cache = (pairs.astype(np.int64, copy=False), bounds, split, anchors)
             for col in self._pair_cache:
                 col.flags.writeable = False
         return self._pair_cache
@@ -423,14 +437,19 @@ def _reference_rows(feats: np.ndarray, metric: str, start: int, stop: int,
 
 
 def _tie_counts(rows: np.ndarray) -> np.ndarray:
-    """Per row, the number of index pairs holding equal values."""
-    ordered = np.sort(rows, axis=1)
-    cols = np.arange(rows.shape[1])
-    run_start = np.where(np.concatenate(
-        [np.ones((rows.shape[0], 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]],
-        axis=1), cols, 0)
-    np.maximum.accumulate(run_start, axis=1, out=run_start)
-    return (cols - run_start).sum(axis=1)
+    """Per row, the number of index pairs holding equal values; sorts ``rows`` in
+    place.  Only a row with a tie gets a table of where its runs start."""
+    rows.sort(axis=1)
+    equal = rows[:, 1:] == rows[:, :-1]
+    counts = np.zeros(rows.shape[0], dtype=np.int64)
+    tied = np.flatnonzero(equal.any(axis=1))
+    if tied.size:
+        cols = np.arange(rows.shape[1])
+        run_start = np.zeros((tied.size, rows.shape[1]), dtype=np.int64)
+        np.copyto(run_start[:, 1:], cols[1:], where=~equal[tied])
+        np.maximum.accumulate(run_start, axis=1, out=run_start)
+        counts[tied] = (cols - run_start).sum(axis=1)
+    return counts
 
 
 def _tied_ranks(row: np.ndarray) -> np.ndarray:
@@ -469,9 +488,11 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     distance row; each drawn within-anchor rank is shifted past the tied
     pairs' ranks and unranked into its pair.  That costs O(m log m) per
     anchor, plus the number of its tied pairs (zero for continuous data) and
-    O(log m) per drawn pair, and O(m + drawn) memory per anchor beyond the
-    distance block.  Returns the canonical (anchor, lo, hi, near_lo) columns, ids of
-    ``_id_dtype``, each filled in place as its anchors' ranks are drawn.
+    O(log m) per drawn pair, and O(m) memory per anchor beyond the distance
+    block and its drawn ranks, which are unranked, compared and written
+    ``_RANK_CHUNK`` at a time.  Returns the canonical (anchor, lo, hi, near_lo)
+    columns, ids of ``_id_dtype``, each filled in place as its anchors' ranks
+    are drawn.
     """
     n_anchors = feats.shape[0]
     width = n_anchors - 1 if ref is None else ref.shape[0]
@@ -488,7 +509,11 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
     anchor, lo_ids, hi_ids = (np.empty(keep, dtype=dtype) for _ in range(3))
     near_lo = np.empty(keep, dtype=bool)
     at, block = 0, -1
-    for a, ranks in enumerate(_per_group_take(counts, keep, rng)):
+    # not enumerate: its reused result tuple would hold an anchor's ranks while the
+    # next anchor's are drawn
+    draws = _per_group_take(counts, keep, rng)
+    for a in range(n_anchors):
+        ranks = next(draws)
         if ranks.size == 0:
             continue
         if a // _ANCHOR_BLOCK != block:  # a block's distances, once one of it draws
@@ -499,16 +524,20 @@ def _generate_sampled(feats, metric, proportion, rng, ref=None):
         row = rows[a - start]
         if ties[a]:
             tied = _tied_ranks(row)
-            ranks = ranks + np.searchsorted(tied - np.arange(tied.size), ranks,
-                                            side="right")
-        lo, hi = _unrank_pairs(ranks, width, first)
-        part = slice(at, at + ranks.size)
-        near_lo[part] = row[lo] < row[hi]
-        if ref is None:  # back to example ids; the shift keeps lo < hi
-            lo += lo >= a
-            hi += hi >= a
-        anchor[part], lo_ids[part], hi_ids[part] = a, lo, hi
-        at = part.stop
+            tied -= np.arange(tied.size)  # candidate ranks below each tied pair
+        for begin in range(0, ranks.size, _RANK_CHUNK):
+            chunk = ranks[begin:begin + _RANK_CHUNK]
+            if ties[a]:
+                chunk = chunk + np.searchsorted(tied, chunk, side="right")
+            lo, hi = _unrank_pairs(chunk, width, first)
+            part = slice(at, at + chunk.size)
+            np.less(row[lo], row[hi], out=near_lo[part])
+            if ref is None:  # back to example ids; the shift keeps lo < hi
+                lo += lo >= a
+                hi += hi >= a
+            anchor[part], lo_ids[part], hi_ids[part] = a, lo, hi
+            at = part.stop
+        del ranks, chunk  # before the next anchor's ranks are drawn
     return anchor, lo_ids, hi_ids, near_lo
 
 

@@ -47,7 +47,7 @@ __all__ = [
 MAX_LABELS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripletClassifier:
     """Reference pair plus per-side predicted label sets and vote weight.
 

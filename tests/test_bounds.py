@@ -131,6 +131,11 @@ class TestEmpiricalMarginBound:
         with pytest.raises(ValueError, match=message):
             empirical_margin_bound(*args, theta=0.1)
 
+    def test_infinite_n_rejected(self):
+        """An infinite n is not a training-set size: no warning and no inf bound."""
+        with pytest.raises(ValueError, match="n must be finite"):
+            empirical_margin_bound(2, [0.9], [0.5], [0.0], math.inf, theta=0.1)
+
     def test_valid_inputs_keep_their_bits(self):
         """Values recorded before the input checks were added."""
         assert empirical_margin_bound(2, [0.9], [0.5], [0.1], 10, theta=0.1).hex() == \

@@ -1345,3 +1345,45 @@ class TestMemoryBudget:
         assert store.m > 400_000 and sum(col.nbytes for col in columns) == 7 * store.m
         assert gen_peak / store.m <= 8.5, f"generation peaks at {gen_peak / store.m:.2f} B/row"
         assert peak / store.m < 10.0, f"pair index build peaks at {peak / store.m:.2f} B/row"
+
+    def test_sparse_pair_index_bytes_per_row(self):
+        """In the sparse regime, about one row a reference pair, the pair index
+        costs what it holds a distinct pair: 16 bytes (an int64 key, an int32
+        bound and split point) and 2 a row (its int16 anchors), under 18.5 bytes a
+        row in all.  Its build sorts a uint64 key a row, then frees each column a
+        row before the next is made, peaking under 32 bytes a row.  500,000
+        distinct uniform rows at n=4,000, of about 3.2e10 candidates, fall on
+        about 485,000 distinct pairs (tracemalloc)."""
+        n, m, rng = 4_000, 500_000, np.random.default_rng(5)
+        per_anchor = (n - 1) * (n - 2) // 2
+        ranks = np.sort(rng.choice(n * per_anchor, size=m, replace=False))
+        anchor, local = np.divmod(ranks, per_anchor)
+        lo, hi = _unrank_pairs(local, n - 1)
+        lo += lo >= anchor  # skip the anchor; keeps lo < hi
+        hi += hi >= anchor
+        store = TripletStore(n, anchor, lo, hi, rng.random(m) < 0.5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            keys = store.pair_groups()[0]
+            held, peak = (v - start for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert store._anchor.dtype == np.int16 and keys.size > 0.95 * m
+        assert held / m <= 18.5, f"pair index holds {held / m:.2f} B/row"
+        assert peak / m <= 32.0, f"pair index build peaks at {peak / m:.2f} B/row"
+
+    def test_full_proportion_generation_bytes_per_row(self):
+        """Generation holds a chunk of an anchor's draws at a time, not its whole
+        draw: 2 test anchors over 800 training examples at proportion 1 make
+        639,200 rows (319,600 an anchor), and generating them peaks under 16 bytes
+        a row, 7 of them the test set's own columns (tracemalloc)."""
+        train, test = make_moons(800, 0.1, 0), make_moons(2, 0.1, 1)
+        tracemalloc.start()
+        try:
+            tset = generate_test_set(test, train, "euclidean", 1.0, 0.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tset.m == 2 * 800 * 799 // 2
+        assert peak / tset.m <= 16.0, f"generation peaks at {peak / tset.m:.2f} B/row"

@@ -1,6 +1,8 @@
 """Label-set selection, weighted performance, vote weights, and the normalizer."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -277,6 +279,15 @@ class TestClassifierType:
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(ValueError):
             TripletClassifier(0, 1, 0, 0, float("nan"))
+
+    def test_slotted_view_survives_pickle_and_deepcopy(self):
+        """A view holds its five fields in slots, with no ``__dict__``, and a copy
+        through pickle or ``copy.deepcopy`` is equal, its sides as canonical."""
+        h = TripletClassifier(5, 2, 0b01, 0b10, 0.3)
+        assert not hasattr(h, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert copied == h and copied is not h
+            assert (copied.j, copied.k, copied.o_j, copied.o_k) == (2, 5, 0b10, 0b01)
 
     @given(st.sets(st.integers(0, 63)))
     def test_bitmask_round_trip(self, labels):
