@@ -2,10 +2,14 @@
 
 A model is columns: ``StrongModel`` holds its classifiers and round stats as
 read-only arrays, and ``TripletClassifier``/``RoundStats`` objects are views.
+``_boost`` is the one loop of rounds, which ``train`` and
+``bounds.end_to_end_abstention`` share; it writes each round into a row of
+columns preallocated for the run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,16 +90,17 @@ class StrongModel:
     def _init(self, label_dict, n_train, pairs, sets, alpha, stats=(), rounds_run=0,
               train_scores=None, checkpoints=None):
         """Hold trusted columns: (j, k) pairs with j < k, their (2, L) label sets
-        (j side first) and weights, and one stats row per round."""
+        (j side first) and weights, and one stats row per round.  An array of the
+        column's dtype is held as it is, not copied, and made read-only."""
         self.label_dict = label_dict
         self.n_train = int(n_train)
         self.rounds_run = int(rounds_run)
         self.train_scores = train_scores
         self.checkpoints = list(checkpoints) if checkpoints is not None else []
-        self.j, self.k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
-        self.label_sets = np.array(sets, dtype=bool).reshape(-1, 2, label_dict.size)
-        self.alpha = np.array(alpha, dtype=np.float64)
-        self.stats = np.array(stats, dtype=np.float64).reshape(-1, 4)
+        self.j, self.k = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        self.label_sets = np.asarray(sets, dtype=bool).reshape(-1, 2, label_dict.size)
+        self.alpha = np.asarray(alpha, dtype=np.float64)
+        self.stats = np.asarray(stats, dtype=np.float64).reshape(-1, 4)
         keys = _pair_keys(self.j, self.k, self.n_train)
         self.key_order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.key_order]
@@ -283,6 +288,31 @@ def _strict_error(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(~(true_vals > other_max)))
 
 
+def _boost(run: _Run, rounds: int, uniform, rows_of, stats_every: int = 0):
+    """Play ``rounds`` rounds on ``run``, each into its own row of preallocated columns.
+
+    A round draws its pair (j, k) with ``uniform`` and plays the rows that
+    ``rows_of(j, k)`` returns (see ``_play``).  Returns the (lo, hi) pairs (R, 2),
+    the label sets (R, 2, L), lo side first, the stats (R, 4) in ``RoundStats``
+    order, and every ``stats_every`` rounds (and after the last) a ``Checkpoint``
+    of ``run.scores``; its bound adds the logs of z one at a time, in round order.
+    """
+    pairs, stats = np.empty((rounds, 2), dtype=np.int64), np.empty((rounds, 4))
+    sets = np.empty((rounds, 2, run.w.shape[1]), dtype=bool)
+    checkpoints, log_z_sum = [], 0.0
+    for rnd in range(rounds):
+        j, k = pairs[rnd] = run.draw(uniform)
+        sets[rnd], stats[rnd] = _play(run, *rows_of(j, k))
+        if stats_every and ((rnd + 1) % stats_every == 0 or rnd + 1 == rounds):
+            # every checkpoint but the last closes a block of stats_every rounds
+            for z in stats[len(checkpoints) * stats_every:rnd + 1, 2].tolist():
+                log_z_sum += math.log(z)
+            checkpoints.append(Checkpoint(rnd + 1, _strict_error(run.scores, run.labels),
+                                          0.5 * run.w.shape[1] * math.exp(log_z_sum)))
+    pairs.sort(axis=1)  # as played, lo side first
+    return pairs, sets, stats, checkpoints
+
+
 def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
     """Run the full boosting loop and assemble the strong classifier.
 
@@ -303,29 +333,13 @@ def train(ds: Dataset, ts: TripletStore, cfg: BoostConfig) -> StrongModel:
         raise ValueError("triplet store universe does not match the dataset")
 
     uniform = _uniforms(np.random.default_rng(cfg.seed), 2 * cfg.rounds).__next__
-    scores = np.zeros((n, n_labels))
-    pairs, sets, alphas, stats = [], [], [], []
-    checkpoints: list[Checkpoint] = []
-    log_z_sum = 0.0
-    run, groups = _Run(init_weights(n, n_labels), ds.labels, scores), ts.pair_groups()
-
-    for rnd in range(1, cfg.rounds + 1):
-        j, k = run.draw(uniform)
-        members, stat = _play(run, *_pair_rows(groups, n, j, k))
-        _, _, z, alpha = stat
-        if alpha != 0.0 or cfg.keep_zero_alpha:
-            pairs.append((j, k) if j < k else (k, j))  # as played, lo side first
-            sets.append(members)
-            alphas.append(alpha)
-        stats.append(stat)
-        log_z_sum += math.log(z)
-        if cfg.stats_every and (rnd % cfg.stats_every == 0 or rnd == cfg.rounds):
-            checkpoints.append(Checkpoint(
-                rnd, _strict_error(scores, ds.labels),
-                0.5 * n_labels * math.exp(log_z_sum)))
-
-    return StrongModel._from_columns(ds.label_dict, n, pairs, sets, alphas, stats,
-                                     cfg.rounds, scores, checkpoints)
+    run = _Run(init_weights(n, n_labels), ds.labels, np.zeros((n, n_labels)))
+    pairs, sets, stats, checkpoints = _boost(
+        run, cfg.rounds, uniform, functools.partial(_pair_rows, ts.pair_groups(), n),
+        cfg.stats_every)
+    keep = (stats[:, 3] != 0.0) | cfg.keep_zero_alpha
+    return StrongModel._from_columns(ds.label_dict, n, pairs[keep], sets[keep], stats[keep, 3],
+                                     stats, cfg.rounds, run.scores, checkpoints)
 
 
 # -- model persistence ----------------------------------------------------------

@@ -12,11 +12,11 @@ import operator
 
 import numpy as np
 
-from .boost import StrongModel, init_weights
-from .dataset import Dataset, LabelDict, _check_n, _check_unit, _round_half_up
+from .boost import StrongModel, _boost, init_weights
+from .dataset import Dataset, LabelDict, _check_n, _check_unit, _distinct, _round_half_up
 from .predict import ABSTAIN, predict_all
-from .triplets import TestTripletSet
-from .weak import _play, _Run
+from .triplets import TestTripletSet, _pair_keys
+from .weak import _Run
 
 __all__ = [
     "training_error_bound",
@@ -238,7 +238,7 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
                           seed: int = 0) -> tuple[float, float]:
     """Measured abstention of actually trained models under random availability.
 
-    Each model runs the real boosting round (pair sampling, label selection,
+    Each model runs ``train``'s loop of rounds (pair sampling, label selection,
     vote weighting, weight update) with every training example revealing its
     side to the round's classifier independently with probability p — the
     regime where the closed form is exact.  Test draw d fires each kept
@@ -261,22 +261,22 @@ def end_to_end_abstention(n: int, n_labels: int, p: float, rounds: int,
     rates = np.empty(n_models)
     for m_idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
         rng = np.random.default_rng(child)
-        run = _Run(init_weights(n, n_labels), labels)
-        pairs, sets, alphas = [], [], []
-        for _ in range(rounds):
-            j, k = run.draw(rng.random)
+
+        def reveal(j, k):
             revealed = np.flatnonzero(rng.random(n) < p)
             near_lo = (rng.random(n) < 0.5)[revealed] ^ (j > k)  # closer to j, unless j > k
-            rows = np.concatenate((revealed[near_lo], revealed[~near_lo]))
-            members, (_, _, _, alpha) = _play(run, rows, np.count_nonzero(near_lo))
-            if alpha != 0.0:
-                pairs.append((j, k) if j < k else (k, j))
-                sets.append(members)
-                alphas.append(alpha)
-        model = StrongModel._from_columns(ds.label_dict, n, pairs, sets, alphas)
-        draw, fired = np.nonzero(rng.random((draws_per_model, len(alphas))) < p)
-        rows = np.unique(np.column_stack((draw, model.j[fired], model.k[fired])), axis=0)
-        tset = TestTripletSet(draws_per_model, n, *rows.T, np.ones(len(rows), dtype=bool))
+            return np.concatenate((revealed[near_lo], revealed[~near_lo])), near_lo.sum()
+
+        pairs, sets, stats, _ = _boost(_Run(init_weights(n, n_labels), labels), rounds,
+                                       rng.random, reveal)
+        keep = stats[:, 3] != 0.0
+        model = StrongModel._from_columns(ds.label_dict, n, pairs[keep], sets[keep],
+                                          stats[keep, 3])
+        draw, fired = np.nonzero(rng.random((draws_per_model, model.alpha.size)) < p)
+        # the distinct (draw, j, k) rows, sorted, as int64 keys (draw*n + j)*n + k
+        key = _distinct(_pair_keys(draw * n + model.j[fired], model.k[fired], n))
+        tset = TestTripletSet(draws_per_model, n, key // (n * n), key // n % n, key % n,
+                              np.ones(key.size, dtype=bool))
         rates[m_idx] = np.mean(predict_all(model, tset).label == ABSTAIN)
     estimate = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(n_models))

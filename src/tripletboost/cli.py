@@ -15,16 +15,22 @@ import numpy as np
 from . import bounds, boost, dataset, experiment, metrics, predict, triplets
 
 
+_GRID_POINTS = 1_000_000  # the most points a lo:hi:count range may ask for
+
+
 def _parse_grid(text: str, flag: str) -> list[float]:
-    """Either a comma list of floats or an inclusive 'lo:hi:count' range."""
+    """Either a comma list of floats or an inclusive 'lo:hi:count' range of at most
+    ``_GRID_POINTS`` points; a larger count is refused before anything is allocated."""
     try:
-        if ":" in text:
-            lo, hi, count = text.split(":")
+        if ":" not in text:
+            return [float(v) for v in text.split(",")]
+        lo, hi, count = text.split(":")
+        if int(count) <= _GRID_POINTS:
             return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
-        return [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} takes a comma list of numbers or a lo:hi:count range, "
                          f"got {text!r}") from None
+    raise ValueError(f"{flag} takes at most {_GRID_POINTS} points in a range, got {count}")
 
 
 def _output(path):

@@ -108,6 +108,15 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct values of an array, ascending: ``np.unique`` without the
+    ``numpy.ma`` import that numpy 2's ``unique`` makes."""
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def load_csv(path, has_header: bool = False) -> Dataset:
     """Read ``label,f1,...,fD`` rows (label-only rows give a feature-free dataset).
 
@@ -155,7 +164,7 @@ def save_csv(ds: Dataset, path) -> None:
     """Write a dataset back to CSV; floats use shortest round-trip decimals.
     A label name ``load_csv`` cannot read back raises: one holding a comma or a
     line break, or a blank one in a feature-free dataset (its rows are blank)."""
-    for name in (ds.label_dict.names[y] for y in np.unique(ds.labels).tolist()):
+    for name in (ds.label_dict.names[y] for y in _distinct(ds.labels).tolist()):
         if "," in name or len(f"{name}.".splitlines()) > 1 or not (
                 name.strip() or ds.features is not None):
             raise ValueError(f"label name {name!r} cannot be written to CSV: it holds "

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import formats
-from .dataset import Dataset, _check_unit, _round_half_up, _row
+from .dataset import Dataset, _check_unit, _distinct, _round_half_up, _row
 
 __all__ = [
     "Relation",
@@ -786,13 +786,13 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     among ``test_ids`` become test-time pairs over the relabelled references.
     Rows anchored on a held-out reference pair are dropped.
     """
-    train_ids = np.unique(_int64_ids(train_ids))
-    test_ids = np.unique(_int64_ids(test_ids))
+    train_ids = _distinct(_int64_ids(train_ids))
+    test_ids = _distinct(_int64_ids(test_ids))
     if train_ids.size < 2 or test_ids.size < 1:
         raise ValueError("need at least two training ids and one test id")
-    if np.intersect1d(train_ids, test_ids).size:
-        raise ValueError("train and test ids must be disjoint")
     ids = np.concatenate([train_ids, test_ids])
+    if _distinct(ids).size < ids.size:
+        raise ValueError("train and test ids must be disjoint")
     if ids.min() < 0 or ids.max() >= store.n:
         raise ValueError("ids out of range for the store universe")
     dtype = _id_dtype(max(train_ids.size, test_ids.size), train_ids.size)

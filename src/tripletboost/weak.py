@@ -7,9 +7,10 @@ a label set is a bool vector over the labels; at the API and file boundary
 (``TripletClassifier``, a view of a model's row, the step functions, model
 files) it is an int bitmask, which caps the label space at 64 classes.
 ``_play`` is the one boosting round and ``_Run.draw`` the one draw of its pair;
-the step functions (``select_labels``, ``round_weights`` and boost's
-``sample_reference_pair`` and ``update_weights``) run on a ``_Run`` built for one
-call, where a training run builds its ``_Run`` and the store's pair index once.
+boost's ``_boost``, the one loop of rounds that ``train`` and
+``end_to_end_abstention`` share, builds its ``_Run`` once and plays every round on
+it, where the step functions (``select_labels``, ``round_weights`` and boost's
+``sample_reference_pair`` and ``update_weights``) run on a ``_Run`` built for one call.
 
 A round gathers its fired rows of the weights once, as the store keeps them: those
 closer to lo = min(j, k) first.  One ``bincount`` adds each entry (row, label c) of

@@ -532,6 +532,29 @@ class TestMemoryBudget:
         assert peak / store.m <= 1.0, f"training peaks at {peak / store.m:.2f} B/row"
         assert held <= 16 << 10, f"training holds {held} B after it returns"
 
+    def test_rounds_leave_no_object_behind(self):
+        """Past the model it returns, ``train`` peaks at its record of the rounds:
+        one row a round of preallocated columns (a pair, two label sets and four
+        stats, 52 B at two labels) and the kept rows' copies, about 60 B a round,
+        where a tuple, an array and floats kept a round take about 270 B.  20k rounds
+        make that record the peak; the store's pair index is built first, as the
+        first round would build it.  Measured with tracemalloc."""
+        ds = make_moons(120, 0.1, 0)
+        store = generate_training_set(ds, "euclidean", 0.5, 0.0, 1)
+        store.pair_groups()
+        rounds = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            model = train(ds, store, BoostConfig(rounds=rounds, seed=2))
+            held, peak = (size - start for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert model.stats.shape == (rounds, 4)
+        above = (peak - held) / rounds
+        assert above <= 128, f"training peaks {above:.0f} B a round above its model"
+
 
 class TestModelFiles:
     def _model(self):

@@ -452,11 +452,13 @@ class TestEndToEnd:
         ((5, 5, 0.5, 5, 3, 10, 0), ("0x1.1111111111111p-4", "0x1.1111111111112p-5")),
         ((6, 3, 0.1, 8, 6, 30, 12), ("0x1.527d27d27d27dp-1", "0x1.a97960526d4f5p-5")),
         ((12, 4, 0.08, 12, 4, 30, 21), ("0x1.0444444444444p-1", "0x1.19787e4ffebc2p-5")),
+        ((6, 3, 0.2, 0, 3, 5, 1), ("0x1.0000000000000p+0", "0x0.0p+0")),  # no rounds
     ])
     def test_hex_snapshot(self, args, want):
         """Exact outputs recorded when each draw was scored by its own ``score``
         call; (7, 2, 0.02, ...) mixes models without and with kept classifiers.
         (12, 4, ...) was recorded while each round drew its pair with a fresh
-        other-class index, before the rounds shared one."""
+        other-class index, before the rounds shared one.  With no rounds the
+        training loop records empty columns and every draw abstains."""
         est, se = end_to_end_abstention(*args)
         assert (est.hex(), se.hex()) == want

@@ -242,9 +242,14 @@ class TestBoundCommands:
          "an exponent is infinite at k=1.0, beta=inf"),
         (("bound-surface", "--n", 10, "--k-grid", "0,inf", "--beta-grid", 1),
          "an exponent is infinite at k=inf, beta=1.0"),
+        (("bound-surface", "--n", 100, "--k-grid", "0:3:1000000000", "--beta-grid", "0:2:2"),
+         "--k-grid takes at most 1000000 points in a range, got 1000000000"),
+        (("bound-surface", "--n", 100, "--k-grid", 1, "--beta-grid", "0:2:10" + "0" * 14),
+         "--beta-grid takes at most 1000000 points in a range, got 1000000000000000"),
     ])
     def test_bad_input_is_an_error_line(self, capsys, argv, message):
-        """A bad n or grid prints ``error: ...`` and exits 1, not a traceback."""
+        """A bad n or grid prints ``error: ...`` and exits 1, not a traceback; a
+        range's count above a million is refused before its grid is made."""
         code, out, err = _run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -401,10 +406,11 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_no_numpy_ma_at_run_time(self):
-        """Generating, training, predicting, evaluating and certifying load no
+        """Generating, training, predicting, evaluating, certifying, measuring
+        abstention end to end, writing a CSV and splitting a store load no
         ``numpy.ma``, which numpy 2's ``np.unique`` imports (1.2 MiB of RSS)."""
         script = "\n".join((
-            "import sys",
+            "import os, sys",
             "import tripletboost.cli",
             "from tripletboost import BoostConfig, bounds, make_moons, metrics, train",
             "from tripletboost import generate_test_set, generate_training_set, predict_all",
@@ -417,6 +423,10 @@ class TestEntryPoint:
             "bounds.training_error_bound(ds.n_labels, model.z_history())",
             "bounds.margin(model, model.train_scores, ds.labels)",
             "bounds.abstention_bound(ds.n, store.availability(), len(model.classifiers))",
+            "bounds.end_to_end_abstention(6, 3, 0.2, 8, 2, 5, 1)",
+            "from tripletboost import save_csv, split_store_for_evaluation",
+            "save_csv(ds, os.devnull)",
+            "split_store_for_evaluation(store, range(20), range(20, 30))",
             "print('numpy.ma' in sys.modules)",
         ))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
