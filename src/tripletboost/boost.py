@@ -217,7 +217,8 @@ def _home(keys: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _slot_table(sorted_keys: np.ndarray):
-    """A linear-probing hash table of the C sorted (nonnegative) keys, and their run lengths.
+    """A linear-probing hash table of the C sorted (nonnegative) keys, and their int32
+    run lengths.
 
     The table has 2**bits + C int32 slots, bits = ``_slot_bits(C)``.  A distinct key
     takes the first slot from its home on that no other key took, and the slot
@@ -227,7 +228,7 @@ def _slot_table(sorted_keys: np.ndarray):
     """
     size, bits = sorted_keys.size, _slot_bits(sorted_keys.size)
     first = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-    runs = np.diff(first, append=size)
+    runs = np.diff(first, append=size).astype(np.int32)
     home = _home(sorted_keys[first], bits)
     order = np.argsort(home, kind="stable")
     rank = np.arange(first.size)

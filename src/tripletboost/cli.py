@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, boost, dataset, experiment, metrics, predict, triplets
+from . import bounds, boost, dataset, experiment, formats, metrics, predict, triplets
 
 
 _GRID_POINTS = 1_000_000  # the most points a lo:hi:count range may ask for
@@ -160,9 +160,8 @@ def _cmd_bound_surface(args) -> int:
     rows, skipped = bounds.bound_surface_rows(args.n, _parse_grid(args.k_grid, "--k-grid"),
                                               _parse_grid(args.beta_grid, "--beta-grid"))
     with _output(args.out) as out:
-        out.write("k,beta,bound\n")
-        for k, beta, value in rows:
-            out.write(f"{k:.17g},{beta:.17g},{value:.17g}\n")
+        formats.write_table(out, ["k,beta,bound"], "{:.17g},{:.17g},{:.17g}\n",
+                            np.array(rows, dtype=np.float64).reshape(-1, 3).T)
     for k, beta in skipped:
         print(f"skipped k={k!r} beta={beta!r}: availability exceeds 1",
               file=sys.stderr)
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
+
 __all__ = [
     "LabelDict",
     "Dataset",
@@ -169,14 +171,9 @@ def save_csv(ds: Dataset, path) -> None:
                 name.strip() or ds.features is not None):
             raise ValueError(f"label name {name!r} cannot be written to CSV: it holds "
                              "a comma or line break, or is blank in a feature-free row")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for idx in range(ds.n):
-            name = ds.label_dict.names[ds.labels[idx]]
-            if ds.features is None:
-                fh.write(f"{name}\n")
-            else:
-                row = ",".join(repr(v) for v in ds.features[idx].tolist())
-                fh.write(f"{name},{row}\n")
+    feats = () if ds.features is None else ds.features.T
+    formats.save_table(path, [], "{}" + ",{!r}" * len(feats) + "\n",
+                       [np.array(ds.label_dict.names, dtype=object)[ds.labels], *feats])
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import boost, dataset, metrics, predict, triplets
+from . import boost, dataset, formats, metrics, predict, triplets
 
 __all__ = ["ExperimentSpec", "parse_spec", "run_cell", "run_experiment"]
 
@@ -144,9 +143,7 @@ def run_experiment(spec: ExperimentSpec, log=None) -> list[tuple]:
                 rows.append(run_cell(spec, proportion, noise,
                                      cell_seed, data_seed))
     os.makedirs(spec.out_dir, exist_ok=True)
-    out_path = os.path.join(spec.out_dir, "results.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+    formats.save_table(os.path.join(spec.out_dir, "results.csv"), [",".join(CSV_HEADER)],
+                       "{},{!r},{!r},{},{!r},{!r}\n",
+                       [np.array(col, dtype=object) for col in zip(*rows)])
     return rows

@@ -1,13 +1,19 @@
-"""The record files: the store, test-set, model and ratings formats, and their rules.
+"""The record files: the store, test-set, model and ratings formats, and their rules;
+and the one table writer of every file the package writes.
 
-Only this module parses or writes their text: the header rule, the token rule,
-the line reader, the byte route and the line writer.  Callers pass in their own
-constructors and row checks, so it imports no other module of the package.
+Only this module parses the record files' text: the header rule, the token rule,
+the line reader and the byte route.  Its table writer (``write_table`` to a stream,
+``save_table`` to a path) writes every file: the record files here, and the dataset
+CSV, the predictions CSV, the bound surface and an experiment's ``results.csv``,
+whose modules pass in only their head lines, one line format and their columns.
+Callers pass in their own constructors and row checks, so it imports no other
+module of the package.
 """
 
 import numpy as np
 
 _PARSE_BLOCK = 1 << 20  # bytes of whole lines parsed at once from a writer's body
+_WRITE_BLOCK = 1 << 16  # rows formatted and written at once
 _WRITER_SEPS = np.frombuffer(b"  \n", dtype=np.uint8)  # the byte after each id of a line
 
 # a store file's header keys: its anchor universe, its reference universe and, in a
@@ -121,18 +127,25 @@ def _writer_ids(body: str) -> np.ndarray | None:
     return ids.reshape(-1, 3)
 
 
-def _write_lines(path, head, line: str, columns) -> None:
-    """The ``head`` lines, then ``line.format`` (ending in LF) of each row of ``columns``."""
+def write_table(fh, head, line: str, columns) -> None:
+    """To the text stream ``fh``: the ``head`` lines, then ``line.format`` of each row
+    of the equal-length array ``columns``, one argument a column; ``line`` ends in LF.
+    The rows are formatted and written ``_WRITE_BLOCK`` at a time."""
+    fh.write("".join(text + "\n" for text in head))
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = (col[start:start + _WRITE_BLOCK].tolist() for col in columns)
+        fh.write("".join(map(line.format, *block)))
+
+
+def save_table(path, head, line: str, columns) -> None:
+    """``write_table`` to the file at ``path``, as UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(text + "\n" for text in head))
-        for start in range(0, len(columns[0]), 1 << 16):
-            block = (col[start:start + (1 << 16)].tolist() for col in columns)
-            fh.write("".join(map(line.format, *block)))
+        write_table(fh, head, line, columns)
 
 
 def save_store(path, kind: str, sizes, columns) -> None:
     """A ``kind`` store file of the (n_anchors, n, m) ``sizes`` and the id ``columns``."""
-    _write_lines(path, [_header(kind, _STORE_KEYS[kind], sizes)], "{} {} {}\n", columns)
+    save_table(path, [_header(kind, _STORE_KEYS[kind], sizes)], "{} {} {}\n", columns)
 
 
 def load_store(path, kind: str, make):
@@ -161,8 +174,8 @@ def save_model(path, names, n_train: int, rounds_run: int, columns) -> None:
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"label name {name!r} cannot be serialized: "
                              "it holds a tab or line break")
-    _write_lines(path, [_header(_MODEL, _MODEL_KEYS, (len(names), n_train, rounds_run)),
-                        "\t".join(names)], "{} {} {!r} {:x} {:x}\n", columns)
+    save_table(path, [_header(_MODEL, _MODEL_KEYS, (len(names), n_train, rounds_run)),
+                      "\t".join(names)], "{} {} {!r} {:x} {:x}\n", columns)
 
 
 def load_model(path, check_universe, columns):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
 from .boost import StrongModel
 from .triplets import TestTripletSet, TripletStore, _int64_ids, _pair_keys
 
@@ -170,13 +171,17 @@ def score_naive(model: StrongModel, pairs) -> Prediction:
                        model.label_sets)[0]
 
 
-def _columns(predictions, n_labels: int) -> Predictions:
+def _columns(predictions, n_labels: int | None = None) -> Predictions:
     """``predictions`` (``Predictions`` or ``Prediction``s) as columns, each
-    prediction holding ``n_labels`` scores."""
+    prediction holding ``n_labels`` scores: by default as many as ``Predictions``
+    hold, even when empty, or as the first ``Prediction``."""
     if isinstance(predictions, Predictions):
-        sizes = np.full(len(predictions), predictions.scores.shape[1])
+        held = predictions.scores.shape[1]
+        sizes = np.full(len(predictions), held)
     else:
         sizes = np.array([p.scores.size for p in predictions], dtype=np.int64)
+        held = sizes[0] if sizes.size else 0
+    n_labels = held if n_labels is None else n_labels
     bad = np.flatnonzero(sizes != n_labels)
     if bad.size:
         raise ValueError(f"prediction {bad[0]} has {sizes[bad[0]]} scores "
@@ -230,8 +235,7 @@ def resolve_all(predictions, policy: str = "random", seed: int = 0) -> np.ndarra
     """``resolve`` for each prediction in turn, on one generator seeded ``seed``."""
     if not predictions:
         return np.zeros(0, dtype=np.int64)
-    return _resolve(_columns(predictions, predictions[0].scores.size).scores, policy,
-                    np.random.default_rng(seed))
+    return _resolve(_columns(predictions).scores, policy, np.random.default_rng(seed))
 
 
 def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarray:
@@ -249,14 +253,15 @@ def signed_scores_on_training(model: StrongModel, ts: TripletStore) -> np.ndarra
 
 
 def write_predictions_csv(fh, predictions, resolved: np.ndarray) -> None:
-    """Rows ``example_id,label,abstained,score_0,...``; label is the resolved id."""
-    n_labels = predictions[0].scores.size if predictions else 0
-    cols = _columns(predictions, n_labels)
-    header = ",".join(["example_id", "label", "abstained"]
-                      + [f"score_{y}" for y in range(n_labels)])
-    fh.write(header + "\n")
-    for idx, (label, abstained, scores) in enumerate(zip(
-            resolved, (cols.label == ABSTAIN).tolist(), cols.scores.tolist(), strict=True)):
-        cells = [str(idx), str(int(label)), str(int(abstained))]
-        cells += [repr(s) for s in scores]
-        fh.write(",".join(cells) + "\n")
+    """Rows ``example_id,label,abstained,score_0,...``; label is the resolved id.
+    A ``resolved`` of another length than ``predictions`` raises before any write."""
+    cols = _columns(predictions)
+    if len(resolved) != len(cols):
+        raise ValueError(f"{len(resolved)} resolved labels for {len(cols)} predictions")
+    n_labels = cols.scores.shape[1]
+    formats.write_table(
+        fh, [",".join(["example_id", "label", "abstained",
+                       *(f"score_{y}" for y in range(n_labels))])],
+        "{},{},{:d}" + ",{!r}" * n_labels + "\n",
+        [np.arange(len(cols)), np.asarray(resolved, dtype=np.int64), cols.label == ABSTAIN,
+         *cols.scores.T])

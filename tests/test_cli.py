@@ -460,6 +460,28 @@ class TestInputErrors:
         assert err.startswith("error: universe size must be in [1, 2000000]")
         assert out == ""
 
+    @pytest.mark.parametrize("command, detail", [
+        ("train", "Unable to allocate"),
+        (("simulate-abstention", "--n", 10, "--p", 0.5, "--classifiers", 10 ** 17,
+          "--trials", 1), "Unable to allocate"),
+        (("bound", "--n", 10 ** 400, "--p", 0.5, "--classifiers", 1),
+         "int too large to convert to float"),
+    ], ids=["train", "simulate-abstention", "bound"])
+    def test_input_too_large_to_compute_is_an_error_line(self, tmp_path, capsys, command,
+                                                         detail):
+        """Sizes far past any address space (10**17 rounds or classifiers) and an n
+        no float holds end in one ``error:`` line and exit 1; numpy refuses such an
+        array before it touches any memory."""
+        if command == "train":
+            data = _moons_csv(tmp_path, n=20)
+            assert _run(capsys, "gen-triplets", "--data", data, "--proportion", 0.2,
+                        "--out", tmp_path / "t.trp")[0] == 0
+            command = ("train", "--data", data, "--triplets", tmp_path / "t.trp",
+                       "--rounds", 10 ** 17, "--out-model", tmp_path / "big.txt")
+        code, out, err = _run(capsys, *command)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and detail in err
+
 
 def _ratings_fixture(path):
     """Acceptance criterion 9's ratings table (50 items, 60 users, 20 ratings

@@ -1,5 +1,6 @@
 """Dataset ingestion, label dictionaries, and split contracts."""
 
+import hashlib
 import math
 import re
 
@@ -108,6 +109,41 @@ class TestLoadCsv:
         save_csv(Dataset(np.array([0, 1]), LabelDict(("c", name)), np.zeros((2, 1))),
                  tmp_path / "b.csv")
         assert load_csv(tmp_path / "b.csv").label_dict.names == ("c", name)
+
+
+def _save_csv_cases():
+    """Seeded datasets for the byte pins: features with a signed zero, a subnormal
+    and extreme magnitudes; no features, with an unused label name save_csv could
+    not write; and legal names that are blank, braced, quoted, non-ASCII or a
+    no-break space."""
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=(40, 3)) * [1.0, 1e-7, 1e12]
+    feats[0] = [-0.0, 5e-324, 1.0]
+    feats[1] = [1e300, -2.5, 0.1]
+    yield "features", Dataset(rng.integers(0, 3, 40), LabelDict(("a", "b", "c")), feats)
+    yield "feature-free", Dataset(rng.integers(0, 4, 30),
+                                  LabelDict(("zero", "one", "two", "three", "never,used")))
+    names = ("", " \t", "{0}", "{}", "\u00e9 \u00f1", '"quoted"', "#", "x;y", "NaN", "\u00a0")
+    yield "unusual names", Dataset(np.arange(40) % len(names), LabelDict(names),
+                                   rng.uniform(-3, 3, size=(40, 2)))
+
+
+_SAVE_CSV_DIGESTS = {
+    "features": "c928b3df5ee46a8095d9c0fd0492b8434c3b5810190a7abcdbf97d2b89db88e0",
+    "feature-free": "d473d2764f40e13c961a6a55880fb62bbcea1631c57d32fb79f8ea139a158ffd",
+    "unusual names": "b33ac3aa5fad31d6b58e2adb38d9c2ef3022309a39c5f8992320a03a484e011c",
+}
+
+
+class TestSaveCsvBytes:
+    def test_output_digests_pinned(self, tmp_path):
+        """save_csv's bytes: label names as they are, shortest round-trip floats,
+        UTF-8 and LF."""
+        got = {}
+        for name, ds in _save_csv_cases():
+            save_csv(ds, tmp_path / "out.csv")
+            got[name] = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+        assert got == _SAVE_CSV_DIGESTS
 
 
 class TestDatasetFeatures:

@@ -567,6 +567,7 @@ class TestColumnarJoin:
         runs = np.searchsorted(model.sorted_keys, model.sorted_keys, "right") \
             - np.searchsorted(model.sorted_keys, model.sorted_keys)
         assert model.key_runs.tolist() == runs.tolist()
+        assert model.key_slots.dtype == model.key_runs.dtype == np.int32
         absent = np.setdiff1d(np.arange(n_train * n_train), keys)
         assert model._match(absent)[0].size == 0
         for col in (model.key_slots, model.key_runs):
@@ -606,6 +607,24 @@ class TestPredictionColumns:
             write_predictions_csv(buf, form, resolve_all(form, "random", 1))
             csv.append(buf.getvalue())
         assert csv[0] == csv[1]
+
+    def test_csv_checks_resolved_before_writing(self):
+        """A ``resolved`` column of another length raises and leaves the stream empty."""
+        preds = predict_all(_model([TripletClassifier(0, 1, 0b01, 0, 0.5)]),
+                            TestTripletSet(3, 10, [0, 1], [0, 2], [1, 3], [True, True]))
+        for size in (2, 4):
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match=f"{size} resolved labels for 3 predictions"):
+                write_predictions_csv(buf, preds, np.zeros(size, dtype=np.int64))
+            assert buf.getvalue() == ""
+
+    def test_csv_of_no_predictions_keeps_its_score_columns(self):
+        """An empty slice still has its labels: the header names every score column."""
+        preds = predict_all(_model([TripletClassifier(0, 1, 0b001, 0, 0.5)], 10, 3),
+                            TestTripletSet(2, 10, [0], [0], [1], [True]))
+        buf = io.StringIO()
+        write_predictions_csv(buf, preds[:0], resolve_all(preds[:0]))
+        assert buf.getvalue() == "example_id,label,abstained,score_0,score_1,score_2\n"
 
     def test_columns_are_read_only(self):
         preds = predict_all(_model([TripletClassifier(0, 1, 0b01, 0, 0.5)]),
