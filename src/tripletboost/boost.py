@@ -298,8 +298,11 @@ def _boost(run: _Run, rounds: int, uniform, rows_of, stats_every: int = 0):
     order, and every ``stats_every`` rounds (and after the last) a ``Checkpoint``
     of ``run.scores``; its bound adds the logs of z one at a time, in round order.
     """
-    pairs, stats = np.empty((rounds, 2), dtype=np.int64), np.empty((rounds, 4))
-    sets = np.empty((rounds, 2, run.w.shape[1]), dtype=bool)
+    try:
+        pairs, stats = np.empty((rounds, 2), dtype=np.int64), np.empty((rounds, 4))
+        sets = np.empty((rounds, 2, run.w.shape[1]), dtype=bool)
+    except MemoryError as error:
+        raise MemoryError(f"cannot hold the records of {rounds} rounds: {error}") from None
     checkpoints, log_z_sum = [], 0.0
     for rnd in range(rounds):
         j, k = pairs[rnd] = run.draw(uniform)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ __all__ = [
     "split",
     "make_moons",
 ]
+
+_MAX_FLOAT = sys.float_info.max  # the largest n that ``_check_n`` admits
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,15 @@ class Dataset:
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValueError("labels must be one-dimensional")
-        bad = np.flatnonzero((labels < 0) | (labels >= self.label_dict.size))
+        checks = [(np.flatnonzero((labels < 0) | (labels >= self.label_dict.size)),
+                   lambda idx: f"label id out of range at {_row(idx)}")]
         if self.features is not None:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)
             if feats.ndim != 2 or feats.shape[0] != labels.size or feats.shape[1] < 1:
                 raise ValueError("features must be an (n, D) array with D >= 1")
-            # the first bad row wins, and a row's label is checked before its features
-            _check_finite(feats[:bad[0] if bad.size else None], _row)
+            checks.append(_check_finite(feats, _row))
             object.__setattr__(self, "features", feats)
-        if bad.size:
-            raise ValueError(f"label id out of range at {_row(bad[0])}")
+        _first_bad(*checks)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -88,11 +90,22 @@ def _row(idx: int) -> str:  # how an in-memory constructor names a bad record
     return f"row {idx}"
 
 
-def _check_finite(features: np.ndarray, where) -> None:
-    """Reject the first example with a nan or inf feature, named by ``where(index)``."""
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise ValueError(f"malformed row at {where(bad[0])}: non-finite feature")
+def _first_bad(*checks) -> None:
+    """The one rule for bad input records: raise one ValueError for the lowest index
+    that any check rejects, with the message of the first listed check that rejects
+    it.  A check is (the indices of the records it rejects, an array or a sequence;
+    the message for an index)."""
+    first = [(np.min(rows), kind) for kind, (rows, _) in enumerate(checks) if len(rows)]
+    if first:
+        idx, kind = min(first)
+        raise ValueError(checks[kind][1](int(idx)))
+
+
+def _check_finite(features: np.ndarray, where):
+    """The check (see ``_first_bad``) of the examples with a nan or inf feature,
+    each named by ``where(index)``."""
+    return (np.flatnonzero(~np.isfinite(features).all(axis=1)),
+            lambda idx: f"malformed row at {where(idx)}: non-finite feature")
 
 
 def _check_unit(value: float, what: str) -> None:
@@ -101,8 +114,9 @@ def _check_unit(value: float, what: str) -> None:
 
 
 def _check_n(n) -> None:
-    """Refuse a training-set size n below 1, or not finite."""
-    if not 1 <= n < math.inf:  # NaN fails it too
+    """Refuse a training-set size n below 1, or not finite: a NaN, an infinity or
+    an int that no float holds."""
+    if not 1 <= n <= _MAX_FLOAT:  # NaN fails it too
         raise ValueError("n must be at least 1" if n < 1 else "n must be finite")
 
 
@@ -154,7 +168,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         rows.append(feats)
     features = np.array(rows, dtype=np.float64) if dim else None
     if features is not None:  # the rows above the first malformed line win over it
-        _check_finite(features, lambda idx: f"row {start + 1 + idx}")
+        _first_bad(_check_finite(features, lambda idx: f"row {start + 1 + idx}"))
     if malformed is not None:
         raise ValueError(malformed)
     if not labels:

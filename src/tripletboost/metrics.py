@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import LabelDict
+from .dataset import LabelDict, _first_bad
 from .predict import ABSTAIN, Prediction, _columns, _resolve
 
 __all__ = ["EvalReport", "evaluate_predictions", "parse_labels_file"]
@@ -90,15 +90,13 @@ def evaluate_predictions(predictions: Sequence[Prediction], truth: list[frozense
 def _truth_matrix(truth: list[frozenset[int]], n_labels: int) -> np.ndarray:
     """Bool (examples x labels) membership of the truth sets."""
     sizes = np.array([len(t) for t in truth], dtype=np.int64)
-    if not sizes.all():
-        raise ValueError("every example needs at least one true label "
-                         f"(example {np.argmin(sizes)} has none)")
     example = np.repeat(np.arange(sizes.size), sizes)
     ids = np.fromiter(itertools.chain.from_iterable(truth), np.int64, example.size)
-    bad = np.flatnonzero((ids < 0) | (ids >= n_labels))
-    if bad.size:
-        raise ValueError(f"true label {ids[bad[0]]} of example {example[bad[0]]} "
-                         f"is outside the {n_labels} labels")
+    bad = np.flatnonzero((ids < 0) | (ids >= n_labels))  # ascending by example
+    _first_bad((np.flatnonzero(sizes == 0), lambda ex: "every example needs at least one "
+                f"true label (example {ex} has none)"),
+               (example[bad], lambda ex: f"true label {ids[bad[example[bad] == ex][0]]} of "
+                f"example {ex} is outside the {n_labels} labels"))
     out = np.zeros((sizes.size, n_labels), dtype=bool)
     out[example, ids] = True
     return out

@@ -93,14 +93,13 @@ class Predictions(Sequence):
 
 def _example(pairs, n_train: int) -> TestTripletSet:
     """One example's (near, far) pairs, validated and sorted as a one-anchor test set."""
-    where = lambda idx: f"pair {idx}"
-    arr = _int64_ids(pairs, where)
+    arr, inexact = _int64_ids(pairs)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (near, far) id pairs")
     return TestTripletSet._from_ijk(1, n_train, np.zeros(len(arr), dtype=np.int64), *arr.T,
-                                    where)
+                                    lambda idx: f"pair {idx}", inexact)
 
 
 def _accumulate(model: StrongModel, n_examples: int, example: np.ndarray,

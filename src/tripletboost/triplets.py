@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import formats
-from .dataset import Dataset, _check_unit, _distinct, _round_half_up, _row
+from .dataset import Dataset, _check_unit, _distinct, _first_bad, _round_half_up, _row
 
 __all__ = [
     "Relation",
@@ -112,9 +112,11 @@ class TripletStore:
     def __init__(self, n, anchor, lo, hi, near_lo):
         self._init(n, n, anchor, lo, hi, near_lo, _row)
 
-    def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where) -> "TripletStore":
+    def _init(self, n_anchors, n, anchor, lo, hi, near_lo, where,
+              inexact=()) -> "TripletStore":
         """Hold the rows as ids of ``_id_dtype``.  ``where=None`` trusts them to be
-        canonical and takes them as they are, else they are checked in int64 and sorted."""
+        canonical and takes them as they are, else they are checked in int64 and
+        sorted; ``inexact`` lists the rows whose ids ``_int64_ids`` rejected."""
         _check_universe(n)
         # packed keys (a*n + lo)*n + hi fit int64, and anchor ids fit int32
         limit = min((2**63 - 1) // (int(n) * int(n)), np.iinfo(_ID_DTYPE).max)
@@ -126,7 +128,7 @@ class TripletStore:
         if where is not None:
             anchor, lo, hi, near_lo = self._canonicalize(
                 *(np.asarray(col, dtype=np.int64) for col in (anchor, lo, hi)),
-                np.asarray(near_lo, dtype=bool), where)
+                np.asarray(near_lo, dtype=bool), where, inexact)
         dtype = _id_dtype(n_anchors, n)
         self._anchor, self._lo, self._hi = (np.ascontiguousarray(col, dtype=dtype)
                                             for col in (anchor, lo, hi))
@@ -134,42 +136,41 @@ class TripletStore:
         self._pair_cache = None
         return self
 
-    def _canonicalize(self, a, lo, hi, near_lo, where):
+    def _canonicalize(self, a, lo, hi, near_lo, where, inexact):
         """The int64 rows checked, then as id columns in canonical order.  The
-        first bad row raises, named by ``where(row)``; of a repeated triplet, the
-        later row is the bad one.  (A row outside the universes may share a key,
-        but it is bad and comes first.)"""
+        first bad row raises, named by ``where(row)``: one of ``inexact`` first, of
+        a repeated triplet the later row.  (A row outside the universes, or with an
+        inexact id, may share a key, but it is bad and comes first.)"""
         if not a.size == lo.size == hi.size == near_lo.size:
             raise ValueError(f"column lengths differ: {a.size}, {lo.size}, {hi.size}, "
                              f"{near_lo.size}")
         keys = (a * self.n + lo) * self.n + hi
         order = np.argsort(keys, kind="stable")  # a repeated key follows its first row
-        repeat = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        keys = keys[order]
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
         later = order[repeat + 1]
         same = near_lo[later] == near_lo[order[repeat]]
         outside = ((a < 0) | (a >= self.n_anchors) | (np.minimum(lo, hi) < 0)
                    | (np.maximum(lo, hi) >= self.n))
-        rejected = (np.flatnonzero(lo == hi), np.flatnonzero(outside),
-                    np.flatnonzero(lo > hi), later[same], later[~same])
-        first = [(int(rows.min()), kind) for kind, rows in enumerate(rejected) if rows.size]
-        if first:  # the first bad row, and the first check listed that rejects it
-            row, kind = min(first)
-            at = where(row)
-            raise ValueError((
-                f"degenerate triplet at {at}: reference examples j and k must differ",
-                f"example id out of range at {at}: anchors lie in [0, {self.n_anchors}), "
-                f"references in [0, {self.n})",
-                f"unordered pair at {at}: pair columns must satisfy lo < hi",
-                f"duplicate triplet at {at}",
-                f"contradictory triplet at {at}")[kind])
+        _first_bad(_inexact(inexact, where),
+                   (np.flatnonzero(lo == hi), lambda row: f"degenerate triplet at "
+                    f"{where(row)}: reference examples j and k must differ"),
+                   (np.flatnonzero(outside), lambda row: f"example id out of range at "
+                    f"{where(row)}: anchors lie in [0, {self.n_anchors}), references in "
+                    f"[0, {self.n})"),
+                   (np.flatnonzero(lo > hi), lambda row: f"unordered pair at {where(row)}: "
+                    "pair columns must satisfy lo < hi"),
+                   (later[same], lambda row: f"duplicate triplet at {where(row)}"),
+                   (later[~same], lambda row: f"contradictory triplet at {where(row)}"))
         dtype = _id_dtype(self.n_anchors, self.n)
         return (*(col.astype(dtype)[order] for col in (a, lo, hi)), near_lo[order])
 
     @classmethod
-    def _from_ijk(cls, n_anchors, n, i, j, k, where) -> "TripletStore":
-        """A store of this kind from (i, j, k) id columns, a bad row named by ``where``."""
+    def _from_ijk(cls, n_anchors, n, i, j, k, where, inexact=()) -> "TripletStore":
+        """A store of this kind from (i, j, k) id columns, a bad row named by ``where``;
+        ``inexact`` lists the rows whose ids ``_int64_ids`` rejected."""
         return object.__new__(cls)._init(n_anchors, n, i, np.minimum(j, k),
-                                         np.maximum(j, k), j < k, where)
+                                         np.maximum(j, k), j < k, where, inexact)
 
     @classmethod
     def _canonical(cls, n_anchors, n, anchor, lo, hi, near_lo) -> "TripletStore":
@@ -180,9 +181,9 @@ class TripletStore:
     def from_triplets(n: int, triplets) -> "TripletStore":
         """Build a training store from (i, j, k) tuples; anchors may repeat pair members."""
         rows = [(t.i, t.j, t.k) if isinstance(t, Triplet) else tuple(t) for t in triplets]
-        where = lambda idx: f"triplet {idx}"
-        ids = _int64_ids(rows, where).reshape(len(rows), 3)
-        return TripletStore._from_ijk(n, n, *ids.T, where)
+        ids, inexact = _int64_ids(rows)
+        return TripletStore._from_ijk(n, n, *ids.reshape(len(rows), 3).T,
+                                      lambda idx: f"triplet {idx}", inexact)
 
     @property
     def m(self) -> int:
@@ -651,10 +652,11 @@ class RatingsTable:
                              + ", ".join(map(str, sizes)))
         if sizes[0] == 0:
             raise ValueError("empty ratings table")
-        for name in ("user", "item"):  # an id int64 cannot hold is rejected first
-            object.__setattr__(self, name, _int64_ids(getattr(self, name)))
-        object.__setattr__(self, "rating", np.asarray(self.rating, dtype=np.float64))
-        _check_ratings(self.user, self.item, self.rating, self.n_items, _row)
+        (user, bad_user), (item, bad_item) = map(_int64_ids, (self.user, self.item))
+        rating = np.asarray(self.rating, dtype=np.float64)
+        _check_ratings(user, item, rating, self.n_items, _row,
+                       np.append(bad_user, bad_item))
+        self.__dict__.update(user=user, item=item, rating=rating)  # a frozen dataclass
 
     @classmethod
     def _checked(cls, user, item, rating, where) -> "RatingsTable":
@@ -667,39 +669,39 @@ class RatingsTable:
         return table
 
 
-def _int64_ids(ids, where=_row) -> np.ndarray:
-    """``ids`` (one id or one row of ids per record) as int64; the first record
-    with an id that int64 does not hold exactly is named by ``where(index)``."""
+def _int64_ids(ids) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` (one id or one row of ids per record) as int64, and the indices of
+    the records with an id that int64 does not hold exactly (it reads as 0 here)."""
     ids = np.asarray(ids)
     if np.can_cast(ids.dtype, np.int64):  # any integer (or bool) dtype int64 holds
-        return ids.astype(np.int64, copy=False)
+        return ids.astype(np.int64, copy=False), np.empty(0, dtype=np.int64)
     fits = (ids >= _INT64.min) & (ids <= _INT64.max)  # exact on Python ints, too
     with np.errstate(invalid="ignore"):
         out = np.where(fits, ids, 0).astype(np.int64)
-    bad = np.argwhere(~fits | (out != ids))  # out of range, a fraction or a NaN
-    if bad.size:
-        raise ValueError(f"id not an int64 integer at {where(bad[0][0])}")
-    return out
+    # out of range, a fraction or a NaN; a lone id is record 0
+    return out, np.nonzero(np.atleast_1d(~fits | (out != ids)))[0]
 
 
-def _check_ratings(user, item, rating, n_items: int, where) -> None:
+def _inexact(records, where):
+    """The check (see ``_first_bad``) of the ``records`` that ``_int64_ids`` rejects,
+    each named by ``where(index)``."""
+    return records, lambda idx: f"id not an int64 integer at {where(idx)}"
+
+
+def _check_ratings(user, item, rating, n_items: int, where, inexact=()) -> None:
     """Reject the first bad row of the int64/int64/float64 columns, named by
-    ``where(index)``: its item id is checked, then its rating, then whether a row
-    above rated its (user, item)."""
+    ``where(index)``: whether it is one of ``inexact``, then its item id, then its
+    rating, then whether a row above rated its (user, item)."""
     order = np.lexsort((item, user))  # stable, so a repeat follows its first row
     u, it = user[order], item[order]
-    repeat = order[1:][(u[1:] == u[:-1]) & (it[1:] == it[:-1])]
-    rejected = (np.flatnonzero(item < 0), np.flatnonzero(item >= n_items),
-                np.flatnonzero(~np.isfinite(rating)), repeat)
-    first = [(int(rows.min()), kind) for kind, rows in enumerate(rejected) if rows.size]
-    if first:  # the first bad row, and the first check listed that rejects it
-        row, kind = min(first)
-        at = where(row)
-        raise ValueError((
-            f"negative item id at {at}",
-            f"item id {int(item[row])} out of range for n_items={n_items} at {at}",
-            f"non-finite rating at {at}",
-            f"duplicate rating at {at}")[kind])
+    _first_bad(_inexact(inexact, where),
+               (np.flatnonzero(item < 0), lambda row: f"negative item id at {where(row)}"),
+               (np.flatnonzero(item >= n_items), lambda row: f"item id {int(item[row])} "
+                f"out of range for n_items={n_items} at {where(row)}"),
+               (np.flatnonzero(~np.isfinite(rating)),
+                lambda row: f"non-finite rating at {where(row)}"),
+               (order[1:][(u[1:] == u[:-1]) & (it[1:] == it[:-1])],
+                lambda row: f"duplicate rating at {where(row)}"))
 
 
 def load_ratings(path) -> RatingsTable:
@@ -767,11 +769,10 @@ def _pair_vote(anchor: dict, lo: dict, hi: dict) -> int:
 
 def _sample_indices(total: int, k: int, rng) -> np.ndarray:
     """k distinct indices in [0, total) without materializing the range."""
-    seen: set[int] = set()
-    while len(seen) < k:
-        draw = rng.integers(0, total, size=k - len(seen))
-        seen.update(int(v) for v in draw)
-    return np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
+    seen = np.empty(0, dtype=np.int64)
+    while seen.size < k:
+        seen = _distinct(np.concatenate((seen, rng.integers(0, total, size=k - seen.size))))
+    return seen
 
 
 # -- holdout evaluation -------------------------------------------------------
@@ -786,8 +787,10 @@ def split_store_for_evaluation(store: TripletStore, train_ids, test_ids
     among ``test_ids`` become test-time pairs over the relabelled references.
     Rows anchored on a held-out reference pair are dropped.
     """
-    train_ids = _distinct(_int64_ids(train_ids))
-    test_ids = _distinct(_int64_ids(test_ids))
+    (train_ids, bad_train), (test_ids, bad_test) = map(_int64_ids, (train_ids, test_ids))
+    _first_bad(_inexact(bad_train, _row))  # two inputs: the train ids are checked first
+    _first_bad(_inexact(bad_test, _row))
+    train_ids, test_ids = _distinct(train_ids), _distinct(test_ids)
     if train_ids.size < 2 or test_ids.size < 1:
         raise ValueError("need at least two training ids and one test id")
     ids = np.concatenate([train_ids, test_ids])

@@ -207,7 +207,8 @@ def _bin_index(sets: bytes) -> tuple[np.ndarray, np.ndarray]:  # a (2, L) bool m
     """The read-only (2, L) bool sets, and each bin's factor and vote index into
     (e^alpha, e^-alpha, -alpha, alpha)."""
     member = np.frombuffer(sets, dtype=bool)  # read-only, as bytes are
-    index = np.array((np.concatenate((member, ~member)), np.tile(member, 2) + 2))
+    index = np.array((np.concatenate((member, ~member)),
+                      np.concatenate((member, member)) + 2))
     index.flags.writeable = False
     return member.reshape(2, -1), index
 

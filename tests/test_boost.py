@@ -340,6 +340,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             BoostConfig(rounds=0)
 
+    def test_stats_every_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^stats_every must be nonnegative$"):
+            BoostConfig(rounds=1, stats_every=-1)
+
+    @pytest.mark.parametrize("n_labels, message", [
+        (1, "^training needs at least two labels$"),
+        (65, "^at most 64 labels are supported$"),
+    ])
+    def test_label_count_between_two_and_64(self, n_labels, message):
+        ds = Dataset(np.array([0, 0]), LabelDict(tuple(str(y) for y in range(n_labels))))
+        with pytest.raises(ValueError, match=message):
+            train(ds, TripletStore.from_triplets(2, []), BoostConfig(rounds=1))
+
 
 def _moons_corpus():
     ds = make_moons(350, 0.1, 0)
@@ -598,6 +611,12 @@ class TestModelFiles:
         path.write_text("tripletboost-model v7 L=2 n=3 C=1\na\tb\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="version mismatch"):
+            load_model(path)
+
+    def test_names_line_must_hold_l_names(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("tripletboost-model v1 L=3 n=3 C=0\na\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^label count disagrees with header in "):
             load_model(path)
 
     @pytest.mark.parametrize("row, message", [

@@ -81,6 +81,10 @@ class TestTrainingErrorBound:
         with pytest.raises(ValueError, match=r"round normalizers must lie in \(0, 1\]"):
             training_error_bound(2, [0.9, math.nan])
 
+    def test_needs_two_labels(self):
+        with pytest.raises(ValueError, match="^need at least two labels$"):
+            training_error_bound(1, [0.9])
+
 
 class TestEmpiricalMarginBound:
     def test_vanishing_margin_recovers_error_bound(self):
@@ -131,6 +135,12 @@ class TestEmpiricalMarginBound:
         with pytest.raises(ValueError, match=message):
             empirical_margin_bound(*args, theta=0.1)
 
+    def test_empty_histories_and_a_log_total_past_700(self):
+        """No rounds give the vacuous L/2; a log total above 700 gives inf, not an
+        overflow of exp."""
+        assert empirical_margin_bound(3, [], [], [], 10, theta=0.1) == 1.5
+        assert empirical_margin_bound(2, [1.0], [1.0], [0.0], 10, theta=1e4) == math.inf
+
     def test_infinite_n_rejected(self):
         """An infinite n is not a training-set size: no warning and no inf bound."""
         with pytest.raises(ValueError, match="n must be finite"):
@@ -177,6 +187,10 @@ class TestMargin:
     def test_nan_total_weight_rejected(self):
         with pytest.raises(ValueError, match="total classifier weight must be positive"):
             margin_values(np.array([[0.5, -0.5]]), np.array([0]), eta=math.nan)
+
+    def test_needs_two_label_columns(self):
+        with pytest.raises(ValueError, match="^need at least two labels$"):
+            margin_values(np.zeros((3, 1)), np.zeros(3, dtype=np.int64), eta=1.0)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_scores_rejected(self, bad):
@@ -442,6 +456,15 @@ class TestEndToEnd:
     def test_no_draws_rejected(self):
         with pytest.raises(ValueError, match="at least one draw"):
             end_to_end_abstention(6, 3, 0.2, 10, n_models=2, draws_per_model=0)
+
+    def test_one_model_rejected(self):
+        with pytest.raises(ValueError, match="^need at least two models for a standard "
+                                             "error$"):
+            end_to_end_abstention(6, 3, 0.2, 10, n_models=1, draws_per_model=4)
+
+    def test_more_labels_than_examples_rejected(self):
+        with pytest.raises(ValueError, match="^need 2 <= n_labels <= n$"):
+            end_to_end_abstention(6, 7, 0.2, 10, n_models=2, draws_per_model=4)
 
     @pytest.mark.parametrize("args, want", [
         ((6, 2, 0.0, 10, 3, 5, 1), ("0x1.0000000000000p+0", "0x0.0p+0")),  # p = 0

@@ -132,6 +132,25 @@ class TestTrainCommand:
         assert not (tmp_path / "-").exists()
         assert out == (tmp_path / "preds.csv").read_text(encoding="utf-8") + report
 
+    def test_labels_file_of_the_wrong_length_rejected(self, tmp_path, capsys):
+        ds = make_moons(30, 0.1, 3)
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(ds.take(np.arange(24)), train_csv)
+        save_csv(ds.take(np.arange(24, 29)), test_csv)  # 5 labels for 6 test examples
+        six = tmp_path / "six.csv"
+        save_csv(ds.take(np.arange(24, 30)), six)
+        trp, test_trp, model = tmp_path / "t.trp", tmp_path / "test.trp", tmp_path / "m.txt"
+        _run(capsys, "gen-triplets", "--data", train_csv, "--proportion", 0.5,
+             "--seed", 1, "--out", trp)
+        _run(capsys, "gen-triplets", "--data", train_csv, "--test-data", six,
+             "--proportion", 0.5, "--seed", 2, "--out", test_trp)
+        _run(capsys, "train", "--data", train_csv, "--triplets", trp, "--rounds", 40,
+             "--out-model", model)
+        code, out, err = _run(capsys, "evaluate", "--model", model, "--test-triplets",
+                              test_trp, "--labels", test_csv)
+        assert (code, out) == (1, "")
+        assert err == "error: labels file has 5 rows but the test set has 6 examples\n"
+
     def test_rounds_zero_rejected(self, tmp_path, capsys):
         data = _moons_csv(tmp_path)
         code, _, _ = _run(capsys, "gen-triplets", "--data", data,
@@ -246,6 +265,11 @@ class TestBoundCommands:
          "--k-grid takes at most 1000000 points in a range, got 1000000000"),
         (("bound-surface", "--n", 100, "--k-grid", 1, "--beta-grid", "0:2:10" + "0" * 14),
          "--beta-grid takes at most 1000000 points in a range, got 1000000000000000"),
+        (("bound", "--n", 10, "--k", 1), "--k and --beta must be given together"),
+        (("bound", "--n", 10, "--beta", 1), "--k and --beta must be given together"),
+        (("bound", "--n", 10), "give either --p and --classifiers, or --k and --beta"),
+        (("bound", "--n", 10, "--p", 0.1),
+         "give either --p and --classifiers, or --k and --beta"),
     ])
     def test_bad_input_is_an_error_line(self, capsys, argv, message):
         """A bad n or grid prints ``error: ...`` and exits 1, not a traceback; a
@@ -271,6 +295,16 @@ class TestBoundCommands:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "k,beta,bound"
         assert len(lines) == 19
+
+    def test_surface_names_each_skipped_cell(self, tmp_path, capsys):
+        """A cell whose availability p = 2n^(k-3) exceeds 1 is left out of the CSV
+        and named on stderr."""
+        out = tmp_path / "surface.csv"
+        code, stdout, err = _run(capsys, "bound-surface", "--n", 100, "--k-grid", "1,2.9",
+                                 "--beta-grid", 1, "--out", out)
+        assert (code, stdout) == (0, "")
+        assert err == "skipped k=2.9 beta=1.0: availability exceeds 1\n"
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_limit_value(self, capsys):
         import math
@@ -464,8 +498,7 @@ class TestInputErrors:
         ("train", "Unable to allocate"),
         (("simulate-abstention", "--n", 10, "--p", 0.5, "--classifiers", 10 ** 17,
           "--trials", 1), "Unable to allocate"),
-        (("bound", "--n", 10 ** 400, "--p", 0.5, "--classifiers", 1),
-         "int too large to convert to float"),
+        (("bound", "--n", 10 ** 400, "--p", 0.5, "--classifiers", 1), "n must be finite"),
     ], ids=["train", "simulate-abstention", "bound"])
     def test_input_too_large_to_compute_is_an_error_line(self, tmp_path, capsys, command,
                                                          detail):
@@ -481,6 +514,26 @@ class TestInputErrors:
         code, out, err = _run(capsys, *command)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and detail in err
+
+    def test_n_past_the_largest_float_is_not_finite(self, capsys):
+        """An int n that no float holds is refused as not finite before any power
+        or product is formed."""
+        for command in ("bound", "simulate-abstention"):
+            code, out, err = _run(capsys, command, "--n", 10 ** 400, "--p", 0.5,
+                                  "--classifiers", 1)
+            assert (code, out, err) == (1, "", "error: n must be finite\n")
+
+    def test_round_count_too_large_to_hold_is_named(self, tmp_path, capsys):
+        data = _moons_csv(tmp_path, n=20)
+        assert _run(capsys, "gen-triplets", "--data", data, "--proportion", 0.2,
+                    "--out", tmp_path / "t.trp")[0] == 0
+        code, out, err = _run(capsys, "train", "--data", data, "--triplets",
+                              tmp_path / "t.trp", "--rounds", 10 ** 17,
+                              "--out-model", tmp_path / "big.txt")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot hold the records of {10 ** 17} rounds: "
+                              "Unable to allocate ")
+        assert err.count("\n") == 1
 
 
 def _ratings_fixture(path):

@@ -167,6 +167,16 @@ class TestDatasetFeatures:
         with pytest.raises(ValueError, match="label id out of range at row 2"):
             Dataset(np.array([0, 1, 2]), LabelDict(("a", "b")))
 
+    def test_labels_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="^labels must be one-dimensional$"):
+            Dataset(np.zeros((2, 2), dtype=np.int64), LabelDict(("a", "b")))
+
+    @pytest.mark.parametrize("feats", [np.zeros(2), np.zeros((3, 1)), np.zeros((2, 0))])
+    def test_features_must_be_an_n_by_d_array(self, feats):
+        """A 1-D array, a row count other than the labels', or no feature column."""
+        with pytest.raises(ValueError, match=r"^features must be an \(n, D\) array"):
+            Dataset(np.array([0, 1]), LabelDict(("a", "b")), feats)
+
 
 class TestLabelDict:
     def test_duplicate_names_rejected(self):
@@ -233,6 +243,10 @@ class TestMoons:
         bottom = ds.features[ds.labels == 1]
         assert top[:, 1].min() >= -1e-9
         assert bottom[:, 1].max() <= 0.5 + 1e-9
+
+    def test_needs_two_examples(self):
+        with pytest.raises(ValueError, match="^need at least two examples$"):
+            make_moons(1)
 
     @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
     def test_negative_or_non_finite_noise_rejected(self, noise):

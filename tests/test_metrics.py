@@ -108,6 +108,22 @@ class TestEvaluateInputs:
         with pytest.raises(ValueError, match=message):
             evaluate_predictions(self._preds(), truth, LabelDict(("a", "b")))
 
+    def test_first_bad_example_wins(self):
+        """An out-of-range label is named before an empty truth set further on: the
+        first bad example wins, whichever check rejects it."""
+        preds = [Prediction(np.zeros(2), ABSTAIN, 0, 0.0)] * 5
+        truth = [{0}, {0}, {7}, {0}, set()]
+        with pytest.raises(ValueError, match="^true label 7 of example 2 is outside the "
+                                             "2 labels$"):
+            evaluate_predictions(preds, truth, LabelDict(("a", "b")))
+        with pytest.raises(ValueError, match=r"^every example needs at least one true "
+                                             r"label \(example 1 has none\)$"):
+            evaluate_predictions(preds, [{0}, set(), {7}, {0}, {0}], LabelDict(("a", "b")))
+
+    def test_no_predictions_rejected(self):
+        with pytest.raises(ValueError, match="^nothing to evaluate$"):
+            evaluate_predictions([], [], LabelDict(("a", "b")))
+
     def test_score_count_mismatch_names_the_example(self):
         preds = self._preds()
         preds[1] = Prediction(np.zeros(3), ABSTAIN, 0, 0.0)
@@ -209,3 +225,20 @@ class TestLabelsFile:
         path.write_text("label\na\n", encoding="utf-8")
         truth = parse_labels_file(path, LabelDict(("a", "b")), has_header=True)
         assert truth == [frozenset([0])]
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("a\n\nb\n", encoding="utf-8")
+        assert parse_labels_file(path, LabelDict(("a", "b"))) == [frozenset([0]),
+                                                                 frozenset([1])]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a\n|,0.5\n", "^missing label at row 2$"),
+        ("", "^empty labels file$"),
+        ("\n\n", "^empty labels file$"),
+    ])
+    def test_row_without_label_or_no_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            parse_labels_file(path, LabelDict(("a", "b")))

@@ -137,6 +137,13 @@ class TestScore:
             np.testing.assert_array_equal(got.scores, want.scores)
             assert (got.matched, got.fired_alpha) == (want.matched, want.fired_alpha)
 
+    def test_first_bad_pair_wins_over_an_inexact_id(self):
+        """An id int64 does not hold is checked with its pair: a bad pair above wins."""
+        model = _model([TripletClassifier(1, 2, 0b01, 0, 0.5)])
+        for scorer in (score, score_naive):
+            with pytest.raises(ValueError, match="^degenerate triplet at pair 0"):
+                scorer(model, [(1, 1), (0.5, 2)])
+
     def test_uint64_id_beyond_int64_rejected(self):
         model = _model([TripletClassifier(1, 2, 0b01, 0, 0.5)])
         with pytest.raises(ValueError, match="id not an int64 integer at pair 1"):
@@ -324,6 +331,12 @@ class TestSignedScoresJoin:
         tset = TestTripletSet(1, 10, [0], [0], [1], [True])
         with pytest.raises(ValueError, match="TestTripletSet"):
             signed_scores_on_training(model, tset)
+
+    def test_store_of_another_universe_rejected(self):
+        model = _model([TripletClassifier(0, 1, 0b01, 0b10, 0.5)], 10, 2)
+        store = TripletStore(3, [0], [1], [2], [True])
+        with pytest.raises(ValueError, match="^store universe does not match the model$"):
+            signed_scores_on_training(model, store)
 
 
 class TestPredictAll:

@@ -36,7 +36,8 @@ from tripletboost import (
     subsample,
 )
 from tripletboost.boost import StrongModel, load_model
-from tripletboost.triplets import _distances, _per_group_take, _unrank_pairs
+from tripletboost.triplets import (_distances, _per_group_take, _sample_indices,
+                                   _unrank_pairs)
 from tripletboost.weak import TripletClassifier, fired_buckets
 
 
@@ -119,6 +120,11 @@ class TestGenerateFromVectors:
         ds = Dataset(np.array([0, 1, 0]), LabelDict(("a", "b")))
         with pytest.raises(ValueError, match="feature"):
             generate_from_vectors(ds, "euclidean")
+
+    def test_unknown_metric_rejected(self):
+        ds = _vec_dataset([0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="^unknown metric 'chebyshev'; expected one "):
+            generate_training_set(ds, "chebyshev", 1.0, 0.0, 0)
 
     def test_exactly_one_orientation_per_untied_candidate(self):
         rng = np.random.default_rng(3)
@@ -651,6 +657,50 @@ class TestRatings:
             RatingsTable(np.array([1, 1, 1]), np.array([0, 1, 5]),
                          np.array([5.0, 3.0, 4.0]), 3)
 
+    def test_generation_needs_three_items_and_a_nonnegative_limit(self):
+        two = RatingsTable(np.array([1, 1]), np.array([0, 1]), np.array([5.0, 3.0]), 2)
+        with pytest.raises(ValueError, match="^need at least three items$"):
+            generate_from_ratings(two)
+        three = RatingsTable(np.array([1, 1, 1]), np.array([0, 1, 2]),
+                             np.array([5.0, 3.0, 4.0]), 3)
+        with pytest.raises(ValueError, match="^candidate_limit must be nonnegative$"):
+            generate_from_ratings(three, candidate_limit=-1)
+
+    @pytest.mark.parametrize("total, k, seed", [
+        (10, 10, 0), (10, 0, 1), (1_000, 999, 2), (50, 30, 4), (10**12, 5_000, 3),
+        (3_706 * (3_705 * 3_704 // 2), 20_000, 5)])
+    def test_sampler_equals_the_set_based_draw(self, total, k, seed):
+        """The candidate sampler draws as a set of Python ints did: the same RNG
+        calls, and the same sorted distinct indices."""
+
+        def reference(total, k, rng):
+            seen = set()
+            while len(seen) < k:
+                draw = rng.integers(0, total, size=k - len(seen))
+                seen.update(int(v) for v in draw)
+            return np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
+
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _sample_indices(total, k, got_rng), reference(total, k, want_rng)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()  # the generators stay in step
+
+    @pytest.mark.parametrize("limit, seed, digest", [
+        (10_000, 3, "21ff33c3dd0aa45fd47179df0d874e57809fa7c23db78671f8fd3cb793e88178"),
+        (500, 1, "3c34ae151e14ad03656edc1d34340292c841f4f5aef54d692bd9d02ea5b34cc6"),
+    ])
+    def test_limited_store_bytes_pinned(self, tmp_path, limit, seed, digest):
+        """sha256 of the saved store of a limited draw over 30 items (12,180
+        candidates), recorded from the set-based sampler."""
+        rng = np.random.default_rng(7)
+        users = np.repeat(np.arange(40), 15)
+        items = np.concatenate([rng.choice(30, size=15, replace=False) for _ in range(40)])
+        ratings = rng.integers(1, 6, size=users.size).astype(float)
+        table = RatingsTable(users, items, ratings, 30)
+        path = tmp_path / "ratings.trp"
+        generate_from_ratings(table, candidate_limit=limit, seed=seed).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 def _moons_store(proportion=0.3):
     return generate_training_set(make_moons(20, 0.1, 2), "euclidean", proportion, 0.1, 4)
@@ -846,6 +896,11 @@ class TestEvaluationSplit:
                                       "euclidean", 1.0, 0.0, 0)
         assert test_set == want_test
 
+    def test_ids_outside_the_universe_rejected(self):
+        full = generate_from_vectors(make_moons(10, 0.1, 0), "euclidean")
+        with pytest.raises(ValueError, match="^ids out of range for the store universe$"):
+            split_store_for_evaluation(full, [0, 1, 2], [10])
+
     def test_disjointness_enforced(self):
         from tripletboost import split_store_for_evaluation
 
@@ -957,6 +1012,30 @@ class TestRecordChecks:
         model = StrongModel([TripletClassifier(0, 1, 0b01, 0b10, 0.5)],
                             LabelDict(("a", "b")), 4)
         with pytest.raises(ValueError, match=message):
+            make(model)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda model: TripletStore.from_triplets(
+            5, [(0, 1, 1), (0, 1, 2), (0, 2, 3), (1.5, 2, 3)]),
+         "degenerate triplet at triplet 0: reference examples j and k must differ"),
+        (lambda model: TripletStore.from_triplets(5, [(0, 1, 2), (2**64, 2, 3), (0, 1, 1)]),
+         "id not an int64 integer at triplet 1"),
+        (lambda model: score(model, [(1, 1), (0.5, 2)]), "degenerate triplet at pair 0"),
+        (lambda model: score_naive(model, [(0, 1), (0.5, 2), (1, 1)]),
+         "id not an int64 integer at pair 1"),
+        (lambda model: RatingsTable([0, 1, 2, 3, 4, 5.5], [0.5, 1, 2, 3, 4, 5], np.ones(6),
+                                    10), "id not an int64 integer at row 0"),
+        (lambda model: RatingsTable([0, 1, 1, 3.5], [0, 1, 1, 2], np.ones(4), 3),
+         "duplicate rating at row 2"),
+        (lambda model: RatingsTable([0, 1, 1.5, 2], [0, 7, 1, 2], np.ones(4), 3),
+         "item id 7 out of range for n_items=3 at row 1"),
+    ])
+    def test_first_bad_record_wins_over_an_inexact_id(self, make, message):
+        """An id that int64 does not hold is checked as part of its record, first of
+        that record's checks: an earlier bad record wins, as in a file."""
+        model = StrongModel([TripletClassifier(0, 1, 0b01, 0b10, 0.5)],
+                            LabelDict(("a", "b")), 4)
+        with pytest.raises(ValueError, match=f"^{message}"):
             make(model)
 
     @pytest.mark.parametrize("header, body, message", [
@@ -1372,6 +1451,24 @@ class TestMemoryBudget:
         assert store._anchor.dtype == np.int16 and keys.size > 0.95 * m
         assert held / m <= 18.5, f"pair index holds {held / m:.2f} B/row"
         assert peak / m <= 32.0, f"pair index build peaks at {peak / m:.2f} B/row"
+
+    def test_load_bytes_per_row(self, tmp_path):
+        """Loading a saved store peaks under 71 bytes a row: the file's text, its
+        int64 ids and, while the rows are checked and sorted, their int64 keys, the
+        sort order and the sorted keys, gathered once (tracemalloc).  The store has
+        788,040 int16 rows."""
+        path = tmp_path / "store.trp"
+        store = generate_training_set(make_moons(200, 0.1, 0), "euclidean", 0.2, 0.0, 1)
+        store.save(path)
+        del store
+        tracemalloc.start()
+        try:
+            loaded = TripletStore.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.m == 788_040 and loaded._anchor.dtype == np.int16
+        assert peak / loaded.m <= 71.0, f"loading peaks at {peak / loaded.m:.2f} B/row"
 
     def test_full_proportion_generation_bytes_per_row(self):
         """Generation holds a chunk of an anchor's draws at a time, not its whole

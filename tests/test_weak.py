@@ -280,6 +280,10 @@ class TestClassifierType:
         with pytest.raises(ValueError):
             TripletClassifier(0, 1, 0, 0, float("nan"))
 
+    def test_negative_label_set_rejected(self):
+        with pytest.raises(ValueError, match="^label-set bitmasks must be nonnegative$"):
+            TripletClassifier(0, 1, -1, 0, 0.5)
+
     def test_slotted_view_survives_pickle_and_deepcopy(self):
         """A view holds its five fields in slots, with no ``__dict__``, and a copy
         through pickle or ``copy.deepcopy`` is equal, its sides as canonical."""
@@ -565,3 +569,8 @@ class TestFiredBuckets:
                     assert have.dtype == np.int32
                     np.testing.assert_array_equal(have, expected)
         assert absent > 2 * 16 * 4  # the out-of-universe pairs, and some inside it
+
+    def test_equal_references_rejected(self):
+        store = generate_training_set(make_moons(8, 0.1, 0), "euclidean", 0.5, 0.0, 1)
+        with pytest.raises(ValueError, match="^reference examples j and k must differ$"):
+            fired_buckets(store, 3, 3)
